@@ -15,6 +15,12 @@ is carried out in exact integer arithmetic.  For a dyadic shell pair
 
 (ties belong upward: >= goes to the earlier region); coverage inside the
 shells follows from the resonance identity since 2|xi xi2| >= N N2 / 2.
+Each test reads one modulation, so each region part is a trilinear pairing
+of masked factors: the sigma mask and phi_N(xi) on h, the sigma1 mask on w,
+the sigma2 mask and phi_N2(|xi2|) on u.  region_pairing evaluates these
+with one tau-FFT per masked factor and lagged products along xi, without
+any (xi, tau, xi1, tau1) array, and checks their sum against the padded
+2-D convolution that also evaluates trilinear_I.
 
 The bilinear operator d/dx P_+( dx^{-1} w P_- du/dx ) uses the sharp
 positive/negative projections: on the integer lattice the positive
@@ -311,6 +317,40 @@ def _bracket_int(v: np.ndarray) -> np.ndarray:
     return 1.0 + np.abs(v.astype(np.float64))
 
 
+def _d_convolution(w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
+    """Exact convolution of xi1^{-1} w_hat on xi1 >= 1 with xi2 u_hat on
+    xi2 <= 0, on the lattice of (xi, tau) = (xi1 + xi2, tau1 + tau2)."""
+    grid = w.grid
+    xi = grid.spatial.xi
+    wc = w.coefficients.copy()
+    wc[:, xi < 1.0 - 1e-12] = 0.0
+    pos = xi >= 1.0 - 1e-12
+    wc[:, pos] = wc[:, pos] / xi[pos]
+    uc = u.coefficients * ((xi <= 0) * xi)[None, :]
+    return _padded_product(SpaceTimeField(grid, wc), SpaceTimeField(grid, uc))
+
+
+def _h_factor(h: SpaceTimeField, form: str) -> np.ndarray:
+    """The pairing's weighted h on the lattice, zero for xi < 1: form "I" is
+    xi <sigma>^{-1/2} h_hat, form "J" is xi <sigma>^{-1} (sum_N phi_N^2) h_hat."""
+    grid = h.grid
+    xi = grid.spatial.xi
+    pos = xi >= 1.0 - 1e-12
+    if form == "I":
+        return h.coefficients * (xi * pos)[None, :] / np.sqrt(
+            _bracket_int(grid.sigma)
+        )
+    if form == "J":
+        shell_sq = sum(
+            np.asarray(phi_shell(xi, s)) ** 2
+            for s in _shells_range(grid.spatial.n // 2 - 1)
+        )
+        return h.coefficients * (xi * pos * shell_sq)[None, :] / _bracket_int(
+            grid.sigma
+        )
+    raise ValueError("form must be 'I' or 'J'")
+
+
 def trilinear_I(h: SpaceTimeField, w: SpaceTimeField, u: SpaceTimeField) -> complex:
     """I = sum over D of xi <sigma>^{-1/2} h_hat * xi1^{-1} w_hat * xi2 u_hat.
 
@@ -318,19 +358,8 @@ def trilinear_I(h: SpaceTimeField, w: SpaceTimeField, u: SpaceTimeField) -> comp
     restriction to D comes from the sharp masks (xi >= 1 on h, xi1 >= 1 on
     w, xi2 <= 0 on u along with the explicit xi2 factor).
     """
-    grid = h.grid
-    _require_integer_lattice(grid)
-    xi = grid.spatial.xi
-    wc = w.coefficients.copy()
-    wc[:, xi < 1.0 - 1e-12] = 0.0
-    pos = xi >= 1.0 - 1e-12
-    wc[:, pos] = wc[:, pos] / xi[pos]
-    uc = u.coefficients * ((xi <= 0) * xi)[None, :]
-    conv = _padded_product(SpaceTimeField(grid, wc), SpaceTimeField(grid, uc))
-    hw = h.coefficients * (xi * (xi >= 1.0 - 1e-12))[None, :] / np.sqrt(
-        _bracket_int(grid.sigma)
-    )
-    return complex(np.sum(hw * conv))
+    _require_integer_lattice(h.grid)
+    return complex(np.sum(_h_factor(h, "I") * _d_convolution(w, u)))
 
 
 def trilinear_I_oracle(
@@ -385,105 +414,81 @@ def duality_pair(h: SpaceTimeField, bfield: SpaceTimeField) -> complex:
 # region-decomposed pairings
 # ----------------------------------------------------------------------------
 
-_REGION_CACHE: dict = {}
+
+def _tau_padded(rows: np.ndarray) -> np.ndarray:
+    """(xi, tau) rows in FFT order, zero-padded to 2M taus so that tau
+    convolutions of lattice data do not wrap."""
+    m = rows.shape[1]
+    out = np.zeros((rows.shape[0], 2 * m), dtype=np.complex128)
+    out[:, : m // 2] = rows[:, : m // 2]
+    out[:, 2 * m - m // 2 :] = rows[:, m // 2 :]
+    return out
 
 
-def _region_tables(grid: SpaceTimeGrid):
-    """Per-tuple region weights W_A/W_B/W_C on the (xi, tau, xi1, tau1) lattice.
+def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
+    """A, B, C parts of sum_D hf(xi,tau) xi1^{-1} w_hat(xi1,tau1) xi2 u_hat(xi2,tau2).
 
-    Weights are sums over admissible shell pairs of phi_N(|xi|) phi_N2(|xi2|)
-    times the exact-integer region indicator; they add to one wherever
-    xi >= 1, xi1 >= 1, xi2 <= -1.
+    Each region test reads one variable (|sigma| on h, |sigma1| on w,
+    |sigma2| on u) and the shell weights phi_N(xi), phi_N2(|xi2|) sit on h
+    and u, so every part is a sum of masked trilinear pairings.  One FFT
+    along tau (length 2M) turns the tau convolution into a product per
+    frequency omega, and xi1 = xi + |xi2| turns the xi sum into lagged
+    products: with H = ifft(h part), W = fft(w part), U = fft(u part),
+
+        sum_D = sum_{lag >= 1} sum_omega U(lag, omega)
+                sum_xi H(xi, omega) W(xi + lag, omega).
+
+    Pairs are grouped by N2, whose weight selects the lags.
     """
-    key = (grid.spatial.n, grid.num_times)
-    if key in _REGION_CACHE:
-        return _REGION_CACHE[key]
+    grid = w.grid
     m, n = grid.num_times, grid.spatial.n
-    k_max = n // 2 - 1
-    ks = np.arange(1, k_max + 1, dtype=np.int64)
-    taus = np.arange(-m // 2, m // 2, dtype=np.int64)
-    xiv = ks[:, None, None, None]
-    tauv = taus[None, :, None, None]
-    xi1v = ks[None, None, :, None]
-    tau1v = taus[None, None, None, :]
-    xi2 = xiv - xi1v
-    tau2 = tauv - tau1v
-    sigma = tauv + xiv * xiv
-    sigma1 = tau1v + xi1v * xi1v
-    sigma2 = tau2 - xi2 * xi2  # xi2 <= 0 on D
-    shape = np.broadcast_shapes(sigma.shape, sigma1.shape, sigma2.shape)
-    wa = np.zeros(shape)
-    wb = np.zeros(shape)
-    wc_ = np.zeros(shape)
-    mag2 = -xi2  # |xi2| where xi2 <= 0
-    for shell in _shells_range(k_max):
-        phi_xi = np.asarray(phi_shell(ks.astype(float), shell))[:, None, None, None]
-        if not np.any(phi_xi > 0):
-            continue
-        for shell2 in _shells_range(k_max):
-            phi_xi2 = phi_shell(np.maximum(mag2, 0).astype(float), shell2)
-            phi_xi2 = np.where(mag2 >= 1, phi_xi2, 0.0)
-            weight = phi_xi * phi_xi2
-            if not np.any(weight > 0):
-                continue
-            thr = shell * shell2
-            in_a = 6 * np.abs(sigma) >= thr
-            in_b = (6 * np.abs(sigma1) >= thr) & ~in_a
-            in_c = (
-                (6 * np.abs(sigma2) >= thr)
-                & (6 * np.abs(sigma) < thr)
-                & (6 * np.abs(sigma1) < thr)
-            )
-            wa += weight * in_a
-            wb += weight * in_b
-            wc_ += weight * in_c
-    tables = {
-        "wa": wa,
-        "wb": wb,
-        "wc": wc_,
-        "ks": ks,
-        "taus": taus,
-        "mask_d": np.broadcast_to(xi2 <= -1, shape),
-    }
-    _REGION_CACHE[key] = tables
-    return tables
+    k = n // 2 - 1
+    ks = np.arange(1, k + 1)
+    lags = np.arange(k)  # |xi2| = xi1 - xi; lag 0 carries the factor xi2 = 0
+    hx = _tau_padded(hf[:, 1 : k + 1].T)
+    wx = _tau_padded((w.coefficients[:, 1 : k + 1] / ks).T)
+    ux = _tau_padded((u.coefficients[:, -lags % n] * -lags).T)
+    tau = np.r_[0:m, -m:0]  # the 2M padded taus in FFT order
+    six_sigma = 6 * np.abs(tau + (ks * ks)[:, None])  # |sigma| on h, |sigma1| on w
+    six_sigma2 = 6 * np.abs(tau - (lags * lags)[:, None])
 
+    shells = _shells_range(k)
+    phi = np.array([phi_shell(ks, s) for s in shells])
+    phi2 = np.array([phi_shell(lags, s) for s in shells])
+    pairs = [
+        (i, j)
+        for j, p2 in enumerate(phi2)
+        for i, p in enumerate(phi)
+        if p.any() and p2.any() and ks[p > 0][0] + lags[p2 > 0][0] <= k
+    ]
+    thresholds = sorted({shells[i] * shells[j] for i, j in pairs})
+    thr = np.array(thresholds)[:, None, None]
+    ge, ge2 = six_sigma >= thr, six_sigma2 >= thr
+    h_ge, h_lt = np.fft.ifft(hx * ge), np.fft.ifft(hx * ~ge)
+    w_ge, w_lt = np.fft.fft(wx * ge), np.fft.fft(wx * ~ge)
+    u_ge = np.fft.fft(ux * ge2)
+    w_all, u_all = np.fft.fft(wx), np.fft.fft(ux)
 
-def _tuple_integrand(
-    h_factor: np.ndarray, w_factor: np.ndarray, u_table: np.ndarray, grid: SpaceTimeGrid
-) -> np.ndarray:
-    """4-D integrand H(xi,tau) W(xi1,tau1) U(xi2,tau2) via table lookup."""
-    m, n = grid.num_times, grid.spatial.n
-    k_max = n // 2 - 1
-    ks = np.arange(1, k_max + 1)
-    taus = np.arange(-m // 2, m // 2)
-    xi2_idx = (ks[:, None] - ks[None, :]) + (k_max - 1)  # xi - xi1 + offset
-    tau2_idx = (taus[:, None] - taus[None, :]) + (m - 1)
-    lookup = u_table[np.ix_(xi2_idx.ravel(), tau2_idx.ravel())].reshape(
-        k_max, k_max, m, m
-    )
-    # reorder to (xi, tau, xi1, tau1)
-    lookup = np.transpose(lookup, (0, 2, 1, 3))
-    return (
-        h_factor[:, :, None, None]
-        * w_factor[None, None, :, :]
-        * lookup
-    )
-
-
-def _u_lookup_table(grid: SpaceTimeGrid, u: SpaceTimeField) -> np.ndarray:
-    """Table of xi2 * u_hat(xi2, tau2) over xi2 in [-(K-1), K-1], tau2 in
-    [-(M-1), M-1], zero outside the lattice or for xi2 > 0."""
-    m, n = grid.num_times, grid.spatial.n
-    k_max = n // 2 - 1
-    uc = _centered(u)  # [tau + M/2, xi + N/2]
-    table = np.zeros((2 * k_max - 1, 2 * m - 1), dtype=np.complex128)
-    for i, k2 in enumerate(range(-(k_max - 1), k_max)):
-        if k2 > 0:
-            continue
-        col = uc[:, k2 + n // 2] * k2
-        table[i, (m // 2) - 1 : (m // 2) - 1 + m] = col
-    return table
+    parts = np.zeros(3, dtype=np.complex128)  # A, B, C
+    for j in sorted({j for _, j in pairs}):
+        i_idx = np.array([i for i, jj in pairs if jj == j])
+        t_idx = np.array([thresholds.index(shells[i] * shells[j]) for i in i_idx])
+        # A: sum_N phi_N [6|sigma| >= N N2] h against the whole of w and u
+        h_a = np.einsum("px,pxl->xl", phi[i_idx], h_ge[t_idx])
+        # B: phi_N [6|sigma| < N N2] h, [6|sigma1| >= N N2] w, u;
+        # C: the same h, [6|sigma1| < N N2] w, [6|sigma2| >= N N2] u
+        h_bc = phi[i_idx][:, :, None] * h_lt[t_idx]
+        w_bc = np.stack([w_ge[t_idx], w_lt[t_idx]])
+        u_c = u_ge[t_idx]
+        for lag in np.flatnonzero(phi2[j]):
+            lo, hi = slice(0, k - lag), slice(lag, k)
+            b, c = np.einsum("pxl,cpxl->cpl", h_bc[:, lo], w_bc[:, :, hi])
+            parts += phi2[j, lag] * np.array([
+                np.einsum("xl,xl,l->", h_a[lo], w_all[hi], u_all[lag]),
+                np.einsum("pl,l->", b, u_all[lag]),
+                np.einsum("pl,pl->", c, u_c[:, lag]),
+            ])
+    return parts
 
 
 def region_pairing(
@@ -492,39 +497,21 @@ def region_pairing(
     u: SpaceTimeField,
     form: str = "I",
 ) -> dict:
-    """Total pairing over D plus its A/B/C region parts (they sum exactly).
+    """Total pairing over D plus its A/B/C region parts.
 
     form "I": integrand xi <sigma>^{-1/2} h_hat xi1^{-1} w_hat xi2 u_hat.
     form "J": integrand xi <sigma>^{-1} (sum_N phi_N^2)(xi) g_hat ... with the
     witness family g_N = phi_N g_hat realizing the shell-dual pairing.
+
+    The total is the padded 2-D convolution of trilinear_I under the form's
+    h weight; the parts come from masked tau-FFT convolutions summed over
+    shell pairs (_region_parts).  The two are independent evaluations, so
+    closure_gap = |A + B + C - total| checks one against the other.
     """
-    grid = h.grid
-    _require_integer_lattice(grid)
-    tables = _region_tables(grid)
-    ks, taus = tables["ks"], tables["taus"]
-    m, n = grid.num_times, grid.spatial.n
-    hc = _centered(h)
-    wcen = _centered(w)
-    sigma_kt = taus[:, None] + (ks * ks)[None, :]  # (tau, xi) for xi >= 1
-    hvals = hc[:, ks + n // 2].T  # (xi, tau)
-    if form == "I":
-        h_factor = hvals * ks[:, None] / np.sqrt(1.0 + np.abs(sigma_kt.T))
-    elif form == "J":
-        shell_sq = np.zeros(len(ks))
-        for shell in _shells_range(n // 2 - 1):
-            shell_sq += np.asarray(phi_shell(ks.astype(float), shell)) ** 2
-        h_factor = (
-            hvals * (ks * shell_sq)[:, None] / (1.0 + np.abs(sigma_kt.T))
-        )
-    else:
-        raise ValueError("form must be 'I' or 'J'")
-    w_factor = wcen[:, ks + n // 2].T / ks[:, None]  # (xi1, tau1)
-    u_table = _u_lookup_table(grid, u)
-    integrand = _tuple_integrand(h_factor, w_factor, u_table, grid)
-    total = complex(np.sum(integrand * tables["mask_d"]))
-    part_a = complex(np.sum(integrand * tables["wa"]))
-    part_b = complex(np.sum(integrand * tables["wb"]))
-    part_c = complex(np.sum(integrand * tables["wc"]))
+    _require_integer_lattice(h.grid)
+    hf = _h_factor(h, form)
+    total = complex(np.sum(hf * _d_convolution(w, u)))
+    part_a, part_b, part_c = (complex(p) for p in _region_parts(hf, w, u))
     return {
         "total": total,
         "A": part_a,
@@ -696,7 +683,12 @@ def _probe_bilinear_critical_shell(cfg, win, env, rng_factory) -> ProbeReport:
 
 def _probe_exp_lowband(cfg, win, env, rng_factory) -> ProbeReport:
     from .gauge import _gauge_exponentials, _truncate
-    from .spectral import RealField, projection_symbol
+    from .spectral import (
+        ComplexField,
+        RealField,
+        pointwise_product,
+        projection_symbol,
+    )
 
     rep = ProbeReport(
         "exp_lowband",
@@ -725,31 +717,14 @@ def _probe_exp_lowband(cfg, win, env, rng_factory) -> ProbeReport:
             em, _ = _gauge_exponentials(slice_u, 4)
             e_lo = _truncate(em, grid, 4) * s_lo
             ux_m = slice_u.coefficients * s_minus_dx
-            prod = _spatial_product(grid, e_lo, ux_m)
-            out[mth] = prod * s_outer
+            prod = pointwise_product(ComplexField(grid, e_lo), ComplexField(grid, ux_m))
+            out[mth] = prod.coefficients * s_outer
         op = SpaceTimeField.from_raw_samples(
             win, np.fft.ifft(out, axis=1) * grid.n
         )
         lhs = z_tilde_norm(op, s, -1.0) + x_norm(op, s, -0.5)
         rep.add(sample=i, lhs=lhs, rhs=l4**2, ratio=lhs / l4**2)
     return rep
-
-
-def _spatial_product(grid, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """Exact product of two coefficient vectors (4x padded), truncated."""
-    n = grid.n
-    nf = 4 * n
-    half = n // 2
-    pa = np.zeros(nf, dtype=np.complex128)
-    pb = np.zeros(nf, dtype=np.complex128)
-    pa[:half], pa[nf - half :] = ca[:half], ca[n - half :]
-    pb[:half], pb[nf - half :] = cb[:half], cb[n - half :]
-    prod = np.fft.fft(np.fft.ifft(pa) * np.fft.ifft(pb)) * nf
-    out = np.zeros(n, dtype=np.complex128)
-    out[:half] = prod[:half]
-    out[n - half :] = prod[nf - half :]
-    out[half] = 0.0
-    return out
 
 
 def _probe_leibniz(cfg, win, env, rng_factory) -> ProbeReport:

@@ -62,7 +62,6 @@ class SimConfig:
     t_end: float
     dealias: float = 2.0 / 3.0
     snapshot_stride: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:

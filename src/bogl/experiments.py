@@ -144,6 +144,22 @@ def _manifest_value(v):
     return v
 
 
+def _grid(n: int, period_scale: float):
+    """make_grid with its validation errors reported as config errors."""
+    try:
+        return make_grid(n, period_scale)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _read_snapshot(path):
+    """read_snapshot with unreadable or malformed files reported as input errors."""
+    try:
+        return read_snapshot(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _prep(out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -198,7 +214,7 @@ def initial_data(grid, cfg: dict) -> RealField:
 def run_simulate(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, SIMULATE_SCHEMA)
     out = _prep(out_dir)
-    grid = make_grid(cfg["n"], cfg["lambda"])
+    grid = _grid(cfg["n"], cfg["lambda"])
     u0 = initial_data(grid, cfg)
     try:
         sim_cfg = SimConfig(
@@ -207,7 +223,6 @@ def run_simulate(config: dict, out_dir) -> RunResult:
             t_end=cfg["t_end"],
             dealias=cfg["dealias"],
             snapshot_stride=cfg["snapshot_stride"],
-            seed=cfg["seed"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -244,7 +259,7 @@ def load_trajectory(traj_dir) -> Trajectory:
         raise ConfigError(f"no snapshots found in {traj_dir}")
     states, times = [], []
     for p in paths:
-        field, t = read_snapshot(p)
+        field, t = _read_snapshot(p)
         if not isinstance(field, RealField):
             raise ConfigError(f"{p}: trajectory snapshots must be real fields")
         states.append(field)
@@ -311,7 +326,7 @@ def run_gauge_check(traj_dir, out_dir, oversample: int = 4) -> RunResult:
 
 def run_lp_decompose(input_path, out_dir) -> RunResult:
     out = _prep(out_dir)
-    field, t = read_snapshot(input_path)
+    field, t = _read_snapshot(input_path)
     dec = lp.decompose(field)
     rows = [{"shell": n, "mass": m} for n, m in dec.shell_masses()]
     csv = out / "lp_masses.csv"
@@ -347,7 +362,7 @@ def run_norm_sweep(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, NORM_SWEEP_SCHEMA)
     out = _prep(out_dir)
     win = bourgain.SpaceTimeGrid(
-        make_grid(cfg["n"], cfg["lambda"]),
+        _grid(cfg["n"], cfg["lambda"]),
         cfg["num_times"],
         cfg["t_span_pi"] * math.pi,
     )
@@ -495,7 +510,7 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
     if cfg["perturb_min_freq"] < 8.0:
         raise ConfigError("perturbation must live at frequencies |xi| >= 8")
     out = _prep(out_dir)
-    grid = make_grid(cfg["n"], cfg["lambda"])
+    grid = _grid(cfg["n"], cfg["lambda"])
     sim_cfg = SimConfig(
         grid, dt=cfg["dt"], t_end=cfg["t_end"], snapshot_stride=cfg["snapshot_stride"]
     )
@@ -606,7 +621,7 @@ def run_scaling_check(config: dict, out_dir) -> RunResult:
     lam = cfg["scale"]
     if lam < 1 or (lam & (lam - 1)) != 0:
         raise ConfigError("scale must be a dyadic integer >= 1")
-    grid = make_grid(cfg["n"], cfg["lambda_base"])
+    grid = _grid(cfg["n"], cfg["lambda_base"])
     rng = stream(cfg["seed"], "scaling")
     u0 = random_field(
         grid, rng, decay=cfg["decay"], amplitude=cfg["amplitude"],

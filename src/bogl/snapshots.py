@@ -49,6 +49,8 @@ def read_snapshot(path) -> tuple[Field, float]:
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
+    if (len(raw) - _HEADER.size) % 8:
+        raise ValueError(f"{path}: truncated snapshot body")
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     grid = make_grid(n, lam)
     if kind == KIND_REAL:

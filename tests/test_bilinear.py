@@ -23,6 +23,7 @@ from bogl.bilinear import (
     trilinear_I_oracle,
 )
 from bogl.bourgain import SpaceTimeField, SpaceTimeGrid, random_spacetime_field
+from bogl.lp import phi_shell
 from bogl.reporting import stream
 from bogl.spectral import make_grid
 
@@ -172,6 +173,57 @@ def test_region_parts_sum_to_total(win16, form):
     assert closure <= 1e-10
     if form == "I":
         assert parts["total"] == pytest.approx(trilinear_I(h, w, u), rel=1e-12)
+
+
+SHELLS = (1, 2, 4, 8, 16)
+
+
+def _region_oracle(h, w, u, form):
+    """Direct sum over the tuples of D, each weighted by phi_N(xi) phi_N2(|xi2|)
+    and put in its region by the exact-Fraction classify."""
+    m, n = h.grid.num_times, h.grid.spatial.n
+    hc, wc, uc = h.coefficients, w.coefficients, u.coefficients
+    taus = range(-m // 2, m // 2)
+    parts = {RegionTag.A: 0j, RegionTag.B: 0j, RegionTag.C: 0j}
+    total = 0j
+    for xi in range(1, n // 2):
+        shell_sq = sum(phi_shell(xi, s) ** 2 for s in SHELLS)
+        for xi1 in range(xi + 1, n // 2):
+            xi2 = xi - xi1
+            weights = [
+                (s, s2, phi_shell(xi, s) * phi_shell(-xi2, s2))
+                for s in SHELLS
+                for s2 in SHELLS
+            ]
+            weights = [wt for wt in weights if wt[2] > 0]
+            for tau in taus:
+                sigma = tau + xi * xi
+                if form == "I":
+                    hval = xi * hc[tau % m, xi] / np.sqrt(1.0 + abs(sigma))
+                else:
+                    hval = xi * shell_sq * hc[tau % m, xi] / (1.0 + abs(sigma))
+                for tau1 in taus:
+                    tau2 = tau - tau1
+                    if tau2 not in taus:
+                        continue
+                    val = (hval * wc[tau1 % m, xi1] / xi1
+                           * xi2 * uc[tau2 % m, xi2 % n])
+                    total += val
+                    t = FrequencyTuple(xi=xi, xi1=xi1, tau=tau, tau1=tau1)
+                    for s, s2, weight in weights:
+                        parts[classify(t, s, s2)] += weight * val
+    return total, parts
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("form", ["I", "J"])
+def test_region_parts_match_tuple_oracle(win16, form, seed):
+    h, w, u = fields(win16, 40 + seed)
+    total, parts = _region_oracle(h, w, u, form)
+    fast = region_pairing(h, w, u, form=form)
+    assert abs(fast["total"] - total) <= 1e-12 * abs(total)
+    for tag, slow in parts.items():
+        assert abs(fast[tag.value] - slow) <= 1e-12 * abs(slow), tag
 
 
 def test_estimate_probe_reports():

@@ -221,8 +221,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     ugly = tmp_path / "ugly.cfg"
     ugly.write_text("n = 64\ndt = 1e-3\nt_end = 0.02\nsnapshot_stride = 7\n")
     assert main(["simulate", "--config", str(ugly)]) == 2
+    # grid size that is not a power of two
+    odd = tmp_path / "odd.cfg"
+    odd.write_text("n = 100\n")
+    for cmd in ("simulate", "norm-sweep"):
+        assert main([cmd, "--config", str(odd), "--out",
+                     str(tmp_path / "odd")]) == 2
     assert main(["gauge-check", "--traj", str(out), "--out",
                  str(tmp_path / "g"), "--assert"]) == 0
+    # a snapshot cut inside its sample block
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    for snap in sorted(out.glob("snap_*.bin")):
+        (cut / snap.name).write_bytes(snap.read_bytes())
+    last = sorted(cut.glob("snap_*.bin"))[-1]
+    last.write_bytes(last.read_bytes()[:-3])
+    assert main(["gauge-check", "--traj", str(cut), "--out",
+                 str(tmp_path / "gc")]) == 2
 
 
 def test_cli_seed_override(tmp_path):

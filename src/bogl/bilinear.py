@@ -682,7 +682,7 @@ def _probe_bilinear_critical_shell(cfg, win, env, rng_factory) -> ProbeReport:
 
 
 def _probe_exp_lowband(cfg, win, env, rng_factory) -> ProbeReport:
-    from .gauge import _gauge_exponentials, _truncate
+    from .gauge import _gauge_exponential, _truncate
     from .spectral import (
         ComplexField,
         RealField,
@@ -714,7 +714,7 @@ def _probe_exp_lowband(cfg, win, env, rng_factory) -> ProbeReport:
         out = np.zeros((win.num_times, grid.n), dtype=np.complex128)
         for mth in range(win.num_times):
             slice_u = RealField.from_samples(grid, samples[mth])
-            em, _ = _gauge_exponentials(slice_u, 4)
+            em = _gauge_exponential(slice_u, 4)
             e_lo = _truncate(em, grid, 4) * s_lo
             ux_m = slice_u.coefficients * s_minus_dx
             prod = pointwise_product(ComplexField(grid, e_lo), ComplexField(grid, ux_m))

@@ -7,6 +7,13 @@ exponential time-differencing Runge-Kutta scheme; the removable 0/0 in the
 scheme coefficients is handled by averaging over a circular contour around
 each dt*L value (Kassam-Trefethen style, full circle since L is imaginary).
 
+The march keeps only the half spectrum k = 0..n/2 of the real state (the
+negative modes are its conjugates) and evaluates N in the conservative form
+F((u^2/2)_x): one inverse and one forward real FFT per stage.  On 2/3-dealiased
+state the two forms agree in exact arithmetic: u^2 has modes |k| <= 2n/3, its
+aliases land at |k| > n/3, which the mask removes, and on the kept band
+F(u u_x) = F((u^2/2)_x).  Data with modes above n/3 differ at aliasing level.
+
 Sign convention: the nonlinearity sits on the RIGHT-hand side as +u u_x.
 The mean-zero periodic traveling wave for this convention,
 
@@ -104,21 +111,36 @@ class Trajectory:
         ]
 
 
-def _dealias_mask(grid: SpatialGrid, fraction: float) -> np.ndarray:
-    keep = np.abs(grid.k) <= fraction * (grid.n // 2) + 1e-9
-    keep[grid.nyquist_index] = False
+def _dealias_mask(k: np.ndarray, n: int, fraction: float) -> np.ndarray:
+    """Modes kept by the dealias rule.  k lists the mode numbers of one layout
+    (FFT order or the half spectrum); in both, index n/2 is the Nyquist line."""
+    keep = np.abs(k) <= fraction * (n // 2) + 1e-9
+    keep[n // 2] = False
     return keep
 
 
+def _full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
+    """Hermitian FFT-order coefficients from the half spectrum k = 0..n/2."""
+    return np.concatenate([half, np.conj(half[n // 2 - 1 : 0 : -1])])
+
+
 class ETDRK4Stepper:
-    """Precomputed exponential-RK4 coefficients for one (grid, dt) pair."""
+    """Precomputed exponential-RK4 coefficients for one (grid, dt) pair.
+
+    State and coefficients live on the half spectrum k = 0..n/2 (rfft
+    layout).  The nonlinear term is the dealiased conservative form
+    (u^2/2)_x, with i xi/2 and the dealias mask folded into one array; on
+    2/3-dealiased state it equals the dealiased u u_x of `nonlinearity`
+    (the aliases of u^2 fall outside the kept band).
+    """
 
     def __init__(self, grid: SpatialGrid, dt: float, dealias: float = 2.0 / 3.0,
                  contour_points: int = 32):
         self.grid = grid
         self.dt = dt
-        xi = grid.xi
-        lin = -1j * np.abs(xi) * xi
+        k = np.arange(grid.n // 2 + 1)
+        xi = k / grid.period_scale
+        lin = -1j * xi * xi  # -i|xi|xi, xi >= 0 here
         self.exp_full = np.exp(dt * lin)
         self.exp_half = np.exp(0.5 * dt * lin)
         # contour average around each dt*L removes the 0/0 at small |xi|xi dt
@@ -129,22 +151,19 @@ class ETDRK4Stepper:
         self.f1 = dt * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
         self.f2 = dt * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
         self.f3 = dt * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
-        self.mask = _dealias_mask(grid, dealias)
-        self._ikxi = 1j * xi
+        self.mask = _dealias_mask(k, grid.n, dealias)
+        self._half_ddx = np.where(self.mask, 0.5j * xi, 0.0)
 
     def nonlinear(self, coeff: np.ndarray) -> np.ndarray:
-        n = self.grid.n
-        u = np.fft.ifft(coeff) * n
-        ux = np.fft.ifft(self._ikxi * coeff) * n
-        out = np.fft.fft(u * ux) / n
-        out[~self.mask] = 0.0
-        return out
+        u = np.fft.irfft(coeff, self.grid.n, norm="forward")
+        return self._half_ddx * np.fft.rfft(u * u, norm="forward")
 
     def advance(self, coeff: np.ndarray) -> np.ndarray:
         n0 = self.nonlinear(coeff)
-        a = self.exp_half * coeff + self.q * n0
+        e_coeff = self.exp_half * coeff
+        a = e_coeff + self.q * n0
         na = self.nonlinear(a)
-        b = self.exp_half * coeff + self.q * na
+        b = e_coeff + self.q * na
         nb = self.nonlinear(b)
         c = self.exp_half * a + self.q * (2.0 * nb - n0)
         nc = self.nonlinear(c)
@@ -174,7 +193,7 @@ def nonlinearity(u: RealField, dealias: float = 2.0 / 3.0) -> RealField:
     ux = derivative(u)
     prod = np.asarray(u.samples) * np.asarray(ux.samples)
     coeff = np.fft.fft(prod) / grid.n
-    coeff[~_dealias_mask(grid, dealias)] = 0.0
+    coeff[~_dealias_mask(grid.k, grid.n, dealias)] = 0.0
     return RealField(grid, coeff)
 
 
@@ -182,10 +201,11 @@ def step(u: RealField, dt: float, dealias: float = 2.0 / 3.0) -> RealField:
     """One ETDRK4 step; raises IntegrationError on non-finite output."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    out = _stepper(u.grid, dt, dealias).advance(u.coefficients)
+    n = u.grid.n
+    out = _stepper(u.grid, dt, dealias).advance(u.coefficients[: n // 2 + 1])
     if not np.all(np.isfinite(out)):
         raise IntegrationError(dt)
-    return RealField(u.grid, out)
+    return RealField(u.grid, _full_spectrum(out, n))
 
 
 def momentum(u: RealField) -> float:
@@ -213,16 +233,17 @@ def simulate(u0: RealField, cfg: SimConfig) -> Trajectory:
     """March u0 with snapshots (and M, E diagnostics) every snapshot_stride steps."""
     if u0.grid != cfg.grid:
         raise ValueError("initial data does not live on the configured grid")
+    n = cfg.grid.n
     stepper = _stepper(cfg.grid, cfg.dt, cfg.dealias)
-    coeff = u0.copy_coefficients()
-    times, states = [0.0], [RealField(cfg.grid, coeff)]
+    coeff = u0.coefficients[: n // 2 + 1]
+    times, states = [0.0], [RealField(cfg.grid, _full_spectrum(coeff, n))]
     for k in range(1, cfg.n_steps + 1):
         coeff = stepper.advance(coeff)
         if not np.all(np.isfinite(coeff)):
             raise IntegrationError(k * cfg.dt)
         if k % cfg.snapshot_stride == 0:
             times.append(k * cfg.dt)
-            states.append(RealField(cfg.grid, coeff))
+            states.append(RealField(cfg.grid, _full_spectrum(coeff, n)))
     momenta = np.array([momentum(u) for u in states])
     energies = np.array([energy(u) for u in states])
     return Trajectory(np.array(times), states, momenta, energies)

@@ -152,6 +152,22 @@ def _grid(n: int, period_scale: float):
         raise ConfigError(str(exc)) from None
 
 
+def _sim_config(grid, **kwargs) -> SimConfig:
+    """SimConfig with its validation errors reported as config errors."""
+    try:
+        return SimConfig(grid, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _spacetime_grid(grid, num_times: int, t_span: float):
+    """bourgain.SpaceTimeGrid with its validation errors reported as config errors."""
+    try:
+        return bourgain.SpaceTimeGrid(grid, num_times, t_span)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _read_snapshot(path):
     """read_snapshot with unreadable or malformed files reported as input errors."""
     try:
@@ -216,16 +232,13 @@ def run_simulate(config: dict, out_dir) -> RunResult:
     out = _prep(out_dir)
     grid = _grid(cfg["n"], cfg["lambda"])
     u0 = initial_data(grid, cfg)
-    try:
-        sim_cfg = SimConfig(
-            grid,
-            dt=cfg["dt"],
-            t_end=cfg["t_end"],
-            dealias=cfg["dealias"],
-            snapshot_stride=cfg["snapshot_stride"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    sim_cfg = _sim_config(
+        grid,
+        dt=cfg["dt"],
+        t_end=cfg["t_end"],
+        dealias=cfg["dealias"],
+        snapshot_stride=cfg["snapshot_stride"],
+    )
     traj = simulate(u0, sim_cfg)
     outputs = []
     for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
@@ -361,7 +374,7 @@ NORM_SWEEP_SCHEMA = {
 def run_norm_sweep(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, NORM_SWEEP_SCHEMA)
     out = _prep(out_dir)
-    win = bourgain.SpaceTimeGrid(
+    win = _spacetime_grid(
         _grid(cfg["n"], cfg["lambda"]),
         cfg["num_times"],
         cfg["t_span_pi"] * math.pi,
@@ -511,7 +524,7 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
         raise ConfigError("perturbation must live at frequencies |xi| >= 8")
     out = _prep(out_dir)
     grid = _grid(cfg["n"], cfg["lambda"])
-    sim_cfg = SimConfig(
+    sim_cfg = _sim_config(
         grid, dt=cfg["dt"], t_end=cfg["t_end"], snapshot_stride=cfg["snapshot_stride"]
     )
     rows = []
@@ -641,13 +654,13 @@ def run_scaling_check(config: dict, out_dir) -> RunResult:
                      "expected": want, "rel_err": err})
     t_scaled = cfg["t_scaled"]
     steps_base = round(lam**2 * t_scaled / cfg["dt"])
-    base_cfg = SimConfig(grid, dt=cfg["dt"], t_end=lam**2 * t_scaled,
-                         snapshot_stride=steps_base)
+    base_cfg = _sim_config(grid, dt=cfg["dt"], t_end=lam**2 * t_scaled,
+                           snapshot_stride=steps_base)
     base_final = simulate(u0, base_cfg).states[-1]
     v0 = rescale(u0, lam)
     steps_scaled = round(t_scaled / cfg["dt"])
-    scaled_cfg = SimConfig(v0.grid, dt=cfg["dt"], t_end=t_scaled,
-                           snapshot_stride=steps_scaled)
+    scaled_cfg = _sim_config(v0.grid, dt=cfg["dt"], t_end=t_scaled,
+                             snapshot_stride=steps_scaled)
     scaled_final = simulate(v0, scaled_cfg).states[-1]
     expected = rescale(base_final, lam)
     corr = lebesgue_norm(scaled_final - expected, 2)
@@ -712,7 +725,6 @@ def _suite_exp_multiplication(cfg) -> ProbeReport:
 
 def run_probe_suite(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, PROBE_SUITE_SCHEMA)
-    out = _prep(out_dir)
     selected = (
         list(SUITE_PROBES)
         if cfg["select"] == "all"
@@ -721,6 +733,11 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
     unknown = set(selected) - set(SUITE_PROBES)
     if unknown:
         raise ConfigError(f"unknown probes: {sorted(unknown)}")
+    # validated up front: inside the probe loop a bad grid would be recorded
+    # as a probe failure instead of a config error
+    _spacetime_grid(_grid(cfg["n"], 1.0), cfg["num_times"], 2.0 * math.pi)
+    _grid(cfg["exp_n"], 1.0)
+    out = _prep(out_dir)
     outputs: list = []
     summary: dict = {}
     failures: list = []
@@ -728,6 +745,8 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
     for name in selected:
         try:
             reports_here = _run_one_suite_probe(name, cfg)
+        except ConfigError:
+            raise
         except Exception as exc:  # record and continue, per the suite contract
             failures.append({"probe": name, "error": str(exc)})
             continue

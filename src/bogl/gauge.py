@@ -115,13 +115,20 @@ def _fdx(a: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return a * (1j * xi)
 
 
-def _gauge_exponentials(u: RealField, factor: int):
+def _fine_primitive(u: RealField, factor: int) -> np.ndarray:
+    """Samples of F = primitive(u) on the factor-times finer lattice."""
+    return _fsamples(_embed(primitive(u), factor)).real
+
+
+def _gauge_exponential(u: RealField, factor: int) -> np.ndarray:
+    """Fine-lattice coefficients of e^{-iF/2} for F = primitive(u)."""
+    return _fanalyze(np.exp(-0.5j * _fine_primitive(u, factor)))
+
+
+def _gauge_exponential_pair(u: RealField, factor: int):
     """Fine-lattice coefficients of e^{-iF/2} and e^{+iF/2} for F = primitive(u)."""
-    f = primitive(u)
-    fine_f = _fsamples(_embed(f, factor)).real
-    em = _fanalyze(np.exp(-0.5j * fine_f))
-    ep = _fanalyze(np.exp(+0.5j * fine_f))
-    return em, ep
+    fine_f = _fine_primitive(u, factor)
+    return _fanalyze(np.exp(-0.5j * fine_f)), _fanalyze(np.exp(+0.5j * fine_f))
 
 
 # ----------------------------------------------------------------------------
@@ -176,7 +183,7 @@ def primitive(u: RealField) -> RealField:
 
 def gauge_W(u: RealField, oversample: int = 4) -> ComplexField:
     """W = P_+(e^{-iF/2}), the positive-frequency part of the gauge factor."""
-    em, _ = _gauge_exponentials(u, oversample)
+    em = _gauge_exponential(u, oversample)
     xi = _fine_xi(u.grid, oversample)
     w = _fmask(em, "plus", xi)
     return ComplexField(u.grid, _truncate(w, u.grid, oversample))
@@ -190,7 +197,7 @@ def gauge_w(u: RealField, oversample: int = 4) -> ComplexField:
 
 def gauge_w_product_form(u: RealField, oversample: int = 4) -> ComplexField:
     """w computed as -(i/2) P_+(e^{-iF/2} u); equals gauge_w up to aliasing."""
-    em, _ = _gauge_exponentials(u, oversample)
+    em = _gauge_exponential(u, oversample)
     xi = _fine_xi(u.grid, oversample)
     prod = _fmul(em, _embed(u, oversample))
     w = -0.5j * _fmask(prod, "plus", xi)
@@ -255,7 +262,7 @@ def gauge_residual(
     xi = _fine_xi(grid, oversample)
     ws, rhss, mean_terms = [], [], []
     for v in traj.states:
-        em, _ = _gauge_exponentials(v, oversample)
+        em = _gauge_exponential(v, oversample)
         w_fine = _fdx(_fmask(em, "plus", xi), xi)
         ux = _embed(derivative(v), oversample)
         bil = _fdx(_fmask(_fmul(_fmask(em, "plus", xi), _fmask(ux, "minus", xi)), "plus", xi), xi)
@@ -301,7 +308,7 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
     """
     grid = u.grid
     xi = _fine_xi(grid, oversample)
-    em, ep = _gauge_exponentials(u, oversample)
+    em, ep = _gauge_exponential_pair(u, oversample)
     ufine = _embed(u, oversample)
 
     w_hi = _fdx(_fmask(em, "plus_hi", xi), xi)
@@ -371,7 +378,7 @@ def exp_multiplication_probe(
         raise ValueError("alpha must lie in [0, 1/q]")
     grid = f_source.grid
     xi = _fine_xi(grid, oversample)
-    em, _ = _gauge_exponentials(f_source, oversample)
+    em = _gauge_exponential(f_source, oversample)
     gfine = _embed(g, oversample)
     prod = _fmul(em, gfine)
     bessel = (1.0 + xi**2) ** (alpha / 2.0)

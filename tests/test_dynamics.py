@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bogl.dynamics import (
+    ETDRK4Stepper,
     SimConfig,
     energy,
     momentum,
@@ -46,6 +47,86 @@ def test_nonlinearity_constant_and_mean(grid):
     assert lebesgue_norm(nonlinearity(const), 2) == 0.0
     u = smooth_data(grid)
     assert abs(nonlinearity(u).mean) < 1e-15
+
+
+class ComplexStepperOracle:
+    """Full-spectrum ETDRK4 with u*u_x from three complex FFTs per stage.
+
+    The same scheme as ETDRK4Stepper, kept as an independent reference for the
+    half-spectrum conservative-form stepper.
+    """
+
+    def __init__(self, grid, dt, dealias=2.0 / 3.0, contour_points=32):
+        xi = grid.xi
+        lin = -1j * np.abs(xi) * xi
+        self.exp_full, self.exp_half = np.exp(dt * lin), np.exp(0.5 * dt * lin)
+        theta = np.exp(2j * np.pi * (np.arange(contour_points) + 0.5) / contour_points)
+        lr = dt * lin[:, None] + theta[None, :]
+        elr = np.exp(lr)
+        self.q = dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
+        self.f1 = dt * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
+        self.f2 = dt * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
+        self.f3 = dt * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
+        self.drop = np.abs(grid.k) > dealias * (grid.n // 2) + 1e-9
+        self.drop[grid.nyquist_index] = True
+        self.ikxi, self.n = 1j * xi, grid.n
+
+    def nonlinear(self, coeff):
+        u = np.fft.ifft(coeff) * self.n
+        ux = np.fft.ifft(self.ikxi * coeff) * self.n
+        out = np.fft.fft(u * ux) / self.n
+        out[self.drop] = 0.0
+        return out
+
+    def advance(self, coeff):
+        n0 = self.nonlinear(coeff)
+        a = self.exp_half * coeff + self.q * n0
+        na = self.nonlinear(a)
+        b = self.exp_half * coeff + self.q * na
+        nb = self.nonlinear(b)
+        c = self.exp_half * a + self.q * (2.0 * nb - n0)
+        nc = self.nonlinear(c)
+        return (self.exp_full * coeff + self.f1 * n0 + self.f2 * 2.0 * (na + nb)
+                + self.f3 * nc)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n", [64, 256, 4096])
+def test_stepper_nonlinear_matches_u_ux(n):
+    # in-band data: the conservative (u^2/2)_x equals u*u_x after dealiasing
+    g = make_grid(n, 1.0)
+    u = random_field(g, np.random.default_rng(n), decay=0.5, max_mode=n // 3)
+    half = ETDRK4Stepper(g, 1e-3).nonlinear(u.coefficients[: n // 2 + 1])
+    full = nonlinearity(u).coefficients
+    assert _rel(half, full[: n // 2 + 1]) < 1e-13
+    assert np.all(half[n // 3 + 1 :] == 0.0)
+
+
+def test_march_matches_complex_oracle(grid):
+    u = smooth_data(grid, amplitude=1.0, max_mode=20)
+    dt = 1e-3
+    oracle = ComplexStepperOracle(grid, dt)
+    expected = u.copy_coefficients()
+    for _ in range(200):
+        expected = oracle.advance(expected)
+    cfg = SimConfig(grid, dt=dt, t_end=200 * dt, snapshot_stride=200)
+    got = simulate(u, cfg).states[-1]
+    assert _rel(got.coefficients, expected) < 1e-12
+    stepped = u
+    for _ in range(200):
+        stepped = step(stepped, dt)
+    assert _rel(stepped.coefficients, expected) < 1e-12
+
+
+def test_step_output_is_real(grid):
+    u = smooth_data(grid, max_mode=40)
+    out = step(u, 1e-3)
+    assert isinstance(out, RealField)
+    assert out.imag_residue < 1e-12
+    assert np.max(np.abs(out.coefficients[1:] - np.conj(out.coefficients[:0:-1]))) == 0.0
 
 
 def test_step_dt_to_zero_limit(grid):

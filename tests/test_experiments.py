@@ -227,6 +227,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     for cmd in ("simulate", "norm-sweep"):
         assert main([cmd, "--config", str(odd), "--out",
                      str(tmp_path / "odd")]) == 2
+    # probe-suite validates its grid before any probe runs
+    assert main(["probe-suite", "--config", str(odd), "--out",
+                 str(tmp_path / "ps"), "--assert"]) == 2
+    assert main(["probe-suite", "--config", str(odd), "--out",
+                 str(tmp_path / "ps")]) == 2
+    odd_exp = tmp_path / "odd_exp.cfg"
+    odd_exp.write_text("exp_n = 100\nselect = exp_multiplication\n")
+    assert main(["probe-suite", "--config", str(odd_exp), "--out",
+                 str(tmp_path / "ps")]) == 2
+    # time lattice that is not a power of two
+    times = tmp_path / "times.cfg"
+    times.write_text("num_times = 100\n")
+    assert main(["norm-sweep", "--config", str(times), "--out",
+                 str(tmp_path / "nt")]) == 2
+    assert main(["lipschitz-pairs", "--config", str(ugly), "--out",
+                 str(tmp_path / "lp")]) == 2
     assert main(["gauge-check", "--traj", str(out), "--out",
                  str(tmp_path / "g"), "--assert"]) == 0
     # a snapshot cut inside its sample block

@@ -715,7 +715,7 @@ def _probe_exp_lowband(cfg, win, env, rng_factory) -> ProbeReport:
         for mth in range(win.num_times):
             slice_u = RealField.from_samples(grid, samples[mth])
             em = _gauge_exponential(slice_u, 4)
-            e_lo = _truncate(em, grid, 4) * s_lo
+            e_lo = _truncate(em, grid) * s_lo
             ux_m = slice_u.coefficients * s_minus_dx
             prod = pointwise_product(ComplexField(grid, e_lo), ComplexField(grid, ux_m))
             out[mth] = prod.coefficients * s_outer

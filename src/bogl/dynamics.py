@@ -55,11 +55,17 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the march produces non-finite values."""
+    """Raised when the march produces non-finite values.
 
-    def __init__(self, time: float):
-        super().__init__(f"integration failure (NaN/overflow) at t = {time:.6g}")
+    time is the time the failing step reached; a lone `step` does not know
+    it and reports its step size dt instead.
+    """
+
+    def __init__(self, time: float | None = None, dt: float | None = None):
+        where = f"at t = {time:.6g}" if time is not None else f"in a step of dt = {dt:.6g}"
+        super().__init__(f"integration failure (NaN/overflow) {where}")
         self.time = time
+        self.dt = dt
 
 
 @dataclass(frozen=True)
@@ -202,9 +208,11 @@ def step(u: RealField, dt: float, dealias: float = 2.0 / 3.0) -> RealField:
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = u.grid.n
-    out = _stepper(u.grid, dt, dealias).advance(u.coefficients[: n // 2 + 1])
+    # overflow is reported by the finiteness check, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _stepper(u.grid, dt, dealias).advance(u.coefficients[: n // 2 + 1])
     if not np.all(np.isfinite(out)):
-        raise IntegrationError(dt)
+        raise IntegrationError(dt=dt)
     return RealField(u.grid, _full_spectrum(out, n))
 
 
@@ -237,13 +245,15 @@ def simulate(u0: RealField, cfg: SimConfig) -> Trajectory:
     stepper = _stepper(cfg.grid, cfg.dt, cfg.dealias)
     coeff = u0.coefficients[: n // 2 + 1]
     times, states = [0.0], [RealField(cfg.grid, _full_spectrum(coeff, n))]
-    for k in range(1, cfg.n_steps + 1):
-        coeff = stepper.advance(coeff)
-        if not np.all(np.isfinite(coeff)):
-            raise IntegrationError(k * cfg.dt)
-        if k % cfg.snapshot_stride == 0:
-            times.append(k * cfg.dt)
-            states.append(RealField(cfg.grid, _full_spectrum(coeff, n)))
+    # overflow is reported by the finiteness check, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.n_steps + 1):
+            coeff = stepper.advance(coeff)
+            if not np.all(np.isfinite(coeff)):
+                raise IntegrationError(time=k * cfg.dt)
+            if k % cfg.snapshot_stride == 0:
+                times.append(k * cfg.dt)
+                states.append(RealField(cfg.grid, _full_spectrum(coeff, n)))
     momenta = np.array([momentum(u) for u in states])
     energies = np.array([energy(u) for u in states])
     return Trajectory(np.array(times), states, momenta, energies)

@@ -169,11 +169,16 @@ def _spacetime_grid(grid, num_times: int, t_span: float):
 
 
 def _read_snapshot(path):
-    """read_snapshot with unreadable or malformed files reported as input errors."""
+    """read_snapshot with unreadable, malformed or non-finite files reported
+    as input errors."""
     try:
-        return read_snapshot(path)
+        field, t = read_snapshot(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    # a NaN or inf sample spreads to every coefficient
+    if not np.all(np.isfinite(field.coefficients)):
+        raise ConfigError(f"{path}: non-finite samples")
+    return field, t
 
 
 def _prep(out_dir) -> Path:
@@ -313,11 +318,11 @@ def run_gauge_check(traj_dir, out_dir, oversample: int = 4) -> RunResult:
     res_csv = out / "gauge_residual.csv"
     write_csv(res_csv, rep.rows(), ["t", "residual_L2", "mean_term_L2"])
     rec_rows = []
-    worst = 0.0
     for t, state in zip(traj.times, traj.states):
         rec = gauge.reconstruct_high(state, oversample=oversample)
         rec_rows.append({"t": float(t), "rel_gap": rec.rel_gap})
-        worst = max(worst, rec.rel_gap)
+    # np.max, unlike max(), keeps a NaN gap
+    worst = float(np.max([row["rel_gap"] for row in rec_rows]))
     rec_csv = out / "reconstruction.csv"
     write_csv(rec_csv, rec_rows, ["t", "rel_gap"])
     config = {"traj_dir": str(traj_dir), "oversample": oversample,

@@ -11,15 +11,19 @@ exactly (P0 is the spatial mean; P_+ of [mean + negative-frequency part of
 e^{-iF/2}] times P_-(u_x) vanishes identically, which is what reduces the
 full exponential to W inside the product).
 
-Exponentials are not band-limited: every product involving e^{+-iF/2} is
-evaluated on an oversampled lattice (default 4x) with a further 2x padding
-per product, then truncated, so the only approximation left is the spectral
-tail of the exponential itself.
+Exponentials are not band-limited: e^{+-iF/2} is sampled on a lattice of
+nf = oversample*n points (default 4x) and kept on its band [-nf/2, nf/2 - 1].
+Each product with it is then formed on the shortest lattice that is exact
+for the band its result keeps: 3nf/2 points when the result keeps the whole
+fine band, and the nf lattice itself when it keeps only a narrow band (the
+bounds are stated where the products are formed).  The only approximation
+left is the spectral tail of the exponential itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -61,22 +65,23 @@ __all__ = [
 # ----------------------------------------------------------------------------
 
 
-def _embed(field: Field, factor: int) -> np.ndarray:
-    n, nf = field.grid.n, field.grid.n * factor
-    out = np.zeros(nf, dtype=np.complex128)
-    half = n // 2
-    out[:half] = field.coefficients[:half]
-    out[nf - half :] = field.coefficients[n - half :]
+def _reband(coeff: np.ndarray, length: int) -> np.ndarray:
+    """The band of coeff on a lattice of `length` points: zero-padded when the
+    lattice is longer, cut to the modes [-length/2, length/2 - 1] when shorter."""
+    out = np.zeros(length, dtype=np.complex128)
+    half = min(len(coeff), length) // 2
+    out[:half] = coeff[:half]
+    out[length - half :] = coeff[len(coeff) - half :]
     return out
 
 
-def _truncate(fine: np.ndarray, grid: SpatialGrid, factor: int) -> np.ndarray:
-    n = grid.n
-    out = np.zeros(n, dtype=np.complex128)
-    half = n // 2
-    out[:half] = fine[:half]
-    out[n - half :] = fine[len(fine) - half :]
-    out[half] = 0.0
+def _embed(field: Field, factor: int) -> np.ndarray:
+    return _reband(field.coefficients, field.grid.n * factor)
+
+
+def _truncate(fine: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    out = _reband(fine, grid.n)
+    out[grid.n // 2] = 0.0
     return out
 
 
@@ -88,27 +93,42 @@ def _fanalyze(samples: np.ndarray) -> np.ndarray:
     return np.fft.fft(samples) / len(samples)
 
 
+def _fmul_sum(pairs, length: int | None = None) -> np.ndarray:
+    """Exact sum of the products a*b of fine-band fields, cut to the band.
+
+    The factors carry the modes [-nf/2, nf/2 - 1], so every product carries
+    [-nf, nf - 2].  The products are formed from samples on L = 3nf/2 points
+    (`length` overrides L): every alias k +- L of a kept mode k then lies
+    outside [-nf, nf - 2], and no shorter lattice has that property.  The sum
+    is taken on the samples, so m products cost 2m + 1 transforms.
+    """
+    nf = len(pairs[0][0])
+    length = 3 * nf // 2 if length is None else length
+    acc = np.zeros(length, dtype=np.complex128)
+    for a, b in pairs:
+        acc += _fsamples(_reband(a, length)) * _fsamples(_reband(b, length))
+    return _reband(_fanalyze(acc), nf)
+
+
 def _fmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two fine-band fields: 2x padded multiply, truncated."""
-    nf = len(a)
-    pa = np.zeros(2 * nf, dtype=np.complex128)
-    pb = np.zeros(2 * nf, dtype=np.complex128)
-    half = nf // 2
-    pa[:half], pa[2 * nf - half :] = a[:half], a[nf - half :]
-    pb[:half], pb[2 * nf - half :] = b[:half], b[nf - half :]
-    prod = _fanalyze(_fsamples(pa) * _fsamples(pb))
-    out = np.zeros(nf, dtype=np.complex128)
-    out[:half] = prod[:half]
-    out[nf - half :] = prod[2 * nf - half :]
-    return out
+    """Exact product of two fine-band fields, formed on 3nf/2 points and cut
+    to the band (see _fmul_sum)."""
+    return _fmul_sum([(a, b)])
 
 
+@lru_cache(maxsize=32)
 def _fine_xi(grid: SpatialGrid, factor: int) -> np.ndarray:
-    return fine_frequencies(grid, factor)
+    xi = fine_frequencies(grid, factor)
+    xi.flags.writeable = False
+    return xi
 
 
-def _fmask(a: np.ndarray, which: str, xi: np.ndarray) -> np.ndarray:
-    return a * projection_symbol(which, xi)
+@lru_cache(maxsize=64)
+def _fine_mask(grid: SpatialGrid, factor: int, which: str) -> np.ndarray:
+    """Symbol of a named projection on the fine lattice, built once (read-only)."""
+    mask = projection_symbol(which, _fine_xi(grid, factor))
+    mask.flags.writeable = False
+    return mask
 
 
 def _fdx(a: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -120,15 +140,19 @@ def _fine_primitive(u: RealField, factor: int) -> np.ndarray:
     return _fsamples(_embed(primitive(u), factor)).real
 
 
+def _gauge_samples(u: RealField, factor: int) -> np.ndarray:
+    """Samples of e^{-iF/2} on the factor-times finer lattice."""
+    return np.exp(-0.5j * _fine_primitive(u, factor))
+
+
 def _gauge_exponential(u: RealField, factor: int) -> np.ndarray:
     """Fine-lattice coefficients of e^{-iF/2} for F = primitive(u)."""
-    return _fanalyze(np.exp(-0.5j * _fine_primitive(u, factor)))
+    return _fanalyze(_gauge_samples(u, factor))
 
 
-def _gauge_exponential_pair(u: RealField, factor: int):
-    """Fine-lattice coefficients of e^{-iF/2} and e^{+iF/2} for F = primitive(u)."""
-    fine_f = _fine_primitive(u, factor)
-    return _fanalyze(np.exp(-0.5j * fine_f)), _fanalyze(np.exp(+0.5j * fine_f))
+def _conj_reflect(coeff: np.ndarray) -> np.ndarray:
+    """Coefficients of conj(f) from those of f: c[k] -> conj(c[-k])."""
+    return np.conj(np.concatenate((coeff[:1], coeff[:0:-1])))
 
 
 # ----------------------------------------------------------------------------
@@ -183,10 +207,8 @@ def primitive(u: RealField) -> RealField:
 
 def gauge_W(u: RealField, oversample: int = 4) -> ComplexField:
     """W = P_+(e^{-iF/2}), the positive-frequency part of the gauge factor."""
-    em = _gauge_exponential(u, oversample)
-    xi = _fine_xi(u.grid, oversample)
-    w = _fmask(em, "plus", xi)
-    return ComplexField(u.grid, _truncate(w, u.grid, oversample))
+    w = _gauge_exponential(u, oversample) * _fine_mask(u.grid, oversample, "plus")
+    return ComplexField(u.grid, _truncate(w, u.grid))
 
 
 def gauge_w(u: RealField, oversample: int = 4) -> ComplexField:
@@ -198,10 +220,9 @@ def gauge_w(u: RealField, oversample: int = 4) -> ComplexField:
 def gauge_w_product_form(u: RealField, oversample: int = 4) -> ComplexField:
     """w computed as -(i/2) P_+(e^{-iF/2} u); equals gauge_w up to aliasing."""
     em = _gauge_exponential(u, oversample)
-    xi = _fine_xi(u.grid, oversample)
     prod = _fmul(em, _embed(u, oversample))
-    w = -0.5j * _fmask(prod, "plus", xi)
-    return ComplexField(u.grid, _truncate(w, u.grid, oversample))
+    w = -0.5j * (prod * _fine_mask(u.grid, oversample, "plus"))
+    return ComplexField(u.grid, _truncate(w, u.grid))
 
 
 @dataclass(frozen=True)
@@ -260,18 +281,26 @@ def gauge_residual(
         if abs(v.mean.real) > 1e-10:
             raise ValueError("gauge residual needs mean-zero states")
     xi = _fine_xi(grid, oversample)
+    plus = _fine_mask(grid, oversample, "plus")
+    minus = _fine_mask(grid, oversample, "minus")
     ws, rhss, mean_terms = [], [], []
     for v in traj.states:
-        em = _gauge_exponential(v, oversample)
-        w_fine = _fdx(_fmask(em, "plus", xi), xi)
-        ux = _embed(derivative(v), oversample)
-        bil = _fdx(_fmask(_fmul(_fmask(em, "plus", xi), _fmask(ux, "minus", xi)), "plus", xi), xi)
+        em_plus = _gauge_exponential(v, oversample) * plus
+        w_fine = _fdx(em_plus, xi)
+        ux_minus = _embed(derivative(v), oversample) * minus
+        # P_+ e^{-iF/2} carries the modes (0, nf/2) and P_- u_x carries
+        # (-n/2, 0), so their product carries (-n/2, nf/2).  Only |k| < n/2
+        # survives the truncation below, and as nf/2 + n/2 + n/2 <= nf no
+        # alias k +- nf of such a mode lies in (-n/2, nf/2): the product is
+        # exact on the nf lattice, with no padding.
+        prod = _fanalyze(_fsamples(em_plus) * _fsamples(ux_minus))
+        bil = _fdx(prod * plus, xi)
         p0 = float(np.mean(np.asarray(v.samples) ** 2))
         mean_term = 0.25j * p0 * w_fine
         rhs = -bil + (mean_term if include_mean_term else 0.0)
-        ws.append(_truncate(w_fine, grid, oversample))
-        rhss.append(_truncate(rhs, grid, oversample))
-        mean_terms.append(_truncate(mean_term, grid, oversample))
+        ws.append(_truncate(w_fine, grid))
+        rhss.append(_truncate(rhs, grid))
+        mean_terms.append(_truncate(mean_term, grid))
     dt = float(dts[0])
     times, residuals, magnitudes = [], [], []
     for k in range(1, len(ws) - 1):
@@ -307,21 +336,32 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
     only aliasing of the oversampled exponentials.
     """
     grid = u.grid
+    n, nf = grid.n, grid.n * oversample
     xi = _fine_xi(grid, oversample)
-    em, ep = _gauge_exponential_pair(u, oversample)
+    mask = partial(_fine_mask, grid, oversample)
+    em_samples = _gauge_samples(u, oversample)
+    em = _fanalyze(em_samples)
+    ep = _conj_reflect(em)  # e^{+iF/2} is the conjugate of e^{-iF/2}
     ufine = _embed(u, oversample)
 
-    w_hi = _fdx(_fmask(em, "plus_hi", xi), xi)
-    t1 = 2j * _fmask(_fmul(ep, w_hi), "plus_HI", xi)
-    inner_lo = _fmask(_fmul(em, ufine), "lo", xi)
-    t2 = _fmask(_fmul(_fmask(ep, "plus_hi", xi), inner_lo), "plus_HI", xi)
-    t3 = 2j * _fmask(
-        _fmul(_fmask(ep, "plus_HI", xi), _fdx(_fmask(em, "minus_hi", xi), xi)),
-        "plus_HI",
-        xi,
-    )
-    rhs_fine = t1 + t2 + t3
-    lhs_fine = _fmask(ufine, "plus_HI", xi)
+    # P_lo keeps |xi| < 2, i.e. |k| < 2 lambda, and e^{-iF/2} u carries
+    # |k| < nf/2 + n/2.  While 2 lambda + nf/2 + n/2 <= nf no alias k +- nf
+    # of a kept mode is a mode of the product, so it is formed from the nf
+    # samples e^{-iF/2} already has.
+    if 2 * grid.period_scale + (nf + n) / 2 <= nf:
+        inner = _fanalyze(em_samples * _fsamples(ufine))
+    else:
+        inner = _fmul(em, ufine)
+    inner_lo = inner * mask("lo")
+
+    w_hi = _fdx(em * mask("plus_hi"), xi)
+    # the three P_{+HI} terms keep the whole fine band: one sum on 3nf/2 points
+    rhs_fine = mask("plus_HI") * _fmul_sum([
+        (ep, 2j * w_hi),
+        (ep * mask("plus_hi"), inner_lo),
+        (ep * mask("plus_HI"), 2j * _fdx(em * mask("minus_hi"), xi)),
+    ])
+    lhs_fine = ufine * mask("plus_HI")
 
     gap = float(np.sqrt(grid.length * np.sum(np.abs(rhs_fine - lhs_fine) ** 2)))
     lhs_norm = float(np.sqrt(grid.length * np.sum(np.abs(lhs_fine) ** 2)))
@@ -330,8 +370,8 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
     # vanish and the meaningful scale of the identity is |u| itself
     denom = max(lhs_norm, lebesgue_norm(u, 2), 1e-300)
     return ReconstructionReport(
-        lhs=ComplexField(grid, _truncate(lhs_fine, grid, oversample)),
-        rhs=ComplexField(grid, _truncate(rhs_fine, grid, oversample)),
+        lhs=ComplexField(grid, _truncate(lhs_fine, grid)),
+        rhs=ComplexField(grid, _truncate(rhs_fine, grid)),
         lhs_norm=lhs_norm,
         rhs_norm=rhs_norm,
         gap_abs=gap,

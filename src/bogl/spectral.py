@@ -243,13 +243,6 @@ class Multiplier:
     def __call__(self, f: Field) -> Field:
         return self.apply(f)
 
-    def compose(self, other: "Multiplier") -> "Multiplier":
-        return Multiplier(
-            name=f"{self.name}*{other.name}",
-            symbol=lambda xi, a=self.symbol, b=other.symbol: np.asarray(a(xi))
-            * np.asarray(b(xi)),
-        )
-
 
 HILBERT = Multiplier("hilbert", lambda xi: -1j * np.sign(xi))
 DERIVATIVE = Multiplier("d/dx", lambda xi: 1j * xi)

@@ -1,10 +1,13 @@
 """Integrator order, conservation and invariances of the evolution."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from bogl.dynamics import (
     ETDRK4Stepper,
+    IntegrationError,
     SimConfig,
     energy,
     momentum,
@@ -127,6 +130,22 @@ def test_step_output_is_real(grid):
     assert isinstance(out, RealField)
     assert out.imag_residue < 1e-12
     assert np.max(np.abs(out.coefficients[1:] - np.conj(out.coefficients[:0:-1]))) == 0.0
+
+
+def test_overflow_is_reported_without_warnings():
+    g = make_grid(64, 1.0)
+    huge = random_field(g, np.random.default_rng(0), decay=1.0, amplitude=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as lone:
+            step(huge, 1e-3)
+        with pytest.raises(IntegrationError) as march:
+            simulate(huge, SimConfig(g, dt=1e-3, t_end=0.003))
+    # a lone step knows its size, not where it sits in a march
+    assert lone.value.time is None and lone.value.dt == 1e-3
+    assert "dt = 0.001" in str(lone.value) and "at t =" not in str(lone.value)
+    assert march.value.time == pytest.approx(1e-3)
+    assert "at t = 0.001" in str(march.value)
 
 
 def test_step_dt_to_zero_limit(grid):

@@ -1,6 +1,7 @@
 """Snapshot IO, config handling, experiment drivers and the CLI contract."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,24 @@ def test_run_gauge_check(sim_run, tmp_path):
     assert len(text) == 1 + 3  # interior snapshots only
 
 
+def test_run_gauge_check_keeps_nan_gap(sim_run, tmp_path, monkeypatch):
+    from bogl import gauge
+
+    real = gauge.reconstruct_high
+    calls = []
+
+    def nan_on_second(state, oversample=4):
+        rec = real(state, oversample=oversample)
+        calls.append(rec)
+        return replace(rec, rel_gap=float("nan")) if len(calls) == 2 else rec
+
+    monkeypatch.setattr(gauge, "reconstruct_high", nan_on_second)
+    res = run_gauge_check(sim_run.out_dir, tmp_path / "g")
+    gap = next(a for a in res.assertions if a.name == "reconstruction_gap")
+    assert not gap.ok and "nan" in gap.detail
+    assert not res.passed
+
+
 def test_run_gauge_check_handles_mean(tmp_path):
     out = tmp_path / "simm"
     cfg = {"n": "64", "dt": "1e-3", "t_end": "0.03", "snapshot_stride": "10",
@@ -207,7 +226,9 @@ def test_probe_suite_summary_lists_inequalities(tmp_path):
         assert np.isfinite(info["sup"])
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
+    # commands without --out write to the working directory
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("n = 64\ndt = 1e-3\nt_end = 0.02\nsnapshot_stride = 10\n"
                    "init = modes\namplitude = 0.3\n")
@@ -254,6 +275,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     last.write_bytes(last.read_bytes()[:-3])
     assert main(["gauge-check", "--traj", str(cut), "--out",
                  str(tmp_path / "gc")]) == 2
+    # a snapshot with one NaN sample is bad input, with or without --assert
+    nan = tmp_path / "nan"
+    nan.mkdir()
+    for snap in sorted(out.glob("snap_*.bin")):
+        (nan / snap.name).write_bytes(snap.read_bytes())
+    last = sorted(nan.glob("snap_*.bin"))[-1]
+    raw = bytearray(last.read_bytes())
+    raw[len(raw) - 8 * 10 : len(raw) - 8 * 9] = np.array([np.nan], "<f8").tobytes()
+    last.write_bytes(bytes(raw))
+    for extra in ([], ["--assert"]):
+        assert main(["gauge-check", "--traj", str(nan), "--out",
+                     str(tmp_path / "gn")] + extra) == 2
 
 
 def test_cli_seed_override(tmp_path):

@@ -4,6 +4,7 @@ Lipschitz gap and the exponential multiplication bound."""
 import numpy as np
 import pytest
 
+from bogl import gauge
 from bogl.dynamics import SimConfig, simulate
 from bogl.gauge import (
     exp_multiplication_probe,
@@ -19,10 +20,13 @@ from bogl.gauge import (
     ungauge_trajectory,
 )
 from bogl.spectral import (
+    ComplexField,
     RealField,
     derivative,
+    fine_frequencies,
     lebesgue_norm,
     make_grid,
+    projection_symbol,
     random_field,
 )
 
@@ -225,3 +229,120 @@ def test_exp_multiplication_quarter_order(grid):
     assert np.isfinite(sup) and sup < 5.0
     with pytest.raises(ValueError):
         exp_multiplication_probe(u, g4, alpha=0.3, q=4)
+
+
+# ----------------------------------------------------------------------------
+# Reference: every gauge product formed on a lattice of 2nf points, with the
+# exponential pair taken from two separate transforms.  The shortest-lattice
+# kernels of bogl.gauge must agree with it to rounding.
+# ----------------------------------------------------------------------------
+
+
+def _ref_band(coeff, length):
+    out = np.zeros(length, dtype=np.complex128)
+    half = min(len(coeff), length) // 2
+    out[:half] = coeff[:half]
+    out[length - half :] = coeff[len(coeff) - half :]
+    return out
+
+
+def _ref_fmul(a, b):
+    nf = len(a)
+    pa = np.fft.ifft(_ref_band(a, 2 * nf)) * (2 * nf)
+    pb = np.fft.ifft(_ref_band(b, 2 * nf)) * (2 * nf)
+    return _ref_band(np.fft.fft(pa * pb) / (2 * nf), nf)
+
+
+def _ref_truncate(fine, grid):
+    out = _ref_band(fine, grid.n)
+    out[grid.n // 2] = 0.0
+    return out
+
+
+def _ref_exponential_pair(u, factor):
+    nf = u.grid.n * factor
+    f = (np.fft.ifft(_ref_band(primitive(u).coefficients, nf)) * nf).real
+    return np.fft.fft(np.exp(-0.5j * f)) / nf, np.fft.fft(np.exp(0.5j * f)) / nf
+
+
+def _ref_gauge_residual(traj, oversample):
+    grid = traj.grid
+    xi = fine_frequencies(grid, oversample)
+    plus, minus = projection_symbol("plus", xi), projection_symbol("minus", xi)
+    ws, rhss, mean_terms = [], [], []
+    for v in traj.states:
+        em, _ = _ref_exponential_pair(v, oversample)
+        w_fine = em * plus * (1j * xi)
+        ux = _ref_band(derivative(v).coefficients, len(xi))
+        bil = _ref_fmul(em * plus, ux * minus) * plus * (1j * xi)
+        mean_term = 0.25j * float(np.mean(v.samples**2)) * w_fine
+        ws.append(_ref_truncate(w_fine, grid))
+        rhss.append(_ref_truncate(mean_term - bil, grid))
+        mean_terms.append(_ref_truncate(mean_term, grid))
+    dt = float(traj.times[1] - traj.times[0])
+    residuals, magnitudes = [], []
+    for k in range(1, len(ws) - 1):
+        lhs = (ws[k + 1] - ws[k - 1]) / (2.0 * dt) + 1j * grid.xi**2 * ws[k]
+        residuals.append(lebesgue_norm(ComplexField(grid, lhs - rhss[k]), 2))
+        magnitudes.append(lebesgue_norm(ComplexField(grid, mean_terms[k]), 2))
+    return np.array(residuals), np.array(magnitudes)
+
+
+def _ref_reconstruct_high(u, oversample):
+    """(rhs coefficients on the coarse band, gap_abs) of reconstruct_high."""
+    grid = u.grid
+    xi = fine_frequencies(grid, oversample)
+    mask = {w: projection_symbol(w, xi)
+            for w in ("lo", "plus_hi", "plus_HI", "minus_hi")}
+    em, ep = _ref_exponential_pair(u, oversample)
+    ufine = _ref_band(u.coefficients, len(xi))
+    w_hi = em * mask["plus_hi"] * (1j * xi)
+    inner_lo = _ref_fmul(em, ufine) * mask["lo"]
+    t1 = 2j * _ref_fmul(ep, w_hi) * mask["plus_HI"]
+    t2 = _ref_fmul(ep * mask["plus_hi"], inner_lo) * mask["plus_HI"]
+    t3 = 2j * _ref_fmul(ep * mask["plus_HI"], em * mask["minus_hi"] * (1j * xi)) * mask["plus_HI"]
+    rhs = t1 + t2 + t3
+    gap = np.sqrt(grid.length * np.sum(np.abs(rhs - ufine * mask["plus_HI"]) ** 2))
+    return _ref_truncate(rhs, grid), float(gap)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+# oversample 1 puts the P_lo product of reconstruct_high on its padded path
+@pytest.mark.parametrize(
+    "n, period_scale, oversample",
+    [(n, lam, o) for n in (64, 256, 1024) for lam in (1.0, 2.0) for o in (2, 4)]
+    + [(64, 1.0, 1)],
+)
+def test_gauge_products_match_padded_reference(n, period_scale, oversample):
+    g = make_grid(n, period_scale)
+    u0 = random_field(g, np.random.default_rng(n), decay=1.0, amplitude=0.9)
+    traj = simulate(u0, SimConfig(g, dt=1e-3, t_end=4e-3, snapshot_stride=2))
+    rep = gauge_residual(traj, oversample=oversample)
+    ref_res, ref_mean = _ref_gauge_residual(traj, oversample)
+    assert _rel(rep.residuals, ref_res) < 1e-12
+    assert _rel(rep.mean_term_magnitudes, ref_mean) < 1e-12
+    for u in (u0, traj.states[-1]):
+        rec = reconstruct_high(u, oversample=oversample)
+        ref_rhs, ref_gap = _ref_reconstruct_high(u, oversample)
+        assert _rel(rec.rhs.coefficients, ref_rhs) < 1e-12
+        assert abs(rec.gap_abs - ref_gap) < 1e-15 * lebesgue_norm(u, 2)
+    em, ep = _ref_exponential_pair(u0, oversample)
+    assert np.array_equal(gauge._gauge_exponential(u0, oversample), em)
+    assert _rel(gauge._conj_reflect(em), ep) < 1e-14
+
+
+def test_full_band_product_lattice_length():
+    nf = 32
+    rng = np.random.default_rng(0)
+    a, b = (rng.standard_normal(nf) + 1j * rng.standard_normal(nf) for _ in range(2))
+    # direct convolution on the modes -nf/2..nf/2-1, cut back to that band
+    full = np.convolve(np.fft.fftshift(a), np.fft.fftshift(b))  # modes -nf..nf-2
+    direct = np.fft.ifftshift(full[nf // 2 : nf // 2 + nf])
+    assert np.max(np.abs(gauge._fmul(a, b) - direct)) < 1e-13
+    assert np.max(np.abs(gauge._fmul_sum([(a, b)], length=3 * nf // 2) - direct)) < 1e-13
+    # one point fewer, or the fine lattice itself, aliases
+    for length in (3 * nf // 2 - 1, nf):
+        assert np.max(np.abs(gauge._fmul_sum([(a, b)], length=length) - direct)) > 1e-3

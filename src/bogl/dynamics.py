@@ -58,10 +58,12 @@ class IntegrationError(RuntimeError):
     """Raised when the march produces non-finite values.
 
     time is the time the failing step reached; a lone `step` does not know
-    it and reports its step size dt instead.
+    it and reports its step size dt instead.  Exactly one of them is given.
     """
 
     def __init__(self, time: float | None = None, dt: float | None = None):
+        if (time is None) == (dt is None):
+            raise ValueError("IntegrationError takes exactly one of time and dt")
         where = f"at t = {time:.6g}" if time is not None else f"in a step of dt = {dt:.6g}"
         super().__init__(f"integration failure (NaN/overflow) {where}")
         self.time = time

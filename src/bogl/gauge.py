@@ -13,11 +13,11 @@ full exponential to W inside the product).
 
 Exponentials are not band-limited: e^{+-iF/2} is sampled on a lattice of
 nf = oversample*n points (default 4x) and kept on its band [-nf/2, nf/2 - 1].
-Each product with it is then formed on the shortest lattice that is exact
-for the band its result keeps: 3nf/2 points when the result keeps the whole
-fine band, and the nf lattice itself when it keeps only a narrow band (the
-bounds are stated where the products are formed).  The only approximation
-left is the spectral tail of the exponential itself.
+Products with it are formed on 3nf/2 points, the shortest lattice that is
+exact for the whole fine band, except the one in gauge_residual whose result
+is cut to the coarse band: that one is exact on the nf lattice itself (the
+bound is stated where it is formed).  The only approximation left is the
+spectral tail of the exponential itself.
 """
 
 from __future__ import annotations
@@ -93,17 +93,17 @@ def _fanalyze(samples: np.ndarray) -> np.ndarray:
     return np.fft.fft(samples) / len(samples)
 
 
-def _fmul_sum(pairs, length: int | None = None) -> np.ndarray:
+def _fmul_sum(pairs) -> np.ndarray:
     """Exact sum of the products a*b of fine-band fields, cut to the band.
 
     The factors carry the modes [-nf/2, nf/2 - 1], so every product carries
-    [-nf, nf - 2].  The products are formed from samples on L = 3nf/2 points
-    (`length` overrides L): every alias k +- L of a kept mode k then lies
-    outside [-nf, nf - 2], and no shorter lattice has that property.  The sum
-    is taken on the samples, so m products cost 2m + 1 transforms.
+    [-nf, nf - 2].  The products are formed from samples on L = 3nf/2 points:
+    every alias k +- L of a kept mode k then lies outside [-nf, nf - 2], and
+    no shorter lattice has that property.  The sum is taken on the samples,
+    so m products cost 2m + 1 transforms.
     """
     nf = len(pairs[0][0])
-    length = 3 * nf // 2 if length is None else length
+    length = 3 * nf // 2
     acc = np.zeros(length, dtype=np.complex128)
     for a, b in pairs:
         acc += _fsamples(_reband(a, length)) * _fsamples(_reband(b, length))
@@ -140,14 +140,9 @@ def _fine_primitive(u: RealField, factor: int) -> np.ndarray:
     return _fsamples(_embed(primitive(u), factor)).real
 
 
-def _gauge_samples(u: RealField, factor: int) -> np.ndarray:
-    """Samples of e^{-iF/2} on the factor-times finer lattice."""
-    return np.exp(-0.5j * _fine_primitive(u, factor))
-
-
 def _gauge_exponential(u: RealField, factor: int) -> np.ndarray:
     """Fine-lattice coefficients of e^{-iF/2} for F = primitive(u)."""
-    return _fanalyze(_gauge_samples(u, factor))
+    return _fanalyze(np.exp(-0.5j * _fine_primitive(u, factor)))
 
 
 def _conj_reflect(coeff: np.ndarray) -> np.ndarray:
@@ -289,10 +284,10 @@ def gauge_residual(
         w_fine = _fdx(em_plus, xi)
         ux_minus = _embed(derivative(v), oversample) * minus
         # P_+ e^{-iF/2} carries the modes (0, nf/2) and P_- u_x carries
-        # (-n/2, 0), so their product carries (-n/2, nf/2).  Only |k| < n/2
-        # survives the truncation below, and as nf/2 + n/2 + n/2 <= nf no
-        # alias k +- nf of such a mode lies in (-n/2, nf/2): the product is
-        # exact on the nf lattice, with no padding.
+        # [-n/2, 0), so their product carries (-n/2, nf/2).  P_+ and the
+        # truncation below keep only 0 < k < n/2, whose aliases k - nf < -n/2
+        # and k + nf > nf/2 lie outside that band for any oversample >= 1:
+        # the product is exact on the nf lattice, with no padding.
         prod = _fanalyze(_fsamples(em_plus) * _fsamples(ux_minus))
         bil = _fdx(prod * plus, xi)
         p0 = float(np.mean(np.asarray(v.samples) ** 2))
@@ -336,24 +331,12 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
     only aliasing of the oversampled exponentials.
     """
     grid = u.grid
-    n, nf = grid.n, grid.n * oversample
     xi = _fine_xi(grid, oversample)
     mask = partial(_fine_mask, grid, oversample)
-    em_samples = _gauge_samples(u, oversample)
-    em = _fanalyze(em_samples)
+    em = _gauge_exponential(u, oversample)
     ep = _conj_reflect(em)  # e^{+iF/2} is the conjugate of e^{-iF/2}
     ufine = _embed(u, oversample)
-
-    # P_lo keeps |xi| < 2, i.e. |k| < 2 lambda, and e^{-iF/2} u carries
-    # |k| < nf/2 + n/2.  While 2 lambda + nf/2 + n/2 <= nf no alias k +- nf
-    # of a kept mode is a mode of the product, so it is formed from the nf
-    # samples e^{-iF/2} already has.
-    if 2 * grid.period_scale + (nf + n) / 2 <= nf:
-        inner = _fanalyze(em_samples * _fsamples(ufine))
-    else:
-        inner = _fmul(em, ufine)
-    inner_lo = inner * mask("lo")
-
+    inner_lo = _fmul(em, ufine) * mask("lo")
     w_hi = _fdx(em * mask("plus_hi"), xi)
     # the three P_{+HI} terms keep the whole fine band: one sum on 3nf/2 points
     rhs_fine = mask("plus_HI") * _fmul_sum([

@@ -148,6 +148,12 @@ def test_overflow_is_reported_without_warnings():
     assert "at t = 0.001" in str(march.value)
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"time": None}, {"time": 1.0, "dt": 1e-3}])
+def test_integration_error_needs_exactly_one_location(kwargs):
+    with pytest.raises(ValueError, match="exactly one of time and dt"):
+        IntegrationError(**kwargs)
+
+
 def test_step_dt_to_zero_limit(grid):
     u = smooth_data(grid)
     moved = step(u, 1e-8)

@@ -19,8 +19,8 @@ Each test reads one modulation, so each region part is a trilinear pairing
 of masked factors: the sigma mask and phi_N(xi) on h, the sigma1 mask on w,
 the sigma2 mask and phi_N2(|xi2|) on u.  region_pairing evaluates these
 with one tau-FFT per masked factor and lagged products along xi, without
-any (xi, tau, xi1, tau1) array, and checks their sum against the padded
-2-D convolution that also evaluates trilinear_I.
+any (xi, tau, xi1, tau1) array, and checks their sum against the exact
+2-D convolution (spectral._band_product) that also evaluates trilinear_I.
 
 The bilinear operator d/dx P_+( dx^{-1} w P_- du/dx ) uses the sharp
 positive/negative projections: on the integer lattice the positive
@@ -46,6 +46,7 @@ from .bourgain import (
 )
 from .lp import phi_shell
 from .reporting import ProbeReport
+from .spectral import _band_product
 
 __all__ = [
     "FrequencyTuple",
@@ -244,33 +245,6 @@ def _lattice_values(grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------------
 
 
-def _padded_product(a: SpaceTimeField, b: SpaceTimeField, pad_x: int = 4,
-                    pad_t: int = 2) -> np.ndarray:
-    """Exact coefficient convolution of two fields, truncated to the lattice."""
-    grid = a.grid
-    m, n = grid.num_times, grid.spatial.n
-    mp, np_ = m * pad_t, n * pad_x
-
-    def embed(c):
-        out = np.zeros((mp, np_), dtype=np.complex128)
-        hm, hn = m // 2, n // 2
-        out[:hm, :hn] = c[:hm, :hn]
-        out[:hm, np_ - hn :] = c[:hm, n - hn :]
-        out[mp - hm :, :hn] = c[m - hm :, :hn]
-        out[mp - hm :, np_ - hn :] = c[m - hm :, n - hn :]
-        return out
-
-    pa, pb = embed(a.coefficients), embed(b.coefficients)
-    prod = np.fft.fft2(np.fft.ifft2(pa) * np.fft.ifft2(pb)) * (mp * np_)
-    hm, hn = m // 2, n // 2
-    out = np.zeros((m, n), dtype=np.complex128)
-    out[:hm, :hn] = prod[:hm, :hn]
-    out[:hm, n - hn :] = prod[:hm, np_ - hn :]
-    out[m - hm :, :hn] = prod[mp - hm :, :hn]
-    out[m - hm :, n - hn :] = prod[mp - hm :, np_ - hn :]
-    return out
-
-
 def _check_positive_support(w: SpaceTimeField) -> None:
     xi = w.grid.spatial.xi
     bad = np.abs(w.coefficients[:, xi < 1.0 - 1e-12])
@@ -301,7 +275,7 @@ def bilinear_core(
         pos = xi >= 1.0 - 1e-12
         wc[:, pos] = wc[:, pos] / (1j * xi[pos])
     uc = u.coefficients * ((xi < 0) * (1j * xi))[None, :]
-    prod = _padded_product(SpaceTimeField(grid, wc), SpaceTimeField(grid, uc))
+    prod = _band_product([(wc, uc)])
     prod *= (xi > 0)[None, :]
     if outer_dx:
         prod *= (1j * xi)[None, :]
@@ -327,7 +301,7 @@ def _d_convolution(w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
     pos = xi >= 1.0 - 1e-12
     wc[:, pos] = wc[:, pos] / xi[pos]
     uc = u.coefficients * ((xi <= 0) * xi)[None, :]
-    return _padded_product(SpaceTimeField(grid, wc), SpaceTimeField(grid, uc))
+    return _band_product([(wc, uc)])
 
 
 def _h_factor(h: SpaceTimeField, form: str) -> np.ndarray:
@@ -354,7 +328,7 @@ def _h_factor(h: SpaceTimeField, form: str) -> np.ndarray:
 def trilinear_I(h: SpaceTimeField, w: SpaceTimeField, u: SpaceTimeField) -> complex:
     """I = sum over D of xi <sigma>^{-1/2} h_hat * xi1^{-1} w_hat * xi2 u_hat.
 
-    Fast path: the (xi1, tau1) sum is an exact padded convolution; the
+    Fast path: the (xi1, tau1) sum is an exact 2-D convolution; the
     restriction to D comes from the sharp masks (xi >= 1 on h, xi1 >= 1 on
     w, xi2 <= 0 on u along with the explicit xi2 factor).
     """
@@ -503,7 +477,7 @@ def region_pairing(
     form "J": integrand xi <sigma>^{-1} (sum_N phi_N^2)(xi) g_hat ... with the
     witness family g_N = phi_N g_hat realizing the shell-dual pairing.
 
-    The total is the padded 2-D convolution of trilinear_I under the form's
+    The total is the exact 2-D convolution of trilinear_I under the form's
     h weight; the parts come from masked tau-FFT convolutions summed over
     shell pairs (_region_parts).  The two are independent evaluations, so
     closure_gap = |A + B + C - total| checks one against the other.
@@ -749,7 +723,7 @@ def _probe_leibniz(cfg, win, env, rng_factory) -> ProbeReport:
         decay = _decay_schedule(i)
         f = random_field(grid, rng, decay=decay, amplitude=1.0)
         g = random_field(grid, rng, decay=decay, amplitude=1.0)
-        inner = pointwise_product(f, project(derivative(g), "minus"), oversample=4)
+        inner = pointwise_product(f, project(derivative(g), "minus"))
         lhs = lebesgue_norm(fractional(project(inner, "plus"), "riesz", 0.5), 2)
         rhs = lebesgue_norm(fractional(f, "riesz", 0.75), 4) * lebesgue_norm(
             fractional(g, "riesz", 0.75), 4

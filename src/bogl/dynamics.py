@@ -27,6 +27,7 @@ phi^2/2 - mean(phi^2)/2, which the tests verify by direct substitution).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,14 +99,23 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
+    """Snapshot times and states; momenta and energies are computed from the
+    states on first read."""
+
     times: np.ndarray
     states: list
-    momenta: np.ndarray
-    energies: np.ndarray
 
     @property
     def grid(self) -> SpatialGrid:
         return self.states[0].grid
+
+    @cached_property
+    def momenta(self) -> np.ndarray:
+        return np.array([momentum(u) for u in self.states])
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        return np.array([energy(u) for u in self.states])
 
     def diagnostics_rows(self) -> list[dict]:
         return [
@@ -240,7 +250,7 @@ def energy(u: RealField) -> float:
 
 
 def simulate(u0: RealField, cfg: SimConfig) -> Trajectory:
-    """March u0 with snapshots (and M, E diagnostics) every snapshot_stride steps."""
+    """March u0 with a snapshot every snapshot_stride steps."""
     if u0.grid != cfg.grid:
         raise ValueError("initial data does not live on the configured grid")
     n = cfg.grid.n
@@ -256,9 +266,7 @@ def simulate(u0: RealField, cfg: SimConfig) -> Trajectory:
             if k % cfg.snapshot_stride == 0:
                 times.append(k * cfg.dt)
                 states.append(RealField(cfg.grid, _full_spectrum(coeff, n)))
-    momenta = np.array([momentum(u) for u in states])
-    energies = np.array([energy(u) for u in states])
-    return Trajectory(np.array(times), states, momenta, energies)
+    return Trajectory(np.array(times), states)
 
 
 def rescale(u0: RealField, lam: int) -> RealField:

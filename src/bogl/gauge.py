@@ -13,11 +13,10 @@ full exponential to W inside the product).
 
 Exponentials are not band-limited: e^{+-iF/2} is sampled on a lattice of
 nf = oversample*n points (default 4x) and kept on its band [-nf/2, nf/2 - 1].
-Products with it are formed on 3nf/2 points, the shortest lattice that is
-exact for the whole fine band, except the one in gauge_residual whose result
-is cut to the coarse band: that one is exact on the nf lattice itself (the
-bound is stated where it is formed).  The only approximation left is the
-spectral tail of the exponential itself.
+Products with it are exact on that band (spectral._band_product), except the
+one in gauge_residual whose result is cut to the coarse band: that one is
+exact on the nf lattice itself (the bound is stated where it is formed).  The
+only approximation left is the spectral tail of the exponential itself.
 """
 
 from __future__ import annotations
@@ -27,12 +26,16 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .dynamics import Trajectory, energy, momentum
+from .dynamics import Trajectory
 from .spectral import (
     ComplexField,
     Field,
     RealField,
     SpatialGrid,
+    _analyze,
+    _band_product,
+    _reband,
+    _samples,
     derivative,
     fine_frequencies,
     lebesgue_norm,
@@ -65,55 +68,14 @@ __all__ = [
 # ----------------------------------------------------------------------------
 
 
-def _reband(coeff: np.ndarray, length: int) -> np.ndarray:
-    """The band of coeff on a lattice of `length` points: zero-padded when the
-    lattice is longer, cut to the modes [-length/2, length/2 - 1] when shorter."""
-    out = np.zeros(length, dtype=np.complex128)
-    half = min(len(coeff), length) // 2
-    out[:half] = coeff[:half]
-    out[length - half :] = coeff[len(coeff) - half :]
-    return out
-
-
 def _embed(field: Field, factor: int) -> np.ndarray:
-    return _reband(field.coefficients, field.grid.n * factor)
+    return _reband(field.coefficients, (field.grid.n * factor,))
 
 
 def _truncate(fine: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    out = _reband(fine, grid.n)
+    out = _reband(fine, (grid.n,))
     out[grid.n // 2] = 0.0
     return out
-
-
-def _fsamples(fine_coeff: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(fine_coeff) * len(fine_coeff)
-
-
-def _fanalyze(samples: np.ndarray) -> np.ndarray:
-    return np.fft.fft(samples) / len(samples)
-
-
-def _fmul_sum(pairs) -> np.ndarray:
-    """Exact sum of the products a*b of fine-band fields, cut to the band.
-
-    The factors carry the modes [-nf/2, nf/2 - 1], so every product carries
-    [-nf, nf - 2].  The products are formed from samples on L = 3nf/2 points:
-    every alias k +- L of a kept mode k then lies outside [-nf, nf - 2], and
-    no shorter lattice has that property.  The sum is taken on the samples,
-    so m products cost 2m + 1 transforms.
-    """
-    nf = len(pairs[0][0])
-    length = 3 * nf // 2
-    acc = np.zeros(length, dtype=np.complex128)
-    for a, b in pairs:
-        acc += _fsamples(_reband(a, length)) * _fsamples(_reband(b, length))
-    return _reband(_fanalyze(acc), nf)
-
-
-def _fmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two fine-band fields, formed on 3nf/2 points and cut
-    to the band (see _fmul_sum)."""
-    return _fmul_sum([(a, b)])
 
 
 @lru_cache(maxsize=32)
@@ -137,12 +99,12 @@ def _fdx(a: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 def _fine_primitive(u: RealField, factor: int) -> np.ndarray:
     """Samples of F = primitive(u) on the factor-times finer lattice."""
-    return _fsamples(_embed(primitive(u), factor)).real
+    return _samples(_embed(primitive(u), factor)).real
 
 
 def _gauge_exponential(u: RealField, factor: int) -> np.ndarray:
     """Fine-lattice coefficients of e^{-iF/2} for F = primitive(u)."""
-    return _fanalyze(np.exp(-0.5j * _fine_primitive(u, factor)))
+    return _analyze(np.exp(-0.5j * _fine_primitive(u, factor)))
 
 
 def _conj_reflect(coeff: np.ndarray) -> np.ndarray:
@@ -171,12 +133,7 @@ def ungauge_trajectory(traj: Trajectory, mean_shift: float) -> Trajectory:
         coeff = shifted.copy_coefficients()
         coeff[0] += mean_shift
         states.append(RealField(v.grid, coeff))
-    return Trajectory(
-        times=traj.times.copy(),
-        states=states,
-        momenta=np.array([momentum(v) for v in states]),
-        energies=np.array([energy(v) for v in states]),
-    )
+    return Trajectory(times=traj.times.copy(), states=states)
 
 
 def translate_to_zero_mean(u: RealField, mean_shift: float, t: float) -> RealField:
@@ -215,7 +172,7 @@ def gauge_w(u: RealField, oversample: int = 4) -> ComplexField:
 def gauge_w_product_form(u: RealField, oversample: int = 4) -> ComplexField:
     """w computed as -(i/2) P_+(e^{-iF/2} u); equals gauge_w up to aliasing."""
     em = _gauge_exponential(u, oversample)
-    prod = _fmul(em, _embed(u, oversample))
+    prod = _band_product([(em, _embed(u, oversample))])
     w = -0.5j * (prod * _fine_mask(u.grid, oversample, "plus"))
     return ComplexField(u.grid, _truncate(w, u.grid))
 
@@ -288,7 +245,7 @@ def gauge_residual(
         # truncation below keep only 0 < k < n/2, whose aliases k - nf < -n/2
         # and k + nf > nf/2 lie outside that band for any oversample >= 1:
         # the product is exact on the nf lattice, with no padding.
-        prod = _fanalyze(_fsamples(em_plus) * _fsamples(ux_minus))
+        prod = _analyze(_samples(em_plus) * _samples(ux_minus))
         bil = _fdx(prod * plus, xi)
         p0 = float(np.mean(np.asarray(v.samples) ** 2))
         mean_term = 0.25j * p0 * w_fine
@@ -336,10 +293,10 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
     em = _gauge_exponential(u, oversample)
     ep = _conj_reflect(em)  # e^{+iF/2} is the conjugate of e^{-iF/2}
     ufine = _embed(u, oversample)
-    inner_lo = _fmul(em, ufine) * mask("lo")
+    inner_lo = _band_product([(em, ufine)]) * mask("lo")
     w_hi = _fdx(em * mask("plus_hi"), xi)
-    # the three P_{+HI} terms keep the whole fine band: one sum on 3nf/2 points
-    rhs_fine = mask("plus_HI") * _fmul_sum([
+    # the three P_{+HI} terms keep the whole fine band: one exact sum
+    rhs_fine = mask("plus_HI") * _band_product([
         (ep, 2j * w_hi),
         (ep * mask("plus_hi"), inner_lo),
         (ep * mask("plus_HI"), 2j * _fdx(em * mask("minus_hi"), xi)),
@@ -403,12 +360,12 @@ def exp_multiplication_probe(
     xi = _fine_xi(grid, oversample)
     em = _gauge_exponential(f_source, oversample)
     gfine = _embed(g, oversample)
-    prod = _fmul(em, gfine)
+    prod = _band_product([(em, gfine)])
     bessel = (1.0 + xi**2) ** (alpha / 2.0)
     dx_fine = grid.length / len(xi)
 
     def _lq(coeff: np.ndarray) -> float:
-        vals = np.abs(_fsamples(coeff))
+        vals = np.abs(_samples(coeff))
         return float((np.sum(vals**q) * dx_fine) ** (1.0 / q))
 
     lhs = _lq(prod * bessel)

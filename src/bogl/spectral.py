@@ -14,6 +14,7 @@ construction; the sign projections P_± exclude xi = 0 from both halves.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Union
@@ -38,8 +39,6 @@ __all__ = [
     "sobolev_norm",
     "derivative",
     "translate",
-    "upsample",
-    "field_from_fine_samples",
     "pointwise_product",
     "random_field",
 ]
@@ -345,22 +344,13 @@ def sobolev_norm(f: Field, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Oversampled products.  exp(i F) and friends are not band-limited; products
-# involving them are evaluated on a refined lattice and truncated afterwards.
+# Oversampled products.  Coefficient arrays are in FFT order on every axis,
+# and an axis of L points carries the modes [-L/2, L/2 - 1], so a product of
+# two of them carries [-L, L - 2].  It is formed from samples on 3L/2 points
+# (Orszag's 3/2 rule): every alias k +- 3L/2 of a kept mode k then lies
+# outside [-L, L - 2], and no shorter lattice has that property.  exp(i F)
+# and friends are not band-limited; they are sampled on a finer band first.
 # ---------------------------------------------------------------------------
-
-
-def upsample(f: Field, factor: int) -> np.ndarray:
-    """Samples of f on the factor-times-refined lattice (exact synthesis)."""
-    n, nf = f.grid.n, f.grid.n * factor
-    fine = np.zeros(nf, dtype=np.complex128)
-    half = n // 2
-    fine[:half] = f.coefficients[:half]
-    fine[nf - half :] = f.coefficients[n - half :]
-    out = np.fft.ifft(fine) * nf
-    if isinstance(f, RealField):
-        return out.real
-    return out
 
 
 def fine_frequencies(grid: SpatialGrid, factor: int) -> np.ndarray:
@@ -368,27 +358,47 @@ def fine_frequencies(grid: SpatialGrid, factor: int) -> np.ndarray:
     return np.fft.fftfreq(nf, d=1.0 / nf) / grid.period_scale
 
 
-def field_from_fine_samples(grid: SpatialGrid, fine: np.ndarray, factor: int) -> Field:
-    """Truncate fine-lattice samples back to the coarse band."""
-    nf = grid.n * factor
-    fine = np.asarray(fine, dtype=np.complex128)
-    if fine.shape != (nf,):
-        raise ValueError("fine sample array does not match grid*factor")
-    chat = np.fft.fft(fine) / nf
-    coeff = np.zeros(grid.n, dtype=np.complex128)
-    half = grid.n // 2
-    coeff[:half] = chat[:half]
-    coeff[grid.n - half :] = chat[nf - half :]
-    return _wrap(grid, coeff)
+def _samples(coeff: np.ndarray) -> np.ndarray:
+    return np.fft.ifftn(coeff) * coeff.size
 
 
-def pointwise_product(f: Field, g: Field, oversample: int = 4) -> Field:
-    """Product f*g on an oversampled lattice, truncated to the common grid."""
+def _analyze(samples: np.ndarray) -> np.ndarray:
+    return np.fft.fftn(samples) / samples.size
+
+
+def _reband(coeff: np.ndarray, shape: tuple) -> np.ndarray:
+    """The band of coeff on a lattice of the given shape: zero-padded along an
+    axis that grows, cut to the modes [-L/2, L/2 - 1] along one that shrinks
+    to L points."""
+    out = np.zeros(shape, dtype=np.complex128)
+    # per axis, the (source, target) slices of the modes >= 0 and of those < 0
+    axes = []
+    for a, b in zip(coeff.shape, shape):
+        h = min(a, b) // 2
+        axes.append(((slice(h), slice(h)), (slice(a - h, a), slice(b - h, b))))
+    for blocks in itertools.product(*axes):
+        src, dst = zip(*blocks)
+        out[dst] = coeff[src]
+    return out
+
+
+def _band_product(pairs) -> np.ndarray:
+    """Exact sum of the products a*b of same-shape coefficient arrays, cut to
+    their band.  The products are formed on 3L/2 points per axis and summed
+    on the samples, so m products cost 2m + 1 transforms."""
+    shape = pairs[0][0].shape
+    fine = tuple(3 * n // 2 for n in shape)
+    acc = np.zeros(fine, dtype=np.complex128)
+    for a, b in pairs:
+        acc += _samples(_reband(a, fine)) * _samples(_reband(b, fine))
+    return _reband(_analyze(acc), shape)
+
+
+def pointwise_product(f: Field, g: Field) -> Field:
+    """Product f*g, exact on the band of the common grid."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    ff = upsample(f, oversample)
-    gg = upsample(g, oversample)
-    return field_from_fine_samples(f.grid, np.asarray(ff) * np.asarray(gg), oversample)
+    return _wrap(f.grid, _band_product([(f.coefficients, g.coefficients)]))
 
 
 def random_field(

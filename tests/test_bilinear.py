@@ -10,6 +10,7 @@ from bogl.bilinear import (
     PROBE_NAMES,
     RegionTag,
     bilinear_B,
+    bilinear_core,
     bracket_convolution_integral,
     bracket_convolution_check,
     classify,
@@ -129,6 +130,64 @@ def test_trilinear_fast_matches_oracle(win16, seed):
     fast = trilinear_I(h, w, u)
     slow = trilinear_I_oracle(h, w, u)
     assert abs(fast - slow) <= 1e-10 * max(abs(slow), 1e-30)
+
+
+# ----------------------------------------------------------------------------
+# Reference: the coefficient convolution formed from samples on a lattice
+# padded 2x in tau and 4x in xi.  bilinear_core and trilinear_I, which form
+# it on the 3/2 lattice, must agree with it to rounding.
+# ----------------------------------------------------------------------------
+
+
+def _ref_padded_product(a, b):
+    m, n = a.shape
+    mp, np_ = 2 * m, 4 * n
+    hm, hn = m // 2, n // 2
+
+    def embed(c):
+        out = np.zeros((mp, np_), dtype=np.complex128)
+        out[:hm, :hn] = c[:hm, :hn]
+        out[:hm, np_ - hn :] = c[:hm, n - hn :]
+        out[mp - hm :, :hn] = c[m - hm :, :hn]
+        out[mp - hm :, np_ - hn :] = c[m - hm :, n - hn :]
+        return out
+
+    prod = np.fft.fft2(np.fft.ifft2(embed(a)) * np.fft.ifft2(embed(b))) * (mp * np_)
+    out = np.zeros((m, n), dtype=np.complex128)
+    out[:hm, :hn] = prod[:hm, :hn]
+    out[:hm, n - hn :] = prod[:hm, np_ - hn :]
+    out[m - hm :, :hn] = prod[mp - hm :, :hn]
+    out[m - hm :, n - hn :] = prod[mp - hm :, np_ - hn :]
+    return out
+
+
+def _ref_bilinear_core(w, u, outer_dx, inverse_dx_on_w):
+    xi = w.grid.spatial.xi
+    wc = w.coefficients * (xi >= 1)
+    if inverse_dx_on_w:
+        wc = wc / np.where(xi >= 1, 1j * xi, 1.0)
+    prod = _ref_padded_product(wc, u.coefficients * (xi < 0) * (1j * xi)) * (xi > 0)
+    return SpaceTimeField(w.grid, prod * (1j * xi) if outer_dx else prod).coefficients
+
+
+def _ref_trilinear_I(h, w, u):
+    xi = h.grid.spatial.xi
+    hf = h.coefficients * xi * (xi >= 1) / np.sqrt(1.0 + np.abs(h.grid.sigma))
+    wc = w.coefficients * (xi >= 1) / np.where(xi >= 1, xi, 1.0)
+    return complex(np.sum(hf * _ref_padded_product(wc, u.coefficients * (xi <= 0) * xi)))
+
+
+@pytest.mark.parametrize("n, num_times", [(16, 16), (32, 32), (32, 16)])
+@pytest.mark.parametrize("seed", range(2))
+def test_products_match_padded_reference(n, num_times, seed):
+    win = SpaceTimeGrid(make_grid(n, 1.0), num_times, 2 * np.pi)
+    h, w, u = fields(win, seed + 40)
+    for flags in ((True, True), (False, False)):
+        got = bilinear_core(w, u, *flags).coefficients
+        ref = _ref_bilinear_core(w, u, *flags)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    ref = _ref_trilinear_I(h, w, u)
+    assert abs(trilinear_I(h, w, u) - ref) <= 1e-13 * abs(ref)
 
 
 def test_trilinear_zero_arguments(win16):

@@ -287,6 +287,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     for extra in ([], ["--assert"]):
         assert main(["gauge-check", "--traj", str(nan), "--out",
                      str(tmp_path / "gn")] + extra) == 2
+    # a probe whose sup is not finite is a numeric failure, with or without
+    # --assert, and no summary is written
+    huge_s = tmp_path / "huge_s.cfg"
+    huge_s.write_text("s = 1000\nselect = bilinear_periodic\nsamples = 3\n")
+    for i, extra in enumerate(([], ["--assert"])):
+        ps = tmp_path / f"pn{i}"
+        assert main(["probe-suite", "--config", str(huge_s), "--out", str(ps)] + extra) == 3
+        assert not (ps / "probe_suite_summary.json").exists()
+    assert "bilinear_periodic" in capsys.readouterr().err
 
 
 def test_cli_seed_override(tmp_path):

@@ -233,8 +233,9 @@ def test_exp_multiplication_quarter_order(grid):
 
 # ----------------------------------------------------------------------------
 # Reference: every gauge product formed on a lattice of 2nf points, with the
-# exponential pair taken from two separate transforms.  The shortest-lattice
-# kernels of bogl.gauge must agree with it to rounding.
+# exponential pair taken from two separate transforms.  The gauge products,
+# formed on the 3/2 lattice by spectral._band_product, must agree with it to
+# rounding.
 # ----------------------------------------------------------------------------
 
 
@@ -246,15 +247,12 @@ def _ref_band(coeff, length):
     return out
 
 
-def _lattice_product(a, b, length):
-    """a*b formed from samples on `length` points, cut to the band of a."""
+def _ref_fmul(a, b):
+    """a*b formed from samples on 2nf points, cut to the band of a."""
+    length = 2 * len(a)
     pa = np.fft.ifft(_ref_band(a, length)) * length
     pb = np.fft.ifft(_ref_band(b, length)) * length
     return _ref_band(np.fft.fft(pa * pb) / length, len(a))
-
-
-def _ref_fmul(a, b):
-    return _lattice_product(a, b, 2 * len(a))
 
 
 def _ref_truncate(fine, grid):
@@ -336,17 +334,3 @@ def test_gauge_products_match_padded_reference(n, period_scale, oversample):
     em, ep = _ref_exponential_pair(u0, oversample)
     assert np.array_equal(gauge._gauge_exponential(u0, oversample), em)
     assert _rel(gauge._conj_reflect(em), ep) < 1e-14
-
-
-def test_full_band_product_lattice_length():
-    nf = 32
-    rng = np.random.default_rng(0)
-    a, b = (rng.standard_normal(nf) + 1j * rng.standard_normal(nf) for _ in range(2))
-    # direct convolution on the modes -nf/2..nf/2-1, cut back to that band
-    full = np.convolve(np.fft.fftshift(a), np.fft.fftshift(b))  # modes -nf..nf-2
-    direct = np.fft.ifftshift(full[nf // 2 : nf // 2 + nf])
-    assert np.max(np.abs(gauge._fmul(a, b) - direct)) < 1e-13
-    assert np.max(np.abs(_lattice_product(a, b, 3 * nf // 2) - direct)) < 1e-13
-    # one point fewer, or the fine lattice itself, aliases
-    for length in (3 * nf // 2 - 1, nf):
-        assert np.max(np.abs(_lattice_product(a, b, length) - direct)) > 1e-3

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.signal import convolve
 
 from bogl.spectral import (
+    _band_product,
     ComplexField,
     RealField,
     Multiplier,
@@ -208,9 +210,82 @@ def test_oversampled_product_exactness():
     g = make_grid(64, 1.0)
     f = RealField.from_samples(g, np.cos(3 * g.x))
     h = RealField.from_samples(g, np.sin(5 * g.x))
-    prod = pointwise_product(f, h, oversample=4)
+    prod = pointwise_product(f, h)
     expected = np.cos(3 * g.x) * np.sin(5 * g.x)
     assert np.max(np.abs(prod.samples - expected)) < 1e-13
+
+
+# ----------------------------------------------------------------------------
+# Reference: the product formed from samples on a 4x refined lattice and
+# truncated to the coarse band.  pointwise_product must agree with it.
+# ----------------------------------------------------------------------------
+
+
+def _ref_pointwise_product(f, g, oversample=4):
+    n, nf, half = f.grid.n, f.grid.n * oversample, f.grid.n // 2
+
+    def upsample(c):
+        fine = np.zeros(nf, dtype=np.complex128)
+        fine[:half] = c[:half]
+        fine[nf - half :] = c[n - half :]
+        return np.fft.ifft(fine) * nf
+
+    chat = np.fft.fft(upsample(f.coefficients) * upsample(g.coefficients)) / nf
+    coeff = np.zeros(n, dtype=np.complex128)
+    coeff[:half] = chat[:half]
+    coeff[n - half :] = chat[nf - half :]
+    coeff[half] = 0.0
+    return coeff
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("real", [True, False])
+def test_pointwise_product_matches_oversampled_reference(n, real):
+    g = make_grid(n, 1.0)
+    rng = np.random.default_rng(n)
+    f = random_field(g, rng, decay=0.5)
+    h = random_field(g, rng, decay=0.5)
+    if not real:
+        f, h = project(f, "plus"), project(h, "minus")
+    prod = pointwise_product(f, h).coefficients
+    ref = _ref_pointwise_product(f, h)
+    assert np.max(np.abs(prod - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _ref_band(coeff, shape):
+    """coeff re-banded to `shape` through index arrays of signed modes."""
+    out = np.zeros(shape, dtype=np.complex128)
+    modes = [np.r_[0 : h, -h:0] for h in (min(a, b) // 2 for a, b in zip(coeff.shape, shape))]
+    out[np.ix_(*(k % b for k, b in zip(modes, shape)))] = coeff[
+        np.ix_(*(k % a for k, a in zip(modes, coeff.shape)))
+    ]
+    return out
+
+
+def _lattice_product(a, b, shape):
+    """a*b formed from samples on a lattice of the given shape, cut to the band of a."""
+    size = np.prod(shape)
+    pa = np.fft.ifftn(_ref_band(a, shape)) * size
+    pb = np.fft.ifftn(_ref_band(b, shape)) * size
+    return _ref_band(np.fft.fftn(pa * pb) / size, a.shape)
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 32)], ids=["1d", "2d"])
+def test_full_band_product_lattice_length(shape):
+    rng = np.random.default_rng(0)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    # direct convolution on the modes -L/2..L/2-1 of each axis (the full
+    # product carries -L..L-2), cut back to that band
+    full = convolve(np.fft.fftshift(a), np.fft.fftshift(b), method="direct")
+    direct = np.fft.ifftshift(full[tuple(slice(n // 2, n // 2 + n) for n in shape)])
+    tol = 1e-13 * np.max(np.abs(direct))
+    assert np.max(np.abs(_band_product([(a, b)]) - direct)) < tol
+    fine = tuple(3 * n // 2 for n in shape)
+    assert np.max(np.abs(_lattice_product(a, b, fine) - direct)) < tol
+    # one point fewer on either axis aliases
+    for axis in range(len(shape)):
+        short = tuple(n - (i == axis) for i, n in enumerate(fine))
+        assert np.max(np.abs(_lattice_product(a, b, short) - direct)) > 1e-3
 
 
 def test_translate_is_spectral_shift():

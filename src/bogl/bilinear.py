@@ -44,7 +44,7 @@ from .bourgain import (
     z_tilde_norm,
     random_spacetime_field,
 )
-from .lp import phi_shell
+from .lp import dyadic_shells, shell_l2, shell_table
 from .reporting import ProbeReport
 from .spectral import _band_product
 
@@ -115,17 +115,18 @@ def resonance_defect(t: FrequencyTuple) -> int:
     return t.sigma1 + t.sigma2 - t.sigma + 2 * t.xi * t.xi2
 
 
-def _shell_contains(shell: int, mag: int) -> bool:
-    return shell >= 1 and 2 * mag >= shell and mag <= 2 * shell
+def _in_shell(mag, shell: int):
+    """Sharp membership 1 <= mag, N/2 <= mag <= 2N (scalars or arrays)."""
+    return (mag >= 1) & (2 * mag >= shell) & (mag <= 2 * shell)
 
 
 def classify(t: FrequencyTuple, shell: int, shell2: int) -> RegionTag:
     """Region of the tuple for the shell pair (N, N2); exact rational thresholds."""
     if not t.in_domain:
         raise ValueError("tuple lies outside the domain D")
-    if not _shell_contains(shell, abs(t.xi)):
+    if not _in_shell(abs(t.xi), shell):
         raise ValueError(f"|xi| = {abs(t.xi)} is not in shell {shell}")
-    if abs(t.xi2) < 1 or not _shell_contains(shell2, abs(t.xi2)):
+    if not _in_shell(abs(t.xi2), shell2):
         raise ValueError(f"|xi2| = {abs(t.xi2)} is not in shell {shell2}")
     threshold = Fraction(shell * shell2, 6)
     if abs(t.sigma) >= threshold:
@@ -165,10 +166,10 @@ def region_scan(k_max: int = 32, tau_half: int = 16) -> dict:
     overlaps = 0
     classified = 0
     pair_count = 0
-    for shell in _shells_range(k_max):
-        m_xi = _shell_member_mask(xi, shell)[:, None, None, None]
-        for shell2 in _shells_range(k_max):
-            m_xi2 = _shell_member_int(-xi2, shell2)
+    for shell in dyadic_shells(k_max):
+        m_xi = _in_shell(xi, shell)[:, None, None, None]
+        for shell2 in dyadic_shells(k_max):
+            m_xi2 = _in_shell(-xi2, shell2)
             member = in_d & m_xi & m_xi2
             if not member.any():
                 continue
@@ -193,22 +194,6 @@ def region_scan(k_max: int = 32, tau_half: int = 16) -> dict:
         "overlaps": overlaps,
         "shell_pairs": pair_count,
     }
-
-
-def _shells_range(k_max: int) -> list[int]:
-    out, n = [], 1
-    while n <= 2 * k_max:
-        out.append(n)
-        n *= 2
-    return out
-
-
-def _shell_member_mask(vals: np.ndarray, shell: int) -> np.ndarray:
-    return (2 * vals >= shell) & (vals <= 2 * shell)
-
-
-def _shell_member_int(vals: np.ndarray, shell: int) -> np.ndarray:
-    return (2 * vals >= shell) & (vals <= 2 * shell) & (vals >= 1)
 
 
 class GridTooLargeError(ValueError):
@@ -315,10 +300,7 @@ def _h_factor(h: SpaceTimeField, form: str) -> np.ndarray:
             _bracket_int(grid.sigma)
         )
     if form == "J":
-        shell_sq = sum(
-            np.asarray(phi_shell(xi, s)) ** 2
-            for s in _shells_range(grid.spatial.n // 2 - 1)
-        )
+        shell_sq = sum(shell_table(grid.spatial).phi ** 2)
         return h.coefficients * (xi * pos * shell_sq)[None, :] / _bracket_int(
             grid.sigma
         )
@@ -426,9 +408,10 @@ def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.nd
     six_sigma = 6 * np.abs(tau + (ks * ks)[:, None])  # |sigma| on h, |sigma1| on w
     six_sigma2 = 6 * np.abs(tau - (lags * lags)[:, None])
 
-    shells = _shells_range(k)
-    phi = np.array([phi_shell(ks, s) for s in shells])
-    phi2 = np.array([phi_shell(lags, s) for s in shells])
+    table = shell_table(grid.spatial)
+    shells = table.shells
+    # phi is even, so the columns at xi = -lag hold phi_N2(|xi2|)
+    phi, phi2 = table.phi[:, 1 : k + 1], table.phi[:, -lags % n]
     pairs = [
         (i, j)
         for j, p2 in enumerate(phi2)
@@ -632,14 +615,6 @@ def _probe_bilinear_critical_shell(cfg, win, env, rng_factory) -> ProbeReport:
         lhs = z_tilde_norm(b, s, -1.0)
         parts = region_pairing(g, w, u, form="J")
         denom = max(abs(parts["total"]), 1e-300)
-        # discrete realization of the shell-dual norm (max over tau bins)
-        gc = g.coefficients
-        xi = win.spatial.xi
-        dual_sq = 0.0
-        for shell in _shells_range(win.spatial.n // 2 - 1):
-            mask = np.asarray(phi_shell(xi, shell))[None, :]
-            piece = np.max(np.abs(gc * mask), axis=0)  # L^inf over tau
-            dual_sq += float(np.sum(piece**2)) * win.spatial.length
         rep.add(
             sample=i,
             lhs=lhs,
@@ -650,9 +625,17 @@ def _probe_bilinear_critical_shell(cfg, win, env, rng_factory) -> ProbeReport:
             region_C=abs(parts["C"]),
             pairing_total=abs(parts["total"]),
             closure_rel=parts["closure_gap"] / denom,
-            g_dual_norm=float(np.sqrt(dual_sq)),
+            g_dual_norm=_g_dual_norm(g),
         )
     return rep
+
+
+def _g_dual_norm(g: SpaceTimeField) -> float:
+    """Discrete shell-dual norm of g: each shell in L^2_xi of the max over tau."""
+    length = g.grid.spatial.length
+    return shell_l2(g.grid.spatial, lambda mask: np.sqrt(
+        float(np.sum(np.max(np.abs(g.coefficients * mask), axis=0) ** 2)) * length
+    ))
 
 
 def _probe_exp_lowband(cfg, win, env, rng_factory) -> ProbeReport:

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import Trajectory
-from .lp import dyadic_shells, eta, phi_shell
+from .lp import eta, shell_l2, shell_table
 from .reporting import ProbeReport
 from .spectral import Field, SpatialGrid, sobolev_norm
 
@@ -182,15 +182,15 @@ def z_norm(f: SpaceTimeField, s: float, b: float) -> float:
     return float(np.sqrt(g.spatial.length * np.sum(inner**2)))
 
 
+def _shell_summed(f: SpaceTimeField, norm) -> float:
+    """norm(P_lo f) + (sum_N norm(P_N f)^2)^{1/2} over the spatial shells."""
+    grid = f.grid.spatial
+    low = norm(f.spatial_mask(shell_table(grid).low))
+    return low + shell_l2(grid, lambda mask: norm(f.spatial_mask(mask)))
+
+
 def z_tilde_norm(f: SpaceTimeField, s: float, b: float) -> float:
-    g = f.grid
-    xi = g.spatial.xi
-    low = f.spatial_mask(np.asarray(eta(xi)))
-    total = z_norm(low, s, b)
-    shell_sq = 0.0
-    for n in dyadic_shells(g.spatial):
-        shell_sq += z_norm(f.spatial_mask(np.asarray(phi_shell(xi, n))), s, b) ** 2
-    return total + float(np.sqrt(shell_sq))
+    return _shell_summed(f, lambda piece: z_norm(piece, s, b))
 
 
 def y_norm(f: SpaceTimeField, s: float) -> float:
@@ -206,13 +206,7 @@ def spacetime_lebesgue(f: SpaceTimeField, p) -> float:
 
 def spacetime_tilde_lebesgue(f: SpaceTimeField, p) -> float:
     """Shell-summed space-time L^p (spatial Littlewood-Paley blocks)."""
-    xi = f.grid.spatial.xi
-    low = f.spatial_mask(np.asarray(eta(xi)))
-    shell_sq = 0.0
-    for n in dyadic_shells(f.grid.spatial):
-        piece = f.spatial_mask(np.asarray(phi_shell(xi, n)))
-        shell_sq += spacetime_lebesgue(piece, p) ** 2
-    return spacetime_lebesgue(low, p) + float(np.sqrt(shell_sq))
+    return _shell_summed(f, lambda piece: spacetime_lebesgue(piece, p))
 
 
 def localize(f: SpaceTimeField, t_loc: float) -> SpaceTimeField:
@@ -289,12 +283,7 @@ def random_spacetime_field(
 
 def x_norm_regrouped(f: SpaceTimeField, s: float, b: float) -> float:
     """||P_lo f||_X + (sum_N ||P_N f||_X^2)^{1/2}; reported against x_norm."""
-    xi = f.grid.spatial.xi
-    total = x_norm(f.spatial_mask(np.asarray(eta(xi))), s, b)
-    shell_sq = 0.0
-    for n in dyadic_shells(f.grid.spatial):
-        shell_sq += x_norm(f.spatial_mask(np.asarray(phi_shell(xi, n))), s, b) ** 2
-    return total + float(np.sqrt(shell_sq))
+    return _shell_summed(f, lambda piece: x_norm(piece, s, b))
 
 
 # ----------------------------------------------------------------------------

@@ -13,6 +13,8 @@ xi != 0 (and at xi = 0 the low mask alone is 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +28,8 @@ __all__ = [
     "phi",
     "phi_shell",
     "dyadic_shells",
+    "shell_table",
+    "shell_l2",
     "LPDecomposition",
     "decompose",
     "tilde_lp_norm",
@@ -66,16 +70,38 @@ def phi_shell(xi, shell: int) -> np.ndarray | float:
     return phi(np.asarray(xi, dtype=np.float64) / float(shell))
 
 
-def dyadic_shells(grid: SpatialGrid) -> list[int]:
-    """Shell indices 1, 2, 4, ..., N_max with N_max the smallest dyadic >= max |xi|."""
-    n_max = 1
-    while n_max < grid.max_frequency():
-        n_max *= 2
-    shells, n = [], 1
-    while n <= n_max:
-        shells.append(n)
-        n *= 2
+def dyadic_shells(max_freq: float) -> list[int]:
+    """Shell indices 1, 2, 4, ..., N_max with N_max the smallest dyadic >= max_freq."""
+    shells = [1]
+    while shells[-1] < max_freq:
+        shells.append(2 * shells[-1])
     return shells
+
+
+class ShellTable(NamedTuple):
+    """Dyadic shells up to a grid's Nyquist line, eta(xi) and phi_N(xi) rows."""
+
+    shells: tuple[int, ...]
+    low: np.ndarray
+    phi: np.ndarray  # (len(shells), n)
+
+
+@lru_cache(maxsize=32)
+def shell_table(grid: SpatialGrid) -> ShellTable:
+    """The grid's shell table, built once (read-only arrays)."""
+    shells = tuple(dyadic_shells(grid.max_frequency()))
+    low = eta(grid.xi)
+    phi = np.array([phi_shell(grid.xi, n) for n in shells])
+    low.flags.writeable = phi.flags.writeable = False
+    return ShellTable(shells, low, phi)
+
+
+def shell_l2(grid: SpatialGrid, norm: Callable[[np.ndarray], float]) -> float:
+    """(sum_N norm(phi_N)^2)^{1/2} over the rows of the grid's shell table."""
+    total = 0.0
+    for row in shell_table(grid).phi:
+        total += norm(row) ** 2
+    return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)
@@ -104,23 +130,15 @@ class LPDecomposition:
 
 def decompose(f: Field) -> LPDecomposition:
     """Split f into the eta(2 xi) low part and the shells P_N f, N = 1..N_max."""
-    xi = f.grid.xi
-    low = _wrap(f.grid, f.coefficients * eta(2.0 * xi))
-    shells = tuple(
-        (n, _wrap(f.grid, f.coefficients * phi_shell(xi, n)))
-        for n in dyadic_shells(f.grid)
-    )
-    return LPDecomposition(low=low, shells=shells)
+    table = shell_table(f.grid)
+    low = _wrap(f.grid, f.coefficients * eta(2.0 * f.grid.xi))
+    pieces = (_wrap(f.grid, f.coefficients * row) for row in table.phi)
+    return LPDecomposition(low=low, shells=tuple(zip(table.shells, pieces)))
 
 
 def tilde_lp_norm(f: Field, p: int) -> float:
     """||P_lo f||_p + (sum_N ||P_N f||_p^2)^{1/2} over dyadic N >= 1."""
     if p not in (2, 4):
         raise ValueError("shell-summed norm supports p in {2, 4}")
-    xi = f.grid.xi
-    low = _wrap(f.grid, f.coefficients * eta(xi))
-    shell_sq = 0.0
-    for n in dyadic_shells(f.grid):
-        piece = _wrap(f.grid, f.coefficients * phi_shell(xi, n))
-        shell_sq += lebesgue_norm(piece, p) ** 2
-    return lebesgue_norm(low, p) + float(np.sqrt(shell_sq))
+    norm = lambda m: lebesgue_norm(_wrap(f.grid, f.coefficients * m), p)  # noqa: E731
+    return norm(shell_table(f.grid).low) + shell_l2(f.grid, norm)

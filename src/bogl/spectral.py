@@ -286,9 +286,9 @@ def projection_symbol(which: str, xi: np.ndarray, shell: int | None = None) -> n
     if which == "minus_hi":
         return projection_symbol("minus", xi) * projection_symbol("hi", xi)
     if which == "dyadic":
-        if shell is None or not _is_power_of_two(int(shell)):
+        if shell is None or shell != int(shell):  # phi_shell checks the rest
             raise ValueError("dyadic projection needs a dyadic shell N >= 1")
-        return lp.phi(xi / float(shell))
+        return lp.phi_shell(xi, int(shell))
     raise ValueError(f"unknown projection {which!r}")
 
 

@@ -99,7 +99,7 @@ def test_c02_partition_of_unity_and_reconstruction():
         g = make_grid(n, lam)
         xi = g.xi[g.xi != 0]
         total = np.asarray(lp.eta(2 * xi))
-        for shell in lp.dyadic_shells(g):
+        for shell in lp.dyadic_shells(g.max_frequency()):
             total = total + lp.phi_shell(xi, shell)
         worst_pu = max(worst_pu, float(np.max(np.abs(total - 1.0))))
         f = random_field(g, stream(SEED, "c2", n + int(lam)), decay=0.5,

@@ -9,6 +9,7 @@ from bogl.bilinear import (
     GridTooLargeError,
     PROBE_NAMES,
     RegionTag,
+    _g_dual_norm,
     bilinear_B,
     bilinear_core,
     bracket_convolution_integral,
@@ -24,7 +25,7 @@ from bogl.bilinear import (
     trilinear_I_oracle,
 )
 from bogl.bourgain import SpaceTimeField, SpaceTimeGrid, random_spacetime_field
-from bogl.lp import phi_shell
+from bogl.lp import phi_shell, shell_table
 from bogl.reporting import stream
 from bogl.spectral import make_grid
 
@@ -78,6 +79,63 @@ def test_region_scan_exhaustive_small():
     assert scan["gaps"] == 0
     assert scan["overlaps"] == 0
     assert scan["classified"] > 0
+
+
+@pytest.mark.parametrize(
+    "k_max,tau_half,classified,pairs",
+    [(8, 8, 39936, 16), (12, 8, 92160, 24), (32, 16, 2449408, 36)],
+)
+def test_region_scan_counts_pinned(k_max, tau_half, classified, pairs):
+    scan = region_scan(k_max, tau_half)
+    assert (scan["classified"], scan["shell_pairs"]) == (classified, pairs)
+    assert scan["gaps"] == scan["overlaps"] == 0
+
+
+def _ref_shells_range(k_max):
+    """Reference enumeration: every dyadic N <= 2 k_max."""
+    out, n = [], 1
+    while n <= 2 * k_max:
+        out.append(n)
+        n *= 2
+    return out
+
+
+def _ref_g_dual_norm(g):
+    """Reference: the shell-dual norm as an explicit loop over the shells."""
+    gc = g.coefficients
+    xi = g.grid.spatial.xi
+    dual_sq = 0.0
+    for shell in _ref_shells_range(g.grid.spatial.n // 2 - 1):
+        mask = np.asarray(phi_shell(xi, shell))[None, :]
+        piece = np.max(np.abs(gc * mask), axis=0)  # L^inf over tau
+        dual_sq += float(np.sum(piece**2)) * g.grid.spatial.length
+    return float(np.sqrt(dual_sq))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_g_dual_norm_matches_shell_loop(n, lam):
+    win = SpaceTimeGrid(make_grid(n, lam), 16, 2 * np.pi)
+    g = random_spacetime_field(win, stream(n, "dual", int(lam)), 0.5, 0.75)
+    # the table sums the square of each shell's square root: rounding only
+    assert _g_dual_norm(g) == pytest.approx(_ref_g_dual_norm(g), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_pairing_shell_weights_come_from_the_table(n):
+    # _region_parts reads phi_N(xi) at xi = 1..k and phi_N2(|xi2|) at xi = -lag,
+    # and _h_factor "J" sums phi_N^2 over the rows: all bit-equal to phi_shell
+    xi = make_grid(n, 1.0).xi
+    table = shell_table(make_grid(n, 1.0))
+    shells = _ref_shells_range(n // 2 - 1)
+    k = n // 2 - 1
+    ks, lags = np.arange(1, k + 1), np.arange(k)
+    assert list(table.shells) == shells
+    assert np.array_equal(table.phi[:, 1 : k + 1], [phi_shell(ks, s) for s in shells])
+    assert np.array_equal(table.phi[:, -lags % n], [phi_shell(lags, s) for s in shells])
+    assert np.array_equal(
+        sum(table.phi**2), sum(np.asarray(phi_shell(xi, s)) ** 2 for s in shells)
+    )
 
 
 def test_bilinear_zero_and_support_checks(win16):

@@ -14,6 +14,7 @@ from bogl.bourgain import (
     localize,
     random_spacetime_field,
     spacetime_lebesgue,
+    spacetime_tilde_lebesgue,
     x_norm,
     x_norm_regrouped,
     y_norm,
@@ -21,6 +22,7 @@ from bogl.bourgain import (
     z_tilde_norm,
 )
 from bogl.dynamics import SimConfig, simulate
+from bogl.lp import dyadic_shells, eta, phi_shell
 from bogl.reporting import stream
 from bogl.spectral import ComplexField, make_grid
 from bogl.spectral import RealField
@@ -122,6 +124,29 @@ def test_x_norm_regroup_reported(win):
     u = random_spacetime_field(win, stream(2, "rg"), real=True)
     a, b = x_norm(u, 0.25, 0.375), x_norm_regrouped(u, 0.25, 0.375)
     assert np.isfinite(a) and np.isfinite(b) and b >= a * 0.9
+
+
+def _ref_tilde(f, norm):
+    """Reference: the eta low part plus an explicit loop over the spatial shells."""
+    xi = f.grid.spatial.xi
+    total = norm(f.spatial_mask(np.asarray(eta(xi))))
+    shell_sq = 0.0
+    for n in dyadic_shells(f.grid.spatial.max_frequency()):
+        shell_sq += norm(f.spatial_mask(np.asarray(phi_shell(xi, n)))) ** 2
+    return total + float(np.sqrt(shell_sq))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_tilde_norms_match_shell_loop(n, lam):
+    grid = SpaceTimeGrid(make_grid(n, lam), 16, 2 * np.pi)
+    u = random_spacetime_field(grid, stream(n, "tilde", int(lam)), real=True)
+    for s, b in ((0.0, 0.5), (0.5, -1.0)):
+        assert z_tilde_norm(u, s, b) == _ref_tilde(u, lambda v: z_norm(v, s, b))
+        assert x_norm_regrouped(u, s, b) == _ref_tilde(u, lambda v: x_norm(v, s, b))
+    for p in (2, 4):
+        ref = _ref_tilde(u, lambda v: spacetime_lebesgue(v, p))
+        assert spacetime_tilde_lebesgue(u, p) == ref
 
 
 def test_localize_contracts(win):

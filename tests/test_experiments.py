@@ -1,6 +1,7 @@
 """Snapshot IO, config handling, experiment drivers and the CLI contract."""
 
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -291,11 +292,29 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # --assert, and no summary is written
     huge_s = tmp_path / "huge_s.cfg"
     huge_s.write_text("s = 1000\nselect = bilinear_periodic\nsamples = 3\n")
-    for i, extra in enumerate(([], ["--assert"])):
-        ps = tmp_path / f"pn{i}"
-        assert main(["probe-suite", "--config", str(huge_s), "--out", str(ps)] + extra) == 3
-        assert not (ps / "probe_suite_summary.json").exists()
-    assert "bilinear_periodic" in capsys.readouterr().err
+    # the same for a NaN sup of bilinear-probe and NaN norms of norm-sweep,
+    # which write nothing at all; numpy warns of none of the overflows
+    huge_ns = tmp_path / "huge_ns.cfg"
+    huge_ns.write_text("s = 1000\nsamples = 3\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, extra in enumerate(([], ["--assert"])):
+            ps = tmp_path / f"pn{i}"
+            assert main(["probe-suite", "--config", str(huge_s), "--out", str(ps)]
+                        + extra) == 3
+            assert not (ps / "probe_suite_summary.json").exists()
+            bp = tmp_path / f"bn{i}"
+            assert main(["bilinear-probe", "--which", "bilinear_periodic", "--s", "1000",
+                         "--samples", "3", "--out", str(bp)] + extra) == 3
+            assert not any(bp.iterdir())
+            ns = tmp_path / f"nn{i}"
+            assert main(["norm-sweep", "--config", str(huge_ns), "--out", str(ns)]
+                        + extra) == 3
+            assert not any(ns.iterdir())
+    err = capsys.readouterr().err
+    assert err.count("bilinear_periodic") == 4
+    assert err.count("x_norm") == 2
 
 
 def test_cli_seed_override(tmp_path):

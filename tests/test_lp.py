@@ -3,8 +3,25 @@
 import numpy as np
 import pytest
 
-from bogl.lp import eta, phi, phi_shell, decompose, dyadic_shells, tilde_lp_norm
-from bogl.spectral import RealField, lebesgue_norm, make_grid, project, random_field
+from bogl.lp import (
+    decompose,
+    dyadic_shells,
+    eta,
+    phi,
+    phi_shell,
+    shell_table,
+    tilde_lp_norm,
+)
+from bogl.spectral import (
+    RealField,
+    _wrap,
+    lebesgue_norm,
+    make_grid,
+    project,
+    random_field,
+)
+
+GRIDS = [(n, lam) for n in (16, 32, 64) for lam in (1.0, 2.0)]
 
 
 def test_eta_plateaus_and_support():
@@ -33,7 +50,7 @@ def test_partition_of_unity_on_lattice(n, lam):
     g = make_grid(n, lam)
     xi = g.xi[g.xi != 0]
     total = eta(2 * xi)
-    for shell in dyadic_shells(g):
+    for shell in dyadic_shells(g.max_frequency()):
         total = total + phi_shell(xi, shell)
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
@@ -77,7 +94,7 @@ def test_shell_quasi_orthogonality():
     # P_N P_M = 0 unless M in {N/2, N, 2N}
     g = make_grid(256, 1.0)
     f = random_field(g, np.random.default_rng(1), decay=0.0)
-    shells = dyadic_shells(g)
+    shells = dyadic_shells(g.max_frequency())
     for n_ in shells:
         pn = project(f, "dyadic", shell=n_)
         for m_ in shells:
@@ -108,3 +125,60 @@ def test_lp_injection_constant_reported():
         ratio = lebesgue_norm(f, 4) / tilde_lp_norm(f, 4)
         sup = max(sup, ratio)
     assert np.isfinite(sup) and 0 < sup <= 1.5
+
+
+def _ref_dyadic_shells(grid):
+    """Reference enumeration: 1, 2, ..., up to the first dyadic >= max |xi|."""
+    n_max = 1
+    while n_max < grid.max_frequency():
+        n_max *= 2
+    shells, n = [], 1
+    while n <= n_max:
+        shells.append(n)
+        n *= 2
+    return shells
+
+
+def _ref_tilde_lp_norm(f, p):
+    """Reference: the eta low part plus an explicit loop over the shells."""
+    xi = f.grid.xi
+    low = _wrap(f.grid, f.coefficients * eta(xi))
+    shell_sq = 0.0
+    for n in _ref_dyadic_shells(f.grid):
+        piece = _wrap(f.grid, f.coefficients * phi_shell(xi, n))
+        shell_sq += lebesgue_norm(piece, p) ** 2
+    return lebesgue_norm(low, p) + float(np.sqrt(shell_sq))
+
+
+@pytest.mark.parametrize("n,lam", GRIDS)
+def test_shell_table_matches_per_shell_evaluation(n, lam):
+    g = make_grid(n, lam)
+    table = shell_table(g)
+    assert list(table.shells) == _ref_dyadic_shells(g)
+    assert dyadic_shells(g.max_frequency()) == _ref_dyadic_shells(g)
+    assert np.array_equal(table.low, eta(g.xi))
+    assert table.phi.shape == (len(table.shells), n)
+    for row, shell in zip(table.phi, table.shells):
+        assert np.array_equal(row, phi_shell(g.xi, shell))
+
+
+def test_shell_table_is_cached_and_read_only():
+    table = shell_table(make_grid(32, 1.0))
+    assert shell_table(make_grid(32, 1.0)) is table
+    for arr in (table.low, table.phi):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("n,lam", GRIDS)
+def test_shell_sums_match_shell_loop(n, lam):
+    g = make_grid(n, lam)
+    f = random_field(g, np.random.default_rng(n), decay=0.5, mean_zero=False)
+    for p in (2, 4):
+        assert tilde_lp_norm(f, p) == _ref_tilde_lp_norm(f, p)
+    d = decompose(f)
+    assert np.array_equal(d.low.coefficients, f.coefficients * eta(2.0 * g.xi))
+    assert [n_ for n_, _ in d.shells] == _ref_dyadic_shells(g)
+    for n_, piece in d.shells:
+        assert np.array_equal(piece.coefficients, f.coefficients * phi_shell(g.xi, n_))

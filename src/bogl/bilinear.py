@@ -33,20 +33,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .bourgain import (
     SpaceTimeField,
     SpaceTimeGrid,
+    _bracket,
     spacetime_lebesgue,
     x_norm,
     z_tilde_norm,
     random_spacetime_field,
 )
+from .gauge import _gauge_exponential, _truncate
 from .lp import dyadic_shells, shell_l2, shell_table
 from .reporting import ProbeReport
-from .spectral import _band_product
+from .spectral import (
+    ComplexField,
+    RealField,
+    _band_product,
+    derivative,
+    fractional,
+    lebesgue_norm,
+    make_grid,
+    pointwise_product,
+    project,
+    projection_symbol,
+    random_field,
+)
 
 __all__ = [
     "FrequencyTuple",
@@ -272,10 +287,6 @@ def bilinear_B(w: SpaceTimeField, u: SpaceTimeField) -> SpaceTimeField:
     return bilinear_core(w, u, outer_dx=True, inverse_dx_on_w=True)
 
 
-def _bracket_int(v: np.ndarray) -> np.ndarray:
-    return 1.0 + np.abs(v.astype(np.float64))
-
-
 def _d_convolution(w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
     """Exact convolution of xi1^{-1} w_hat on xi1 >= 1 with xi2 u_hat on
     xi2 <= 0, on the lattice of (xi, tau) = (xi1 + xi2, tau1 + tau2)."""
@@ -296,14 +307,10 @@ def _h_factor(h: SpaceTimeField, form: str) -> np.ndarray:
     xi = grid.spatial.xi
     pos = xi >= 1.0 - 1e-12
     if form == "I":
-        return h.coefficients * (xi * pos)[None, :] / np.sqrt(
-            _bracket_int(grid.sigma)
-        )
+        return h.coefficients * (xi * pos)[None, :] / np.sqrt(_bracket(grid.sigma))
     if form == "J":
         shell_sq = sum(shell_table(grid.spatial).phi ** 2)
-        return h.coefficients * (xi * pos * shell_sq)[None, :] / _bracket_int(
-            grid.sigma
-        )
+        return h.coefficients * (xi * pos * shell_sq)[None, :] / _bracket(grid.sigma)
     raise ValueError("form must be 'I' or 'J'")
 
 
@@ -362,7 +369,7 @@ def trilinear_I_oracle(
 def duality_pair(h: SpaceTimeField, bfield: SpaceTimeField) -> complex:
     """<h, v> with the <sigma>^{-1/2} weight on h: sum sigma-weighted h_hat v_hat."""
     grid = h.grid
-    weight = 1.0 / np.sqrt(_bracket_int(grid.sigma))
+    weight = 1.0 / np.sqrt(_bracket(grid.sigma))
     return complex(np.sum(h.coefficients * weight * bfield.coefficients))
 
 
@@ -482,15 +489,6 @@ def region_pairing(
 # estimate probes
 # ----------------------------------------------------------------------------
 
-PROBE_NAMES = (
-    "bilinear_critical_x",
-    "bilinear_critical_shell",
-    "exp_lowband",
-    "leibniz_split",
-    "bilinear_half_weight",
-    "bilinear_periodic",
-)
-
 
 @dataclass(frozen=True)
 class EstimateProbeConfig:
@@ -503,8 +501,6 @@ class EstimateProbeConfig:
     s: float = 0.0
 
     def window(self) -> SpaceTimeGrid:
-        from .spectral import make_grid
-
         return SpaceTimeGrid(
             make_grid(self.n, self.period_scale), self.num_times, self.t_span
         )
@@ -514,23 +510,10 @@ def _decay_schedule(i: int) -> float:
     return (0.5, 1.0, 2.0)[i % 3]
 
 
-def _u_aux_norms(u: SpaceTimeField) -> tuple[float, float, float]:
-    return (
-        spacetime_lebesgue(u, 2),
-        spacetime_lebesgue(u, 4),
-        x_norm(u, -1.0, 1.0),
-    )
-
-
-def _bessel_mask(grid: SpaceTimeGrid, s: float) -> np.ndarray:
-    return (1.0 + grid.spatial.xi**2) ** (s / 2.0)
-
-
 def estimate_probe(which: str, cfg: EstimateProbeConfig, rng_factory) -> ProbeReport:
     """Empirical sup-ratio report for one of the bilinear/Leibniz estimates."""
     if which not in PROBE_NAMES:
         raise ValueError(f"unknown probe {which!r}; choose from {PROBE_NAMES}")
-    win = cfg.window()
     env = {
         "n": cfg.n,
         "num_times": cfg.num_times,
@@ -540,43 +523,47 @@ def estimate_probe(which: str, cfg: EstimateProbeConfig, rng_factory) -> ProbeRe
         "seed": cfg.seed,
         "s": cfg.s,
     }
-    builder = {
-        "bilinear_critical_x": _probe_bilinear_critical_x,
-        "bilinear_critical_shell": _probe_bilinear_critical_shell,
-        "exp_lowband": _probe_exp_lowband,
-        "leibniz_split": _probe_leibniz,
-        "bilinear_half_weight": _probe_bilinear_half_weight,
-        "bilinear_periodic": _probe_bilinear_periodic,
-    }[which]
-    return builder(cfg, win, env, rng_factory)
+    return _PROBES[which](which, cfg, cfg.window(), env, rng_factory)
 
 
-def _probe_bilinear_critical_x(cfg, win, env, rng_factory) -> ProbeReport:
-    rep = ProbeReport(
-        "bilinear_critical_x",
+# pairing form -> (inequality, norm of B(w, u)): B(w, u) is measured in both
+# parts of the dual of Y = X^{s,1/2} & Ztilde^{s,0}, one per form
+_CRITICAL_FORMS = {
+    "I": (
         "|dx P_+(dx^{-1} w P_- dx u)|_{X^{s,-1/2}} <= C |w|_{X^{s,1/2}} "
         "(|u|_{L2} + |u|_{L4} + |u|_{X^{-1,1}})",
-        environment=env,
-    )
+        lambda b, s: x_norm(b, s, -0.5),
+    ),
+    "J": (
+        "|dx P_+(dx^{-1} w P_- dx u)|_{Ztilde^{s,-1}} <= C |w|_{X^{s,1/2}} "
+        "(|u|_{L2} + |u|_{L4} + |u|_{X^{-1,1}})",
+        lambda b, s: z_tilde_norm(b, s, -1.0),
+    ),
+}
+
+
+def _probe_bilinear_critical(name, cfg, win, env, rng_factory, form) -> ProbeReport:
+    inequality, lhs_norm = _CRITICAL_FORMS[form]
+    rep = ProbeReport(name, inequality, environment=env)
     s = cfg.s
     for i in range(cfg.samples):
-        rng = rng_factory("bilinear_critical_x", i)
+        rng = rng_factory(name, i)
         decay = _decay_schedule(i)
         w = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
                                    positive_xi_only=True, min_xi=1.0)
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
                                    real=True)
         h = random_spacetime_field(win, rng, xi_decay=0.5, sigma_decay=0.75)
-        rhs_u = sum(_u_aux_norms(u))
-        rhs = x_norm(w, s, 0.5) * rhs_u
+        rhs = x_norm(w, s, 0.5) * (
+            spacetime_lebesgue(u, 2) + spacetime_lebesgue(u, 4) + x_norm(u, -1.0, 1.0)
+        )
         if rhs == 0:
             rep.skip()
             continue
-        b = bilinear_B(w, u)
-        lhs = x_norm(b, s, -0.5)
-        parts = region_pairing(h, w, u, form="I")
+        lhs = lhs_norm(bilinear_B(w, u), s)
+        parts = region_pairing(h, w, u, form=form)
         denom = max(abs(parts["total"]), 1e-300)
-        rep.add(
+        row = dict(
             sample=i,
             lhs=lhs,
             rhs=rhs,
@@ -587,46 +574,9 @@ def _probe_bilinear_critical_x(cfg, win, env, rng_factory) -> ProbeReport:
             pairing_total=abs(parts["total"]),
             closure_rel=parts["closure_gap"] / denom,
         )
-    return rep
-
-
-def _probe_bilinear_critical_shell(cfg, win, env, rng_factory) -> ProbeReport:
-    rep = ProbeReport(
-        "bilinear_critical_shell",
-        "|dx P_+(dx^{-1} w P_- dx u)|_{Ztilde^{s,-1}} <= C |w|_{X^{s,1/2}} "
-        "(|u|_{L2} + |u|_{L4} + |u|_{X^{-1,1}})",
-        environment=env,
-    )
-    s = cfg.s
-    for i in range(cfg.samples):
-        rng = rng_factory("bilinear_critical_shell", i)
-        decay = _decay_schedule(i)
-        w = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
-                                   positive_xi_only=True, min_xi=1.0)
-        u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
-                                   real=True)
-        g = random_spacetime_field(win, rng, xi_decay=0.5, sigma_decay=0.75)
-        rhs_u = sum(_u_aux_norms(u))
-        rhs = x_norm(w, s, 0.5) * rhs_u
-        if rhs == 0:
-            rep.skip()
-            continue
-        b = bilinear_B(w, u)
-        lhs = z_tilde_norm(b, s, -1.0)
-        parts = region_pairing(g, w, u, form="J")
-        denom = max(abs(parts["total"]), 1e-300)
-        rep.add(
-            sample=i,
-            lhs=lhs,
-            rhs=rhs,
-            ratio=lhs / rhs,
-            region_A=abs(parts["A"]),
-            region_B=abs(parts["B"]),
-            region_C=abs(parts["C"]),
-            pairing_total=abs(parts["total"]),
-            closure_rel=parts["closure_gap"] / denom,
-            g_dual_norm=_g_dual_norm(g),
-        )
+        if form == "J":
+            row["g_dual_norm"] = _g_dual_norm(h)
+        rep.add(**row)
     return rep
 
 
@@ -638,17 +588,57 @@ def _g_dual_norm(g: SpaceTimeField) -> float:
     ))
 
 
-def _probe_exp_lowband(cfg, win, env, rng_factory) -> ProbeReport:
-    from .gauge import _gauge_exponential, _truncate
-    from .spectral import (
-        ComplexField,
-        RealField,
-        pointwise_product,
-        projection_symbol,
-    )
+def _probe_bilinear_weighted(name, cfg, win, env, rng_factory, periodic) -> ProbeReport:
+    """The W-weighted estimate: at the s > 1/4 weighting of arXiv 1007.1545
+    (half weight) or at the periodic one of Molinet."""
+    # w_sb, u_sb, out_sb: the (s, b) of the norms of W, of the X term of u
+    # and of the output
+    if periodic:
+        s = max(cfg.s, 0.25)
+        inequality = (
+            "|P_+(W P_- dx u)|_{X^{s+1/2,-1/2}} <= C |W|_{X^{s+1/2,1/2}} "
+            "(|J^s u|_{L2} + |J^s u|_{L4} + |u|_{X^{s-1,1}})"
+        )
+        environment = {**env, "s_effective": s}
+        w_sb, u_sb, out_sb = (s + 0.5, 0.5), (s - 1.0, 1.0), (s + 0.5, -0.5)
+    else:
+        s = cfg.s if cfg.s > 0 else 0.25
+        delta = s / 20.0
+        theta = 0.5 + delta
+        inequality = (
+            "|P_+(W P_- dx u)|_{X^{1/2,-1/2+2d}} <= C |W|_{X^{1/2,1/2+d}} "
+            "(|J^s u|_{L2} + |J^s u|_{L4} + |u|_{X^{s-th,th}})"
+        )
+        environment = {**env, "s_effective": s, "delta": delta, "theta": theta}
+        w_sb, u_sb, out_sb = (
+            (0.5, 0.5 + delta), (s - theta, theta), (0.5, -0.5 + 2 * delta)
+        )
+    rep = ProbeReport(name, inequality, environment=environment)
+    bessel = (1.0 + win.spatial.xi**2) ** (s / 2.0)
+    for i in range(cfg.samples):
+        rng = rng_factory(name, i)
+        decay = _decay_schedule(i)
+        bigw = random_spacetime_field(win, rng, xi_decay=decay + 0.5,
+                                      sigma_decay=1.25, positive_xi_only=True,
+                                      min_xi=1.0)
+        u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
+                                   real=True)
+        js = SpaceTimeField(win, u.coefficients * bessel[None, :])
+        rhs = x_norm(bigw, *w_sb) * (
+            spacetime_lebesgue(js, 2) + spacetime_lebesgue(js, 4) + x_norm(u, *u_sb)
+        )
+        if rhs == 0:
+            rep.skip()
+            continue
+        op = bilinear_core(bigw, u, outer_dx=False, inverse_dx_on_w=False)
+        lhs = x_norm(op, *out_sb)
+        rep.add(sample=i, lhs=lhs, rhs=rhs, ratio=lhs / rhs)
+    return rep
 
+
+def _probe_exp_lowband(name, cfg, win, env, rng_factory) -> ProbeReport:
     rep = ProbeReport(
-        "exp_lowband",
+        name,
         "|dx P_+(P_lo e^{-iF/2} P_- dx u)|_{Ztilde^{s,-1} & X^{s,-1/2}} <= C |u|_{L4}^2",
         environment=env,
     )
@@ -659,7 +649,7 @@ def _probe_exp_lowband(cfg, win, env, rng_factory) -> ProbeReport:
     s_minus_dx = projection_symbol("minus", xi) * (1j * xi)
     s_outer = projection_symbol("plus", xi) * (1j * xi)
     for i in range(cfg.samples):
-        rng = rng_factory("exp_lowband", i)
+        rng = rng_factory(name, i)
         decay = max(_decay_schedule(i), 1.0)
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.5,
                                    real=True, zero_mean_x=True)
@@ -684,25 +674,15 @@ def _probe_exp_lowband(cfg, win, env, rng_factory) -> ProbeReport:
     return rep
 
 
-def _probe_leibniz(cfg, win, env, rng_factory) -> ProbeReport:
-    from .spectral import (
-        RealField,
-        fractional,
-        lebesgue_norm,
-        pointwise_product,
-        project,
-        derivative,
-        random_field,
-    )
-
+def _probe_leibniz(name, cfg, win, env, rng_factory) -> ProbeReport:
     rep = ProbeReport(
-        "leibniz_split",
+        name,
         "|D^{1/2} P_+(f P_- dx g)|_{L2} <= C |D^{3/4} f|_{L4} |D^{3/4} g|_{L4}",
         environment=env,
     )
     grid = win.spatial
     for i in range(cfg.samples):
-        rng = rng_factory("leibniz_split", i)
+        rng = rng_factory(name, i)
         decay = _decay_schedule(i)
         f = random_field(grid, rng, decay=decay, amplitude=1.0)
         g = random_field(grid, rng, decay=decay, amplitude=1.0)
@@ -718,68 +698,15 @@ def _probe_leibniz(cfg, win, env, rng_factory) -> ProbeReport:
     return rep
 
 
-def _probe_bilinear_half_weight(cfg, win, env, rng_factory) -> ProbeReport:
-    s = cfg.s if cfg.s > 0 else 0.25
-    delta = s / 20.0
-    theta = 0.5 + delta
-    rep = ProbeReport(
-        "bilinear_half_weight",
-        "|P_+(W P_- dx u)|_{X^{1/2,-1/2+2d}} <= C |W|_{X^{1/2,1/2+d}} "
-        "(|J^s u|_{L2} + |J^s u|_{L4} + |u|_{X^{s-th,th}})",
-        environment={**env, "s_effective": s, "delta": delta, "theta": theta},
-    )
-    for i in range(cfg.samples):
-        rng = rng_factory("bilinear_half_weight", i)
-        decay = _decay_schedule(i)
-        bigw = random_spacetime_field(win, rng, xi_decay=decay + 0.5,
-                                      sigma_decay=1.25, positive_xi_only=True,
-                                      min_xi=1.0)
-        u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
-                                   real=True)
-        js = SpaceTimeField(win, u.coefficients * _bessel_mask(win, s)[None, :])
-        rhs = x_norm(bigw, 0.5, 0.5 + delta) * (
-            spacetime_lebesgue(js, 2)
-            + spacetime_lebesgue(js, 4)
-            + x_norm(u, s - theta, theta)
-        )
-        if rhs == 0:
-            rep.skip()
-            continue
-        op = bilinear_core(bigw, u, outer_dx=False, inverse_dx_on_w=False)
-        lhs = x_norm(op, 0.5, -0.5 + 2 * delta)
-        rep.add(sample=i, lhs=lhs, rhs=rhs, ratio=lhs / rhs)
-    return rep
-
-
-def _probe_bilinear_periodic(cfg, win, env, rng_factory) -> ProbeReport:
-    s = max(cfg.s, 0.25)
-    rep = ProbeReport(
-        "bilinear_periodic",
-        "|P_+(W P_- dx u)|_{X^{s+1/2,-1/2}} <= C |W|_{X^{s+1/2,1/2}} "
-        "(|J^s u|_{L2} + |J^s u|_{L4} + |u|_{X^{s-1,1}})",
-        environment={**env, "s_effective": s},
-    )
-    for i in range(cfg.samples):
-        rng = rng_factory("bilinear_periodic", i)
-        decay = _decay_schedule(i)
-        bigw = random_spacetime_field(win, rng, xi_decay=decay + 0.5,
-                                      sigma_decay=1.25, positive_xi_only=True,
-                                      min_xi=1.0)
-        u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
-                                   real=True)
-        js = SpaceTimeField(win, u.coefficients * _bessel_mask(win, s)[None, :])
-        rhs = x_norm(bigw, s + 0.5, 0.5) * (
-            spacetime_lebesgue(js, 2)
-            + spacetime_lebesgue(js, 4)
-            + x_norm(u, s - 1.0, 1.0)
-        )
-        if rhs == 0:
-            rep.skip()
-            continue
-        op = bilinear_core(bigw, u, outer_dx=False, inverse_dx_on_w=False)
-        lhs = x_norm(op, s + 0.5, -0.5)
-        rep.add(sample=i, lhs=lhs, rhs=rhs, ratio=lhs / rhs)
-    return rep
+_PROBES = {
+    "bilinear_critical_x": partial(_probe_bilinear_critical, form="I"),
+    "bilinear_critical_shell": partial(_probe_bilinear_critical, form="J"),
+    "exp_lowband": _probe_exp_lowband,
+    "leibniz_split": _probe_leibniz,
+    "bilinear_half_weight": partial(_probe_bilinear_weighted, periodic=False),
+    "bilinear_periodic": partial(_probe_bilinear_weighted, periodic=True),
+}
+PROBE_NAMES = tuple(_PROBES)
 
 
 # ----------------------------------------------------------------------------

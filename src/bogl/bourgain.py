@@ -29,7 +29,14 @@ import numpy as np
 from .dynamics import Trajectory
 from .lp import eta, shell_l2, shell_table
 from .reporting import ProbeReport
-from .spectral import Field, SpatialGrid, sobolev_norm
+from .spectral import (
+    ComplexField,
+    Field,
+    SpatialGrid,
+    make_grid,
+    random_field,
+    sobolev_norm,
+)
 
 __all__ = [
     "SpaceTimeGrid",
@@ -303,9 +310,9 @@ class LinearProbeConfig:
     delta: float = 0.25
 
     def window(self) -> SpaceTimeGrid:
-        from .spectral import make_grid
-
-        return SpaceTimeGrid(make_grid(self.n, self.period_scale), self.num_times, self.t_span)
+        return SpaceTimeGrid(
+            make_grid(self.n, self.period_scale), self.num_times, self.t_span
+        )
 
 
 def linear_probes(cfg: LinearProbeConfig, rng_factory) -> list[ProbeReport]:
@@ -352,8 +359,6 @@ def linear_probes(cfg: LinearProbeConfig, rng_factory) -> list[ProbeReport]:
         environment=env,
     )
 
-    from .spectral import random_field
-
     for i in range(cfg.samples):
         rng = rng_factory("linear", i)
         decay = (0.5, 1.0, 2.0)[i % 3]
@@ -363,30 +368,21 @@ def linear_probes(cfg: LinearProbeConfig, rng_factory) -> list[ProbeReport]:
         if hs == 0:
             homogeneous.skip()
         else:
-            lifted = free_evolution_field(f, win)
-            homogeneous.add(
-                sample=i, lhs=y_norm(lifted, cfg.s), rhs=hs,
-                ratio=y_norm(lifted, cfg.s) / hs,
-            )
+            lhs = y_norm(free_evolution_field(f, win), cfg.s)
+            homogeneous.add(sample=i, lhs=lhs, rhs=hs, ratio=lhs / hs)
 
         g = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.0)
         lam = duhamel_field(g, win)
         rhs_x = x_norm(g, cfg.s, -0.5 + cfg.delta)
         if rhs_x > 0:
-            duhamel_x.add(
-                sample=i,
-                lhs=x_norm(lam, cfg.s, 0.5 + cfg.delta),
-                rhs=rhs_x,
-                ratio=x_norm(lam, cfg.s, 0.5 + cfg.delta) / rhs_x,
-            )
+            lhs = x_norm(lam, cfg.s, 0.5 + cfg.delta)
+            duhamel_x.add(sample=i, lhs=lhs, rhs=rhs_x, ratio=lhs / rhs_x)
         else:
             duhamel_x.skip()
         rhs_y = x_norm(g, cfg.s, -0.5) + z_tilde_norm(g, cfg.s, -1.0)
         if rhs_y > 0:
-            duhamel_y.add(
-                sample=i, lhs=y_norm(lam, cfg.s), rhs=rhs_y,
-                ratio=y_norm(lam, cfg.s) / rhs_y,
-            )
+            lhs = y_norm(lam, cfg.s)
+            duhamel_y.add(sample=i, lhs=lhs, rhs=rhs_y, ratio=lhs / rhs_y)
         else:
             duhamel_y.skip()
 
@@ -396,9 +392,9 @@ def linear_probes(cfg: LinearProbeConfig, rng_factory) -> list[ProbeReport]:
             loc = localize(u, t_loc)
             denom = t_loc ** (b_hi - b_lo) * x_norm(loc, cfg.s, b_hi)
             if denom > 0:
+                lhs = x_norm(loc, cfg.s, b_lo)
                 time_factor.add(
-                    sample=i, T=t_loc, lhs=x_norm(loc, cfg.s, b_lo), rhs=denom,
-                    ratio=x_norm(loc, cfg.s, b_lo) / denom,
+                    sample=i, T=t_loc, lhs=lhs, rhs=denom, ratio=lhs / denom
                 )
             else:
                 time_factor.skip()
@@ -417,9 +413,7 @@ def linear_probes(cfg: LinearProbeConfig, rng_factory) -> list[ProbeReport]:
         z0 = z_norm(u, cfg.s, 0.0)
         if z0 > 0:
             sup_h = max(
-                sobolev_norm(
-                    _slice_field(win, u, m), cfg.s
-                )
+                sobolev_norm(ComplexField(win.spatial, u.time_slice(m)), cfg.s)
                 for m in range(0, win.num_times, max(1, win.num_times // 16))
             )
             embedding.add(sample=i, sup_hs=sup_h, z=z0, ratio=sup_h / z0)
@@ -427,9 +421,3 @@ def linear_probes(cfg: LinearProbeConfig, rng_factory) -> list[ProbeReport]:
             embedding.skip()
 
     return [homogeneous, duhamel_x, duhamel_y, time_factor, strichartz, embedding]
-
-
-def _slice_field(win: SpaceTimeGrid, u: SpaceTimeField, m: int):
-    from .spectral import ComplexField
-
-    return ComplexField(win.spatial, u.time_slice(m))

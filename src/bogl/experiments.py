@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bilinear, bourgain, gauge, lp
-from .dynamics import SimConfig, Trajectory, simulate, traveling_wave
+from .dynamics import SimConfig, Trajectory, rescale, simulate, traveling_wave
 from .reporting import ProbeReport, sha256_file, stream, write_csv, write_json
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import (
@@ -446,29 +446,39 @@ def _bilinear_period_scale(which: str, requested: float) -> float:
     return 2.0 if which == "exp_lowband" else 1.0
 
 
+def _estimate_probe(which: str, cfg: dict, period_scale: float) -> ProbeReport:
+    """bilinear.estimate_probe on the grid, samples, seed and s of a resolved
+    bilinear-probe or probe-suite config."""
+    probe_cfg = bilinear.EstimateProbeConfig(
+        n=cfg["n"], num_times=cfg["num_times"], samples=cfg["samples"],
+        seed=cfg["seed"], s=cfg["s"], period_scale=period_scale,
+    )
+    return bilinear.estimate_probe(
+        which, probe_cfg, lambda d, i: stream(cfg["seed"], d, i)
+    )
+
+
+def _worst_closure(reports) -> float:
+    """Largest region closure_rel over the rows of the reports (0 if none)."""
+    return max(
+        (row.get("closure_rel", 0.0) for rep in reports for row in rep.rows),
+        default=0.0,
+    )
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
 def run_bilinear_probe(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, BILINEAR_SCHEMA)
     out = _prep(out_dir)
     which = cfg["which"]
     period_scale = _bilinear_period_scale(which, cfg["lambda"])
-    probe_cfg = bilinear.EstimateProbeConfig(
-        n=cfg["n"],
-        num_times=cfg["num_times"],
-        samples=cfg["samples"],
-        seed=cfg["seed"],
-        s=cfg["s"],
-        period_scale=period_scale,
-    )
     try:
-        rep = bilinear.estimate_probe(
-            which, probe_cfg, lambda d, i: stream(cfg["seed"], d, i)
-        )
+        rep = _estimate_probe(which, cfg, period_scale)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _require_finite({rep.name: rep.ratios})
     outputs = rep.write(out)
-    worst_closure = max((r.get("closure_rel", 0.0) for r in rep.rows), default=0.0)
+    worst_closure = _worst_closure([rep])
     assertions = [
         Assertion(
             "region_closure", worst_closure <= 1e-10,
@@ -633,8 +643,6 @@ SCALING_SCHEMA = {
 
 
 def run_scaling_check(config: dict, out_dir) -> RunResult:
-    from .dynamics import rescale
-
     cfg = resolve_config(config, SCALING_SCHEMA)
     out = _prep(out_dir)
     lam = cfg["scale"]
@@ -699,12 +707,7 @@ PROBE_SUITE_SCHEMA = {
 
 SUITE_PROBES = (
     "linear",
-    "bilinear_critical_x",
-    "bilinear_critical_shell",
-    "exp_lowband",
-    "leibniz_split",
-    "bilinear_half_weight",
-    "bilinear_periodic",
+    *bilinear.PROBE_NAMES,
     "exp_multiplication",
     "bracket_convolution",
 )
@@ -771,10 +774,7 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
     write_json(summary_path, {"probes": summary, "failures": failures,
                               "seed": cfg["seed"]})
     outputs.append(summary_path)
-    worst_closure = 0.0
-    for rep in reports:
-        for row in rep.rows:
-            worst_closure = max(worst_closure, row.get("closure_rel", 0.0))
+    worst_closure = _worst_closure(reports)
     assertions = [
         Assertion("no_probe_failures", not failures, str(failures)),
         Assertion(
@@ -786,22 +786,16 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
 
 
 def _run_one_suite_probe(name: str, cfg: dict) -> list[ProbeReport]:
-    seed = cfg["seed"]
-    factory = lambda d, i: stream(seed, d, i)  # noqa: E731
     if name == "linear":
+        seed = cfg["seed"]
         probe_cfg = bourgain.LinearProbeConfig(
             n=cfg["n"], num_times=cfg["num_times"],
             samples=max(10, cfg["samples"] // 3), seed=seed, s=cfg["s"],
         )
-        return bourgain.linear_probes(probe_cfg, factory)
+        return bourgain.linear_probes(probe_cfg, lambda d, i: stream(seed, d, i))
     if name == "exp_multiplication":
         return [_suite_exp_multiplication(cfg)]
     if name == "bracket_convolution":
         mus = [0.0, 1.0, 10.0, 100.0, 1000.0, cfg["bracket_mu_max"]]
         return [bilinear.bracket_convolution_check(1.0, 1.0, mus)]
-    period_scale = _bilinear_period_scale(name, 0.0)
-    probe_cfg = bilinear.EstimateProbeConfig(
-        n=cfg["n"], num_times=cfg["num_times"], samples=cfg["samples"],
-        seed=seed, s=cfg["s"], period_scale=period_scale,
-    )
-    return [bilinear.estimate_probe(name, probe_cfg, factory)]
+    return [_estimate_probe(name, cfg, _bilinear_period_scale(name, 0.0))]

@@ -45,7 +45,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "GaugeState",
     "mean_zero_reduce",
     "ungauge_trajectory",
     "translate_to_zero_mean",
@@ -53,7 +52,6 @@ __all__ = [
     "gauge_W",
     "gauge_w",
     "gauge_w_product_form",
-    "gauge_state",
     "GaugeResidualReport",
     "gauge_residual",
     "ReconstructionReport",
@@ -175,28 +173,6 @@ def gauge_w_product_form(u: RealField, oversample: int = 4) -> ComplexField:
     prod = _band_product([(em, _embed(u, oversample))])
     w = -0.5j * (prod * _fine_mask(u.grid, oversample, "plus"))
     return ComplexField(u.grid, _truncate(w, u.grid))
-
-
-@dataclass(frozen=True)
-class GaugeState:
-    u_tilde: RealField
-    F: RealField
-    W: ComplexField
-    w: ComplexField
-    mean_shift: float
-    time: float
-
-
-def gauge_state(u0: RealField, time: float = 0.0, oversample: int = 4) -> GaugeState:
-    u_tilde, mean = mean_zero_reduce(u0)
-    return GaugeState(
-        u_tilde=u_tilde,
-        F=primitive(u_tilde),
-        W=gauge_W(u_tilde, oversample),
-        w=gauge_w(u_tilde, oversample),
-        mean_shift=mean,
-        time=time,
-    )
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,8 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def sha256_file(path: Path) -> str:
+    # imported here: hashlib's OpenSSL library adds about 3.5 MB of RSS, which
+    # would otherwise count in the peak of a run that hashes only at its end
     import hashlib
 
     h = hashlib.sha256()

@@ -359,6 +359,36 @@ def test_estimate_probe_reports():
         estimate_probe("nope", EstimateProbeConfig(), fac)
 
 
+# sup and mean of each probe at n = num_times = 16, samples = 6, seed = 11
+# (exp_lowband at period scale 2); a change to the draws, to the (s, b)
+# weights or to the pairing form of a probe moves them
+_PINNED_PROBES = {
+    ("bilinear_critical_x", 0.0): (0.0037711691049275393, 0.0018782522557794989),
+    ("bilinear_critical_shell", 0.0): (0.005067963724561457, 0.0031699320043779657),
+    ("exp_lowband", 0.0): (0.031031311702202136, 0.024493197483586155),
+    ("leibniz_split", 0.0): (0.16531707173335267, 0.11059768726531817),
+    ("bilinear_half_weight", 0.0): (0.006629063251518614, 0.0046367382938379996),
+    ("bilinear_periodic", 0.0): (0.007069929666140273, 0.004056559699382712),
+    ("bilinear_critical_x", 0.3): (0.003542394761388397, 0.0018069304694397076),
+    ("bilinear_critical_shell", 0.3): (0.004813613848845469, 0.002999946749178237),
+    ("exp_lowband", 0.3): (0.03616345780834173, 0.028435191651485347),
+    ("leibniz_split", 0.3): (0.16531707173335267, 0.11059768726531817),
+    ("bilinear_half_weight", 0.3): (0.006563511028659777, 0.004563599113449514),
+    ("bilinear_periodic", 0.3): (0.0068177429270420056, 0.0039474422741281),
+}
+
+
+@pytest.mark.parametrize("name,s", sorted(_PINNED_PROBES))
+def test_estimate_probe_pinned_values(name, s):
+    ps = 2.0 if name == "exp_lowband" else 1.0
+    cfg = EstimateProbeConfig(n=16, num_times=16, samples=6, seed=11, s=s,
+                              period_scale=ps)
+    rep = estimate_probe(name, cfg, lambda d, i: stream(11, d, i))
+    sup, mean = _PINNED_PROBES[name, s]
+    assert rep.sup == pytest.approx(sup, rel=1e-10)
+    assert rep.mean == pytest.approx(mean, rel=1e-10)
+
+
 def test_probe_determinism():
     fac = lambda d, i: stream(5, d, i)
     cfg = EstimateProbeConfig(n=16, num_times=16, samples=4, seed=5)

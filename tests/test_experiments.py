@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bogl.bilinear import PROBE_NAMES
 from bogl.cli import main
 from bogl.experiments import (
     ConfigError,
@@ -170,6 +171,28 @@ def test_run_bilinear_probe_and_lambda_default(tmp_path):
     assert res.config["lambda"] == 2.0  # exp_lowband defaults off the unit lattice
     with pytest.raises(ConfigError):
         run_bilinear_probe({"which": "nope"}, tmp_path / "bp2")
+
+
+_RATIO_COLUMNS = ["sample", "lhs", "rhs", "ratio"]
+_REGION_COLUMNS = [
+    "region_A", "region_B", "region_C", "pairing_total", "closure_rel",
+]
+
+
+@pytest.mark.parametrize("which", PROBE_NAMES)
+def test_run_bilinear_probe_every_probe(tmp_path, which):
+    res = run_bilinear_probe(
+        {"which": which, "samples": "2", "n": "16", "num_times": "16"}, tmp_path
+    )
+    assert res.passed
+    header = (tmp_path / f"{which}.csv").read_text().splitlines()[0].split(",")
+    columns = {
+        "bilinear_critical_x": _RATIO_COLUMNS + _REGION_COLUMNS,
+        "bilinear_critical_shell": _RATIO_COLUMNS + _REGION_COLUMNS + ["g_dual_norm"],
+    }.get(which, _RATIO_COLUMNS)
+    assert header == columns
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["lambda"] == (2.0 if which == "exp_lowband" else 1.0)
 
 
 def test_run_scaling_check(tmp_path):

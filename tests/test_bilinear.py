@@ -1,8 +1,14 @@
 """Resonance identity, region split, oracle equivalence an the estimate probes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bogl
 from bogl.bilinear import (
     EstimateProbeConfig,
     FrequencyTuple,
@@ -408,15 +414,18 @@ def test_bracket_decay_cases():
 
 
 def _symbolic_oracle(mu: float):
-    # exact value for a- = a+ = 1: three rational segments, done symbolically
+    # exact value for a- = a+ = 1: three rational segments, each split into
+    # partial fractions first (the same number, several times faster)
     import sympy as sp
 
     y = sp.symbols("y", real=True)
     m = sp.Rational(mu)
-    left = sp.integrate((1 - y) ** -2 * (1 + m - y) ** -2, (y, -sp.oo, 0))
-    mid = sp.integrate((1 + y) ** -2 * (1 + m - y) ** -2, (y, 0, m))
-    right = sp.integrate((1 + y) ** -2 * (1 + y - m) ** -2, (y, m, sp.oo))
-    return float(left + mid + right)
+    segments = [
+        ((1 - y) ** -2 * (1 + m - y) ** -2, (y, -sp.oo, 0)),
+        ((1 + y) ** -2 * (1 + m - y) ** -2, (y, 0, m)),
+        ((1 + y) ** -2 * (1 + y - m) ** -2, (y, m, sp.oo)),
+    ]
+    return float(sum(sp.integrate(sp.apart(f, y), lim) for f, lim in segments))
 
 
 @pytest.mark.parametrize("mu", [0.0, 3.0, 57.0])
@@ -424,6 +433,77 @@ def test_bracket_quadrature_vs_symbolic_oracle(mu):
     adaptive = bracket_convolution_integral(1.0, 1.0, mu)
     exact = _symbolic_oracle(mu)
     assert adaptive == pytest.approx(exact, abs=1e-10)
+
+
+# abs=0 below: the integral falls to about 4e-24 at mu = 1e12, far under
+# pytest.approx's default absolute tolerance of 1e-12
+@pytest.mark.parametrize("mu", [1e4, 1e8, 1e12])
+def test_bracket_rule_vs_exact_value(mu):
+    assert bracket_convolution_integral(1.0, 1.0, mu) == pytest.approx(
+        _symbolic_oracle(mu), rel=1e-13, abs=0
+    )
+
+
+def _bracket_integrand(a_minus, a_plus, mu):
+    return lambda y: (1 + abs(y)) ** (-2 * a_minus) * (1 + abs(y - mu)) ** (-2 * a_plus)
+
+
+def _mpmath_oracle(a_minus: float, a_plus: float, mu: float) -> float:
+    import mpmath as mp
+
+    with mp.workdps(40):
+        m = mp.mpf(mu)
+        f = _bracket_integrand(mp.mpf(a_minus), mp.mpf(a_plus), m)
+        cuts = sorted({mp.mpf(0), mp.mpf(1), m / 2, m - 1, m, m + 1})
+        return float(mp.quad(f, [-mp.inf, *cuts, mp.inf]))
+
+
+def _quad_oracle(a_minus: float, a_plus: float, mu: float) -> float:
+    # the adaptive scipy quadrature the rule replaced; wrong beyond mu ~ 1e3
+    from scipy.integrate import quad
+
+    f = _bracket_integrand(a_minus, a_plus, mu)
+    pts = [-np.inf, *sorted({0.0, mu}), np.inf]
+    return sum(
+        quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+        for a, b in zip(pts[:-1], pts[1:])
+    )
+
+
+_BRACKET_PAIRS = [(1.5, 3.0), (0.5, 0.5), (0.3, 0.4), (0.5, 2.0)]
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0, 57.0, 1e4, 1e8])
+@pytest.mark.parametrize("a_minus,a_plus", _BRACKET_PAIRS)
+def test_bracket_rule_vs_mpmath(a_minus, a_plus, mu):
+    assert bracket_convolution_integral(a_minus, a_plus, mu) == pytest.approx(
+        _mpmath_oracle(a_minus, a_plus, mu), rel=1e-12, abs=0
+    )
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0, 57.0, -57.0, 1e3])
+@pytest.mark.parametrize("a_minus,a_plus", [(1.0, 1.0), *_BRACKET_PAIRS])
+def test_bracket_rule_vs_adaptive_quadrature(a_minus, a_plus, mu):
+    assert bracket_convolution_integral(a_minus, a_plus, mu) == pytest.approx(
+        _quad_oracle(a_minus, a_plus, mu), rel=1e-9, abs=0
+    )
+
+
+def test_bracket_check_does_not_import_scipy():
+    # the rule is numpy-only: a CLI process that runs the check never loads scipy
+    code = (
+        "import sys, bogl.cli\n"
+        "from bogl.bilinear import bracket_convolution_check\n"
+        "bracket_convolution_check(1.0, 1.0, [0, 1e4])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(bogl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_bracket_sweep_bounded():

@@ -116,15 +116,16 @@ def test_run_gauge_check(sim_run, tmp_path):
 def test_run_gauge_check_keeps_nan_gap(sim_run, tmp_path, monkeypatch):
     from bogl import gauge
 
-    real = gauge.reconstruct_high
+    # gauge-check reconstructs each snapshot through gauge._reconstruction
+    real = gauge._reconstruction
     calls = []
 
-    def nan_on_second(state, oversample=4):
-        rec = real(state, oversample=oversample)
+    def nan_on_second(state, em, oversample):
+        rec = real(state, em, oversample)
         calls.append(rec)
         return replace(rec, rel_gap=float("nan")) if len(calls) == 2 else rec
 
-    monkeypatch.setattr(gauge, "reconstruct_high", nan_on_second)
+    monkeypatch.setattr(gauge, "_reconstruction", nan_on_second)
     res = run_gauge_check(sim_run.out_dir, tmp_path / "g")
     gap = next(a for a in res.assertions if a.name == "reconstruction_gap")
     assert not gap.ok and "nan" in gap.detail
@@ -281,6 +282,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     odd_exp.write_text("exp_n = 100\nselect = exp_multiplication\n")
     assert main(["probe-suite", "--config", str(odd_exp), "--out",
                  str(tmp_path / "ps")]) == 2
+    # a non-finite bracket_mu_max is a bad config: nothing is written
+    for value in ("nan", "inf"):
+        mu_cfg = tmp_path / f"mu_{value}.cfg"
+        mu_cfg.write_text(f"bracket_mu_max = {value}\nselect = bracket_convolution\n")
+        for i, extra in enumerate(([], ["--assert"])):
+            mu_out = tmp_path / f"mu_{value}{i}"
+            assert main(["probe-suite", "--config", str(mu_cfg), "--out",
+                         str(mu_out)] + extra) == 2
+            assert not mu_out.exists()
     # time lattice that is not a power of two
     times = tmp_path / "times.cfg"
     times.write_text("num_times = 100\n")

@@ -21,7 +21,6 @@ only approximation left is the spectral tail of the exponential itself.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -189,69 +188,6 @@ class GaugeResidualReport:
         ]
 
 
-def _snapshot_spacing(traj: Trajectory) -> float:
-    """The uniform snapshot spacing, after the checks gauge_residual needs."""
-    if len(traj.states) < 3:
-        raise ValueError("need at least 3 snapshots for a centered difference")
-    dts = np.diff(traj.times)
-    if np.max(np.abs(dts - dts[0])) > 1e-10 * dts[0]:
-        raise ValueError("snapshots are not uniformly spaced")
-    for v in traj.states:
-        if abs(v.mean.real) > 1e-10:
-            raise ValueError("gauge residual needs mean-zero states")
-    return float(dts[0])
-
-
-def _residual_terms(
-    v: RealField, em: np.ndarray, oversample: int, include_mean_term: bool
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Coarse w, the rhs of the evolution identity and the L2 norm of its mean
-    term at one snapshot v, with em the fine-lattice coefficients of e^{-iF/2}."""
-    grid = v.grid
-    xi = _fine_xi(grid, oversample)
-    plus = _fine_mask(grid, oversample, "plus")
-    em_plus = em * plus
-    w_fine = _fdx(em_plus, xi)
-    ux_minus = _embed(derivative(v), oversample) * _fine_mask(grid, oversample, "minus")
-    # P_+ e^{-iF/2} carries the modes (0, nf/2) and P_- u_x carries
-    # [-n/2, 0), so their product carries (-n/2, nf/2).  P_+ and the
-    # truncation below keep only 0 < k < n/2, whose aliases k - nf < -n/2
-    # and k + nf > nf/2 lie outside that band for any oversample >= 1:
-    # the product is exact on the nf lattice, with no padding.
-    prod = _analyze(_samples(em_plus) * _samples(ux_minus))
-    bil = _fdx(prod * plus, xi)
-    p0 = float(np.mean(np.asarray(v.samples) ** 2))
-    mean_term = 0.25j * p0 * w_fine
-    rhs = -bil + (mean_term if include_mean_term else 0.0)
-    mean_norm = lebesgue_norm(ComplexField(grid, _truncate(mean_term, grid)), 2)
-    return _truncate(w_fine, grid), _truncate(rhs, grid), mean_norm
-
-
-def _centered_residual(grid: SpatialGrid, dt: float, window) -> float:
-    """L2 residual at the middle of three consecutive snapshots' terms."""
-    (w_prev, _, _), (w, rhs, _), (w_next, _, _) = window
-    wt = (w_next - w_prev) / (2.0 * dt)
-    lhs = wt - 1j * (1j * grid.xi) ** 2 * w  # w_t - i w_xx
-    return lebesgue_norm(ComplexField(grid, lhs - rhs), 2)
-
-
-def _residual_report(traj: Trajectory, dt: float, terms) -> GaugeResidualReport:
-    """Centered-difference residuals from the per-snapshot terms, read in
-    order; at most three snapshots' terms are held at a time."""
-    window: deque = deque()
-    times, residuals, magnitudes = [], [], []
-    for k, snapshot in enumerate(terms):
-        window.append(snapshot)
-        if len(window) == 3:
-            times.append(float(traj.times[k - 1]))
-            residuals.append(_centered_residual(traj.grid, dt, window))
-            magnitudes.append(window[1][2])
-            window.popleft()
-    return GaugeResidualReport(
-        np.array(times), np.array(residuals), np.array(magnitudes)
-    )
-
-
 def gauge_residual(
     traj: Trajectory,
     oversample: int = 4,
@@ -263,12 +199,48 @@ def gauge_residual(
     genuine test of the evolution identity, dominated by the O(dt_snap^2)
     differencing error.  include_mean_term=False ablates (i/4) P0(F_x^2) w.
     """
-    dt = _snapshot_spacing(traj)
-    terms = (
-        _residual_terms(v, _gauge_exponential(v, oversample), oversample, include_mean_term)
-        for v in traj.states
+    if len(traj.states) < 3:
+        raise ValueError("need at least 3 snapshots for a centered difference")
+    dts = np.diff(traj.times)
+    if np.max(np.abs(dts - dts[0])) > 1e-10 * dts[0]:
+        raise ValueError("snapshots are not uniformly spaced")
+    grid = traj.grid
+    for v in traj.states:
+        if abs(v.mean.real) > 1e-10:
+            raise ValueError("gauge residual needs mean-zero states")
+    xi = _fine_xi(grid, oversample)
+    plus = _fine_mask(grid, oversample, "plus")
+    minus = _fine_mask(grid, oversample, "minus")
+    ws, rhss, mean_terms = [], [], []
+    for v in traj.states:
+        em_plus = _gauge_exponential(v, oversample) * plus
+        w_fine = _fdx(em_plus, xi)
+        ux_minus = _embed(derivative(v), oversample) * minus
+        # P_+ e^{-iF/2} carries the modes (0, nf/2) and P_- u_x carries
+        # [-n/2, 0), so their product carries (-n/2, nf/2).  P_+ and the
+        # truncation below keep only 0 < k < n/2, whose aliases k - nf < -n/2
+        # and k + nf > nf/2 lie outside that band for any oversample >= 1:
+        # the product is exact on the nf lattice, with no padding.
+        prod = _analyze(_samples(em_plus) * _samples(ux_minus))
+        bil = _fdx(prod * plus, xi)
+        p0 = float(np.mean(np.asarray(v.samples) ** 2))
+        mean_term = 0.25j * p0 * w_fine
+        rhs = -bil + (mean_term if include_mean_term else 0.0)
+        ws.append(_truncate(w_fine, grid))
+        rhss.append(_truncate(rhs, grid))
+        mean_terms.append(_truncate(mean_term, grid))
+    dt = float(dts[0])
+    times, residuals, magnitudes = [], [], []
+    for k in range(1, len(ws) - 1):
+        wt = (ws[k + 1] - ws[k - 1]) / (2.0 * dt)
+        lhs = wt - 1j * (1j * grid.xi) ** 2 * ws[k]  # w_t - i w_xx
+        res = ComplexField(grid, lhs - rhss[k])
+        times.append(float(traj.times[k]))
+        residuals.append(lebesgue_norm(res, 2))
+        magnitudes.append(lebesgue_norm(ComplexField(grid, mean_terms[k]), 2))
+    return GaugeResidualReport(
+        np.array(times), np.array(residuals), np.array(magnitudes)
     )
-    return _residual_report(traj, dt, terms)
 
 
 @dataclass(frozen=True)
@@ -281,11 +253,20 @@ class ReconstructionReport:
     rel_gap: float
 
 
-def _reconstruction(u: RealField, em: np.ndarray, oversample: int) -> ReconstructionReport:
-    """reconstruct_high with em, the fine-lattice e^{-iF/2}, already built."""
+def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
+    """High-frequency inversion of the gauge: P_{+HI} u from gauge data.
+
+    Evaluates P_{+HI}u = 2i P_{+HI}(e^{iF/2} w_hi)
+                       + P_{+HI}(P_{+hi}e^{iF/2} P_lo(e^{-iF/2} u))
+                       + 2i P_{+HI}(P_{+HI}e^{iF/2} d/dx P_{-hi}e^{-iF/2}),
+    with w_hi = d/dx P_{+hi}(e^{-iF/2}).  With the sharp |xi|>=8 split the
+    inner projector insertions are lossless, so the relative gap measures
+    only aliasing of the oversampled exponentials.
+    """
     grid = u.grid
     xi = _fine_xi(grid, oversample)
     mask = partial(_fine_mask, grid, oversample)
+    em = _gauge_exponential(u, oversample)
     ep = _conj_reflect(em)  # e^{+iF/2} is the conjugate of e^{-iF/2}
     ufine = _embed(u, oversample)
     inner_lo = _band_product([(em, ufine)]) * mask("lo")
@@ -312,43 +293,6 @@ def _reconstruction(u: RealField, em: np.ndarray, oversample: int) -> Reconstruc
         gap_abs=gap,
         rel_gap=gap / denom,
     )
-
-
-def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
-    """High-frequency inversion of the gauge: P_{+HI} u from gauge data.
-
-    Evaluates P_{+HI}u = 2i P_{+HI}(e^{iF/2} w_hi)
-                       + P_{+HI}(P_{+hi}e^{iF/2} P_lo(e^{-iF/2} u))
-                       + 2i P_{+HI}(P_{+HI}e^{iF/2} d/dx P_{-hi}e^{-iF/2}),
-    with w_hi = d/dx P_{+hi}(e^{-iF/2}).  With the sharp |xi|>=8 split the
-    inner projector insertions are lossless, so the relative gap measures
-    only aliasing of the oversampled exponentials.
-    """
-    return _reconstruction(u, _gauge_exponential(u, oversample), oversample)
-
-
-def _gauge_snapshot(v: RealField, oversample: int):
-    """The residual terms and the reconstruction gap of one snapshot, from
-    one e^{-iF/2}, which is freed on return."""
-    em = _gauge_exponential(v, oversample)
-    gap = _reconstruction(v, em, oversample).rel_gap
-    return _residual_terms(v, em, oversample, include_mean_term=True), gap
-
-
-def _gauge_check(traj: Trajectory, oversample: int) -> tuple[GaugeResidualReport, np.ndarray]:
-    """gauge_residual(traj) and the reconstruct_high rel_gap of every
-    snapshot, building each snapshot's e^{-iF/2} once."""
-    dt = _snapshot_spacing(traj)
-    gaps: list[float] = []
-
-    def terms():
-        for v in traj.states:
-            snapshot_terms, gap = _gauge_snapshot(v, oversample)
-            gaps.append(gap)
-            yield snapshot_terms
-
-    report = _residual_report(traj, dt, terms())
-    return report, np.array(gaps)
 
 
 def primitive_gap(

@@ -116,16 +116,15 @@ def test_run_gauge_check(sim_run, tmp_path):
 def test_run_gauge_check_keeps_nan_gap(sim_run, tmp_path, monkeypatch):
     from bogl import gauge
 
-    # gauge-check reconstructs each snapshot through gauge._reconstruction
-    real = gauge._reconstruction
+    real = gauge.reconstruct_high
     calls = []
 
-    def nan_on_second(state, em, oversample):
-        rec = real(state, em, oversample)
+    def nan_on_second(state, oversample=4):
+        rec = real(state, oversample=oversample)
         calls.append(rec)
         return replace(rec, rel_gap=float("nan")) if len(calls) == 2 else rec
 
-    monkeypatch.setattr(gauge, "_reconstruction", nan_on_second)
+    monkeypatch.setattr(gauge, "reconstruct_high", nan_on_second)
     res = run_gauge_check(sim_run.out_dir, tmp_path / "g")
     gap = next(a for a in res.assertions if a.name == "reconstruction_gap")
     assert not gap.ok and "nan" in gap.detail

@@ -334,23 +334,3 @@ def test_gauge_products_match_padded_reference(n, period_scale, oversample):
     em, ep = _ref_exponential_pair(u0, oversample)
     assert np.array_equal(gauge._gauge_exponential(u0, oversample), em)
     assert _rel(gauge._conj_reflect(em), ep) < 1e-14
-
-
-@pytest.mark.parametrize("oversample", [1, 4])
-def test_gauge_check_core_matches_public_functions(grid, oversample, monkeypatch):
-    u0 = random_field(grid, np.random.default_rng(7), decay=1.0, amplitude=0.9)
-    traj = simulate(u0, SimConfig(grid, dt=1e-3, t_end=0.012, snapshot_stride=2))
-    rep = gauge_residual(traj, oversample=oversample)
-    gaps = [reconstruct_high(v, oversample=oversample).rel_gap for v in traj.states]
-    builds = []
-    real = gauge._gauge_exponential
-    monkeypatch.setattr(
-        gauge, "_gauge_exponential", lambda v, f: builds.append(v) or real(v, f)
-    )
-    core, core_gaps = gauge._gauge_check(traj, oversample)
-    # one e^{-iF/2} per snapshot, and the same bits as the two public functions
-    assert len(builds) == len(traj.states) == 7
-    assert np.array_equal(core.times, rep.times)
-    assert np.array_equal(core.residuals, rep.residuals)
-    assert np.array_equal(core.mean_term_magnitudes, rep.mean_term_magnitudes)
-    assert np.array_equal(core_gaps, gaps)

@@ -38,9 +38,11 @@ from functools import partial
 import numpy as np
 
 from .bourgain import (
+    ProbeConfig,
     SpaceTimeField,
     SpaceTimeGrid,
     _bracket,
+    _decay_schedule,
     spacetime_lebesgue,
     x_norm,
     z_tilde_norm,
@@ -48,7 +50,7 @@ from .bourgain import (
 )
 from .gauge import _gauge_exponential, _truncate
 from .lp import dyadic_shells, shell_l2, shell_table
-from .reporting import ProbeReport
+from .reporting import ProbeReport, stream
 from .spectral import (
     ComplexField,
     RealField,
@@ -56,7 +58,6 @@ from .spectral import (
     derivative,
     fractional,
     lebesgue_norm,
-    make_grid,
     pointwise_product,
     project,
     projection_symbol,
@@ -76,8 +77,8 @@ __all__ = [
     "trilinear_I_oracle",
     "duality_pair",
     "region_pairing",
-    "EstimateProbeConfig",
     "estimate_probe",
+    "default_period_scale",
     "bracket_convolution_check",
     "bracket_convolution_integral",
     "decay_exponent",
@@ -253,17 +254,9 @@ def _check_positive_support(w: SpaceTimeField) -> None:
         raise ValueError("w must be supported on frequencies xi >= 1")
 
 
-def bilinear_core(
-    w: SpaceTimeField,
-    u: SpaceTimeField,
-    outer_dx: bool = True,
-    inverse_dx_on_w: bool = True,
-) -> SpaceTimeField:
-    """(d/dx) P_+( [dx^{-1}] w  P_- du/dx ), sharp sign projections.
-
-    With both flags on this is the critical bilinear operator B(w, u);
-    with both off it is P_+( w P_- du/dx ) (the half-weight/periodic form).
-    """
+def bilinear_core(w: SpaceTimeField, u: SpaceTimeField) -> SpaceTimeField:
+    """P_+( w P_- du/dx ), sharp sign projections (the half-weight/periodic
+    form; bilinear_B wraps it in dx^{-1} and d/dx)."""
     _check_positive_support(w)
     grid = w.grid
     if u.grid != grid:
@@ -271,20 +264,21 @@ def bilinear_core(
     xi = grid.spatial.xi
     wc = w.coefficients.copy()
     wc[:, xi < 1.0 - 1e-12] = 0.0
-    if inverse_dx_on_w:
-        pos = xi >= 1.0 - 1e-12
-        wc[:, pos] = wc[:, pos] / (1j * xi[pos])
     uc = u.coefficients * ((xi < 0) * (1j * xi))[None, :]
     prod = _band_product([(wc, uc)])
     prod *= (xi > 0)[None, :]
-    if outer_dx:
-        prod *= (1j * xi)[None, :]
     return SpaceTimeField(grid, prod)
 
 
 def bilinear_B(w: SpaceTimeField, u: SpaceTimeField) -> SpaceTimeField:
     """The critical operator d/dx P_+( dx^{-1} w P_- du/dx )."""
-    return bilinear_core(w, u, outer_dx=True, inverse_dx_on_w=True)
+    _check_positive_support(w)
+    xi = w.grid.spatial.xi
+    pos = xi >= 1.0 - 1e-12
+    inv = np.zeros_like(w.coefficients)
+    inv[:, pos] = w.coefficients[:, pos] / (1j * xi[pos])
+    core = bilinear_core(SpaceTimeField(w.grid, inv), u)
+    return SpaceTimeField(w.grid, core.coefficients * (1j * xi)[None, :])
 
 
 def _d_convolution(w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
@@ -490,40 +484,22 @@ def region_pairing(
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EstimateProbeConfig:
-    n: int = 32
-    num_times: int = 32
-    t_span: float = 2.0 * np.pi
-    period_scale: float = 1.0
-    samples: int = 100
-    seed: int = 0
-    s: float = 0.0
-
-    def window(self) -> SpaceTimeGrid:
-        return SpaceTimeGrid(
-            make_grid(self.n, self.period_scale), self.num_times, self.t_span
-        )
-
-
-def _decay_schedule(i: int) -> float:
-    return (0.5, 1.0, 2.0)[i % 3]
-
-
-def estimate_probe(which: str, cfg: EstimateProbeConfig, rng_factory) -> ProbeReport:
-    """Empirical sup-ratio report for one of the bilinear/Leibniz estimates."""
+def estimate_probe(which: str, cfg: ProbeConfig) -> ProbeReport:
+    """Empirical sup-ratio report for one of the bilinear/Leibniz estimates;
+    sample i draws from the stream (which, i)."""
     if which not in PROBE_NAMES:
         raise ValueError(f"unknown probe {which!r}; choose from {PROBE_NAMES}")
+    win = cfg.window()
     env = {
         "n": cfg.n,
         "num_times": cfg.num_times,
-        "t_span": cfg.t_span,
+        "t_span": win.t_span,
         "period_scale": cfg.period_scale,
         "samples": cfg.samples,
         "seed": cfg.seed,
         "s": cfg.s,
     }
-    return _PROBES[which](which, cfg, cfg.window(), env, rng_factory)
+    return _PROBES[which](which, cfg, win, env)
 
 
 # pairing form -> (inequality, norm of B(w, u)): B(w, u) is measured in both
@@ -542,15 +518,15 @@ _CRITICAL_FORMS = {
 }
 
 
-def _probe_bilinear_critical(name, cfg, win, env, rng_factory, form) -> ProbeReport:
+def _probe_bilinear_critical(name, cfg, win, env, form) -> ProbeReport:
     inequality, lhs_norm = _CRITICAL_FORMS[form]
     rep = ProbeReport(name, inequality, environment=env)
     s = cfg.s
     for i in range(cfg.samples):
-        rng = rng_factory(name, i)
+        rng = stream(cfg.seed, name, i)
         decay = _decay_schedule(i)
         w = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
-                                   positive_xi_only=True, min_xi=1.0)
+                                   positive_xi_only=True)
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
                                    real=True)
         h = random_spacetime_field(win, rng, xi_decay=0.5, sigma_decay=0.75)
@@ -588,7 +564,7 @@ def _g_dual_norm(g: SpaceTimeField) -> float:
     ))
 
 
-def _probe_bilinear_weighted(name, cfg, win, env, rng_factory, periodic) -> ProbeReport:
+def _probe_bilinear_weighted(name, cfg, win, env, periodic) -> ProbeReport:
     """The W-weighted estimate: at the s > 1/4 weighting of arXiv 1007.1545
     (half weight) or at the periodic one of Molinet."""
     # w_sb, u_sb, out_sb: the (s, b) of the norms of W, of the X term of u
@@ -616,11 +592,10 @@ def _probe_bilinear_weighted(name, cfg, win, env, rng_factory, periodic) -> Prob
     rep = ProbeReport(name, inequality, environment=environment)
     bessel = (1.0 + win.spatial.xi**2) ** (s / 2.0)
     for i in range(cfg.samples):
-        rng = rng_factory(name, i)
+        rng = stream(cfg.seed, name, i)
         decay = _decay_schedule(i)
         bigw = random_spacetime_field(win, rng, xi_decay=decay + 0.5,
-                                      sigma_decay=1.25, positive_xi_only=True,
-                                      min_xi=1.0)
+                                      sigma_decay=1.25, positive_xi_only=True)
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
                                    real=True)
         js = SpaceTimeField(win, u.coefficients * bessel[None, :])
@@ -630,13 +605,13 @@ def _probe_bilinear_weighted(name, cfg, win, env, rng_factory, periodic) -> Prob
         if rhs == 0:
             rep.skip()
             continue
-        op = bilinear_core(bigw, u, outer_dx=False, inverse_dx_on_w=False)
+        op = bilinear_core(bigw, u)
         lhs = x_norm(op, *out_sb)
         rep.add(sample=i, lhs=lhs, rhs=rhs, ratio=lhs / rhs)
     return rep
 
 
-def _probe_exp_lowband(name, cfg, win, env, rng_factory) -> ProbeReport:
+def _probe_exp_lowband(name, cfg, win, env) -> ProbeReport:
     rep = ProbeReport(
         name,
         "|dx P_+(P_lo e^{-iF/2} P_- dx u)|_{Ztilde^{s,-1} & X^{s,-1/2}} <= C |u|_{L4}^2",
@@ -649,7 +624,7 @@ def _probe_exp_lowband(name, cfg, win, env, rng_factory) -> ProbeReport:
     s_minus_dx = projection_symbol("minus", xi) * (1j * xi)
     s_outer = projection_symbol("plus", xi) * (1j * xi)
     for i in range(cfg.samples):
-        rng = rng_factory(name, i)
+        rng = stream(cfg.seed, name, i)
         decay = max(_decay_schedule(i), 1.0)
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.5,
                                    real=True, zero_mean_x=True)
@@ -674,7 +649,7 @@ def _probe_exp_lowband(name, cfg, win, env, rng_factory) -> ProbeReport:
     return rep
 
 
-def _probe_leibniz(name, cfg, win, env, rng_factory) -> ProbeReport:
+def _probe_leibniz(name, cfg, win, env) -> ProbeReport:
     rep = ProbeReport(
         name,
         "|D^{1/2} P_+(f P_- dx g)|_{L2} <= C |D^{3/4} f|_{L4} |D^{3/4} g|_{L4}",
@@ -682,7 +657,7 @@ def _probe_leibniz(name, cfg, win, env, rng_factory) -> ProbeReport:
     )
     grid = win.spatial
     for i in range(cfg.samples):
-        rng = rng_factory(name, i)
+        rng = stream(cfg.seed, name, i)
         decay = _decay_schedule(i)
         f = random_field(grid, rng, decay=decay, amplitude=1.0)
         g = random_field(grid, rng, decay=decay, amplitude=1.0)
@@ -707,6 +682,17 @@ _PROBES = {
     "bilinear_periodic": partial(_probe_bilinear_weighted, periodic=True),
 }
 PROBE_NAMES = tuple(_PROBES)
+
+
+def default_period_scale(which: str, requested: float = 0.0) -> float:
+    """The period scale of a probe run: `requested` when positive, else the
+    probe's default."""
+    if requested > 0:
+        return requested
+    # the low-frequency operator of exp_lowband vanishes identically on the
+    # unit lattice (its content sits at fractional frequencies), so that
+    # probe defaults to period scale 2
+    return 2.0 if which == "exp_lowband" else 1.0
 
 
 # ----------------------------------------------------------------------------

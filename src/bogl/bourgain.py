@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .lp import eta, shell_l2, shell_table
-from .reporting import ProbeReport
+from .reporting import ProbeReport, stream
 from .spectral import (
     ComplexField,
     Field,
@@ -53,7 +53,7 @@ __all__ = [
     "duhamel_field",
     "random_spacetime_field",
     "x_norm_regrouped",
-    "LinearProbeConfig",
+    "ProbeConfig",
     "linear_probes",
 ]
 
@@ -266,19 +266,17 @@ def random_spacetime_field(
     sigma_decay: float = 1.5,
     real: bool = False,
     positive_xi_only: bool = False,
-    min_xi: float = 0.0,
     zero_mean_x: bool = False,
 ) -> SpaceTimeField:
-    """Random field with coefficients ~ CN(0,1) <xi>^{-xi_decay} <sigma>^{-sigma_decay}."""
+    """Random field with coefficients ~ CN(0,1) <xi>^{-xi_decay} <sigma>^{-sigma_decay};
+    positive_xi_only keeps the frequencies xi >= 1."""
     m, n = win.num_times, win.spatial.n
     z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     xi = win.spatial.xi
     shape = _bracket(xi)[None, :] ** (-xi_decay) * _bracket(win.sigma) ** (-sigma_decay)
     coeff = z * shape
     if positive_xi_only:
-        coeff[:, ~(xi >= max(min_xi, 1e-12))] = 0.0
-    elif min_xi > 0:
-        coeff[:, np.abs(xi) < min_xi] = 0.0
+        coeff[:, xi < 1.0] = 0.0
     if real:
         ml = (-np.arange(m)) % m
         nk = (-np.arange(n)) % n
@@ -294,36 +292,44 @@ def x_norm_regrouped(f: SpaceTimeField, s: float, b: float) -> float:
 
 
 # ----------------------------------------------------------------------------
-# linear estimate probes
+# estimate probes (the bilinear ones are in bilinear.py)
 # ----------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LinearProbeConfig:
-    n: int = 64
-    period_scale: float = 1.0
-    num_times: int = 64
-    t_span: float = 2.0 * np.pi
-    samples: int = 40
+class ProbeConfig:
+    """An estimate probe's lattice on the 2 pi slab, samples, seed and s;
+    sample i of the probe `name` draws from reporting.stream(seed, name, i)."""
+
+    n: int = 32
+    num_times: int = 32
+    samples: int = 100
     seed: int = 0
     s: float = 0.0
-    delta: float = 0.25
+    period_scale: float = 1.0
 
     def window(self) -> SpaceTimeGrid:
         return SpaceTimeGrid(
-            make_grid(self.n, self.period_scale), self.num_times, self.t_span
+            make_grid(self.n, self.period_scale), self.num_times, 2.0 * np.pi
         )
 
 
-def linear_probes(cfg: LinearProbeConfig, rng_factory) -> list[ProbeReport]:
+def _decay_schedule(i: int) -> float:
+    return (0.5, 1.0, 2.0)[i % 3]
+
+
+# the d of the Duhamel estimate X^{s,-1/2+d} -> X^{s,1/2+d}
+_DUHAMEL_DELTA = 0.25
+
+
+def linear_probes(cfg: ProbeConfig) -> list[ProbeReport]:
     """Empirical ratio reports for the homogeneous, Duhamel, time-factor and
-    L4 embedding estimates.  rng_factory(domain, index) -> np.random.Generator.
-    """
+    L4 embedding estimates; sample i draws from the stream ("linear", i)."""
     win = cfg.window()
     env = {
         "n": cfg.n,
         "num_times": cfg.num_times,
-        "t_span": cfg.t_span,
+        "t_span": win.t_span,
         "s": cfg.s,
         "samples": cfg.samples,
         "seed": cfg.seed,
@@ -336,7 +342,7 @@ def linear_probes(cfg: LinearProbeConfig, rng_factory) -> list[ProbeReport]:
     duhamel_x = ProbeReport(
         "linear_duhamel_x",
         "|window Duhamel(g)|_{X^{s,1/2+d}} <= C |g|_{X^{s,-1/2+d}}",
-        environment={**env, "delta": cfg.delta},
+        environment={**env, "delta": _DUHAMEL_DELTA},
     )
     duhamel_y = ProbeReport(
         "linear_duhamel_y",
@@ -360,8 +366,8 @@ def linear_probes(cfg: LinearProbeConfig, rng_factory) -> list[ProbeReport]:
     )
 
     for i in range(cfg.samples):
-        rng = rng_factory("linear", i)
-        decay = (0.5, 1.0, 2.0)[i % 3]
+        rng = stream(cfg.seed, "linear", i)
+        decay = _decay_schedule(i)
 
         f = random_field(win.spatial, rng, decay=decay, amplitude=1.0)
         hs = sobolev_norm(f, cfg.s)
@@ -373,9 +379,9 @@ def linear_probes(cfg: LinearProbeConfig, rng_factory) -> list[ProbeReport]:
 
         g = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.0)
         lam = duhamel_field(g, win)
-        rhs_x = x_norm(g, cfg.s, -0.5 + cfg.delta)
+        rhs_x = x_norm(g, cfg.s, -0.5 + _DUHAMEL_DELTA)
         if rhs_x > 0:
-            lhs = x_norm(lam, cfg.s, 0.5 + cfg.delta)
+            lhs = x_norm(lam, cfg.s, 0.5 + _DUHAMEL_DELTA)
             duhamel_x.add(sample=i, lhs=lhs, rhs=rhs_x, ratio=lhs / rhs_x)
         else:
             duhamel_x.skip()

@@ -144,26 +144,11 @@ def _manifest_value(v):
     return v
 
 
-def _grid(n: int, period_scale: float):
-    """make_grid with its validation errors reported as config errors."""
+def _validated(build, *args, **kwargs):
+    """build(*args, **kwargs) with its ValueErrors (the checks of make_grid,
+    SimConfig, SpaceTimeGrid, random_field, ...) reported as config errors."""
     try:
-        return make_grid(n, period_scale)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _sim_config(grid, **kwargs) -> SimConfig:
-    """SimConfig with its validation errors reported as config errors."""
-    try:
-        return SimConfig(grid, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _spacetime_grid(grid, num_times: int, t_span: float):
-    """bourgain.SpaceTimeGrid with its validation errors reported as config errors."""
-    try:
-        return bourgain.SpaceTimeGrid(grid, num_times, t_span)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -241,16 +226,18 @@ def initial_data(grid, cfg: dict) -> RealField:
 
 def run_simulate(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, SIMULATE_SCHEMA)
-    out = _prep(out_dir)
-    grid = _grid(cfg["n"], cfg["lambda"])
-    u0 = initial_data(grid, cfg)
-    sim_cfg = _sim_config(
+    grid = _validated(make_grid, cfg["n"], cfg["lambda"])
+    # a rho, lambda or max_mode that the chosen init cannot take
+    u0 = _validated(initial_data, grid, cfg)
+    sim_cfg = _validated(
+        SimConfig,
         grid,
         dt=cfg["dt"],
         t_end=cfg["t_end"],
         dealias=cfg["dealias"],
         snapshot_stride=cfg["snapshot_stride"],
     )
+    out = _prep(out_dir)
     traj = simulate(u0, sim_cfg)
     outputs = []
     for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
@@ -287,6 +274,11 @@ def load_trajectory(traj_dir) -> Trajectory:
         field, t = _read_snapshot(p)
         if not isinstance(field, RealField):
             raise ConfigError(f"{p}: trajectory snapshots must be real fields")
+        if states and field.grid != states[0].grid:
+            raise ConfigError(f"{p}: grid differs from that of {paths[0].name}")
+        # the evolution conserves the mean; gauge_residual's tolerance
+        if states and abs(field.mean.real - states[0].mean.real) > 1e-10:
+            raise ConfigError(f"{p}: mean differs from that of {paths[0].name}")
         states.append(field)
         times.append(t)
     order = np.argsort(times)
@@ -301,7 +293,6 @@ def load_trajectory(traj_dir) -> Trajectory:
 
 
 def run_gauge_check(traj_dir, out_dir, oversample: int = 4) -> RunResult:
-    out = _prep(out_dir)
     traj = load_trajectory(traj_dir)
     mean = float(traj.states[0].mean.real)
     if abs(mean) > 1e-12:
@@ -311,7 +302,9 @@ def run_gauge_check(traj_dir, out_dir, oversample: int = 4) -> RunResult:
             shifted = gauge.translate_to_zero_mean(u, mean, float(t))
             reduced.append(shifted)
         traj = Trajectory(times=traj.times, states=reduced)
-    rep = gauge.gauge_residual(traj, oversample=oversample)
+    # fewer than 3 or unevenly spaced snapshots
+    rep = _validated(gauge.gauge_residual, traj, oversample=oversample)
+    out = _prep(out_dir)
     res_csv = out / "gauge_residual.csv"
     write_csv(res_csv, rep.rows(), ["t", "residual_L2", "mean_term_L2"])
     rec_rows = []
@@ -377,8 +370,9 @@ NORM_SWEEP_SCHEMA = {
 def run_norm_sweep(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, NORM_SWEEP_SCHEMA)
     out = _prep(out_dir)
-    win = _spacetime_grid(
-        _grid(cfg["n"], cfg["lambda"]),
+    win = _validated(
+        bourgain.SpaceTimeGrid,
+        _validated(make_grid, cfg["n"], cfg["lambda"]),
         cfg["num_times"],
         cfg["t_span_pi"] * math.pi,
     )
@@ -437,25 +431,14 @@ BILINEAR_SCHEMA = {
 }
 
 
-def _bilinear_period_scale(which: str, requested: float) -> float:
-    if requested > 0:
-        return requested
-    # the low-frequency operator of exp_lowband vanishes identically on the
-    # unit lattice (its content sits at fractional frequencies), so that
-    # probe defaults to period scale 2
-    return 2.0 if which == "exp_lowband" else 1.0
-
-
 def _estimate_probe(which: str, cfg: dict, period_scale: float) -> ProbeReport:
     """bilinear.estimate_probe on the grid, samples, seed and s of a resolved
     bilinear-probe or probe-suite config."""
-    probe_cfg = bilinear.EstimateProbeConfig(
+    probe_cfg = bourgain.ProbeConfig(
         n=cfg["n"], num_times=cfg["num_times"], samples=cfg["samples"],
         seed=cfg["seed"], s=cfg["s"], period_scale=period_scale,
     )
-    return bilinear.estimate_probe(
-        which, probe_cfg, lambda d, i: stream(cfg["seed"], d, i)
-    )
+    return bilinear.estimate_probe(which, probe_cfg)
 
 
 def _worst_closure(reports) -> float:
@@ -471,7 +454,7 @@ def run_bilinear_probe(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, BILINEAR_SCHEMA)
     out = _prep(out_dir)
     which = cfg["which"]
-    period_scale = _bilinear_period_scale(which, cfg["lambda"])
+    period_scale = bilinear.default_period_scale(which, cfg["lambda"])
     try:
         rep = _estimate_probe(which, cfg, period_scale)
     except ValueError as exc:
@@ -538,18 +521,21 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
         raise ConfigError("no positive perturbation sizes given")
     if cfg["perturb_min_freq"] < 8.0:
         raise ConfigError("perturbation must live at frequencies |xi| >= 8")
-    out = _prep(out_dir)
-    grid = _grid(cfg["n"], cfg["lambda"])
-    sim_cfg = _sim_config(
-        grid, dt=cfg["dt"], t_end=cfg["t_end"], snapshot_stride=cfg["snapshot_stride"]
+    if cfg["samples"] < 1:
+        raise ConfigError(f"samples must be >= 1, got {cfg['samples']}")
+    grid = _validated(make_grid, cfg["n"], cfg["lambda"])
+    sim_cfg = _validated(
+        SimConfig, grid, dt=cfg["dt"], t_end=cfg["t_end"],
+        snapshot_stride=cfg["snapshot_stride"],
     )
+    out = _prep(out_dir)
     rows = []
     trunc_rows = []
     spreads = []
     for i in range(cfg["samples"]):
         rng = stream(cfg["seed"], "lipschitz", i)
-        phi1 = random_field(
-            grid, rng, decay=cfg["decay"], amplitude=cfg["amplitude"],
+        phi1 = _validated(
+            random_field, grid, rng, decay=cfg["decay"], amplitude=cfg["amplitude"],
             max_mode=cfg["max_mode"],
         )
         direction = _high_frequency_direction(
@@ -589,9 +575,9 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
         # frequency-truncated data: convergence of u^j to the full solution;
         # uses a rough-tailed datum so the truncation actually removes mass
         rough_max = cfg["trunc_max_mode"] or int(grid.n // 3) - 1
-        psi = random_field(
-            grid, rng, decay=cfg["trunc_decay"], amplitude=cfg["amplitude"],
-            max_mode=rough_max,
+        psi = _validated(
+            random_field, grid, rng, decay=cfg["trunc_decay"],
+            amplitude=cfg["amplitude"], max_mode=rough_max,
         )
         traj_ref = simulate(psi, sim_cfg)
         for cutoff in cfg["cutoffs"]:
@@ -644,16 +630,16 @@ SCALING_SCHEMA = {
 
 def run_scaling_check(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, SCALING_SCHEMA)
-    out = _prep(out_dir)
     lam = cfg["scale"]
     if lam < 1 or (lam & (lam - 1)) != 0:
         raise ConfigError("scale must be a dyadic integer >= 1")
-    grid = _grid(cfg["n"], cfg["lambda_base"])
+    grid = _validated(make_grid, cfg["n"], cfg["lambda_base"])
     rng = stream(cfg["seed"], "scaling")
-    u0 = random_field(
-        grid, rng, decay=cfg["decay"], amplitude=cfg["amplitude"],
+    u0 = _validated(
+        random_field, grid, rng, decay=cfg["decay"], amplitude=cfg["amplitude"],
         max_mode=cfg["max_mode"],
     )
+    out = _prep(out_dir)
     rows = []
     norm_worst = 0.0
     for factor in (1, 2, 4):
@@ -668,13 +654,13 @@ def run_scaling_check(config: dict, out_dir) -> RunResult:
                      "expected": want, "rel_err": err})
     t_scaled = cfg["t_scaled"]
     steps_base = round(lam**2 * t_scaled / cfg["dt"])
-    base_cfg = _sim_config(grid, dt=cfg["dt"], t_end=lam**2 * t_scaled,
-                           snapshot_stride=steps_base)
+    base_cfg = _validated(SimConfig, grid, dt=cfg["dt"], t_end=lam**2 * t_scaled,
+                          snapshot_stride=steps_base)
     base_final = simulate(u0, base_cfg).states[-1]
     v0 = rescale(u0, lam)
     steps_scaled = round(t_scaled / cfg["dt"])
-    scaled_cfg = _sim_config(v0.grid, dt=cfg["dt"], t_end=t_scaled,
-                             snapshot_stride=steps_scaled)
+    scaled_cfg = _validated(SimConfig, v0.grid, dt=cfg["dt"], t_end=t_scaled,
+                            snapshot_stride=steps_scaled)
     scaled_final = simulate(v0, scaled_cfg).states[-1]
     expected = rescale(base_final, lam)
     corr = lebesgue_norm(scaled_final - expected, 2)
@@ -745,8 +731,8 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
         raise ConfigError(f"unknown probes: {sorted(unknown)}")
     # validated up front: inside the probe loop a bad grid would be recorded
     # as a probe failure instead of a config error
-    _spacetime_grid(_grid(cfg["n"], 1.0), cfg["num_times"], 2.0 * math.pi)
-    _grid(cfg["exp_n"], 1.0)
+    _validated(bourgain.ProbeConfig(n=cfg["n"], num_times=cfg["num_times"]).window)
+    _validated(make_grid, cfg["exp_n"], 1.0)
     if not math.isfinite(cfg["bracket_mu_max"]):
         raise ConfigError(f"bracket_mu_max must be finite, got {cfg['bracket_mu_max']}")
     out = _prep(out_dir)
@@ -789,15 +775,14 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
 
 def _run_one_suite_probe(name: str, cfg: dict) -> list[ProbeReport]:
     if name == "linear":
-        seed = cfg["seed"]
-        probe_cfg = bourgain.LinearProbeConfig(
+        probe_cfg = bourgain.ProbeConfig(
             n=cfg["n"], num_times=cfg["num_times"],
-            samples=max(10, cfg["samples"] // 3), seed=seed, s=cfg["s"],
+            samples=max(10, cfg["samples"] // 3), seed=cfg["seed"], s=cfg["s"],
         )
-        return bourgain.linear_probes(probe_cfg, lambda d, i: stream(seed, d, i))
+        return bourgain.linear_probes(probe_cfg)
     if name == "exp_multiplication":
         return [_suite_exp_multiplication(cfg)]
     if name == "bracket_convolution":
         mus = [0.0, 1.0, 10.0, 100.0, 1000.0, cfg["bracket_mu_max"]]
         return [bilinear.bracket_convolution_check(1.0, 1.0, mus)]
-    return [_estimate_probe(name, cfg, _bilinear_period_scale(name, 0.0))]
+    return [_estimate_probe(name, cfg, bilinear.default_period_scale(name))]

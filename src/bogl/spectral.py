@@ -409,7 +409,10 @@ def random_field(
     max_mode: int | None = None,
     mean_zero: bool = True,
 ) -> RealField:
-    """Random real field with coefficients ~ CN(0,1) * (1+|xi|)^{-decay}."""
+    """Random real field with coefficients ~ CN(0,1) * (1+|xi|)^{-decay}
+    on the modes 1 <= |k| <= max_mode, capped below the Nyquist mode."""
+    if max_mode is not None and max_mode < 1:
+        raise ValueError(f"max_mode must be >= 1, got {max_mode}")
     n = grid.n
     coeff = np.zeros(n, dtype=np.complex128)
     kmax = n // 2 - 1 if max_mode is None else min(max_mode, n // 2 - 1)

@@ -10,7 +10,6 @@ import pytest
 
 import bogl
 from bogl.bilinear import (
-    EstimateProbeConfig,
     FrequencyTuple,
     GridTooLargeError,
     PROBE_NAMES,
@@ -22,6 +21,7 @@ from bogl.bilinear import (
     bracket_convolution_check,
     classify,
     decay_exponent,
+    default_period_scale,
     duality_pair,
     estimate_probe,
     region_pairing,
@@ -30,7 +30,12 @@ from bogl.bilinear import (
     trilinear_I,
     trilinear_I_oracle,
 )
-from bogl.bourgain import SpaceTimeField, SpaceTimeGrid, random_spacetime_field
+from bogl.bourgain import (
+    ProbeConfig,
+    SpaceTimeField,
+    SpaceTimeGrid,
+    random_spacetime_field,
+)
 from bogl.lp import phi_shell, shell_table
 from bogl.reporting import stream
 from bogl.spectral import make_grid
@@ -44,7 +49,7 @@ def win16():
 def fields(win, seed, rough=0.5):
     rng = stream(seed, "test-fields")
     h = random_spacetime_field(win, rng, rough, 0.75)
-    w = random_spacetime_field(win, rng, rough, 1.0, positive_xi_only=True, min_xi=1.0)
+    w = random_spacetime_field(win, rng, rough, 1.0, positive_xi_only=True)
     u = random_spacetime_field(win, rng, rough, 1.0, real=True)
     return h, w, u
 
@@ -158,7 +163,7 @@ def test_bilinear_zero_and_support_checks(win16):
 def test_bilinear_kills_analytic_signal(win16):
     _, w, _ = fields(win16, 1)
     analytic = random_spacetime_field(
-        win16, stream(1, "analytic"), 0.5, 1.0, positive_xi_only=True, min_xi=1.0
+        win16, stream(1, "analytic"), 0.5, 1.0, positive_xi_only=True
     )
     out = bilinear_B(w, analytic)  # P_- d/dx of positive-support input is 0
     assert np.max(np.abs(out.coefficients)) == 0.0
@@ -225,13 +230,14 @@ def _ref_padded_product(a, b):
     return out
 
 
-def _ref_bilinear_core(w, u, outer_dx, inverse_dx_on_w):
+def _ref_bilinear(w, u, critical):
+    """P_+(w P_- dx u), or B(w, u) = dx P_+(dx^{-1} w P_- dx u) if critical."""
     xi = w.grid.spatial.xi
     wc = w.coefficients * (xi >= 1)
-    if inverse_dx_on_w:
+    if critical:
         wc = wc / np.where(xi >= 1, 1j * xi, 1.0)
     prod = _ref_padded_product(wc, u.coefficients * (xi < 0) * (1j * xi)) * (xi > 0)
-    return SpaceTimeField(w.grid, prod * (1j * xi) if outer_dx else prod).coefficients
+    return SpaceTimeField(w.grid, prod * (1j * xi) if critical else prod).coefficients
 
 
 def _ref_trilinear_I(h, w, u):
@@ -246,9 +252,9 @@ def _ref_trilinear_I(h, w, u):
 def test_products_match_padded_reference(n, num_times, seed):
     win = SpaceTimeGrid(make_grid(n, 1.0), num_times, 2 * np.pi)
     h, w, u = fields(win, seed + 40)
-    for flags in ((True, True), (False, False)):
-        got = bilinear_core(w, u, *flags).coefficients
-        ref = _ref_bilinear_core(w, u, *flags)
+    for op, critical in ((bilinear_B, True), (bilinear_core, False)):
+        got = op(w, u).coefficients
+        ref = _ref_bilinear(w, u, critical)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     ref = _ref_trilinear_I(h, w, u)
     assert abs(trilinear_I(h, w, u) - ref) <= 1e-13 * abs(ref)
@@ -268,7 +274,7 @@ def test_trilinear_outside_domain_vanishes(win16):
     # u supported on positive frequencies only => xi2 > 0 always => I = 0
     h, w, _ = fields(win16, 8)
     u_pos = random_spacetime_field(
-        win16, stream(8, "pos"), 0.5, 1.0, positive_xi_only=True, min_xi=1.0
+        win16, stream(8, "pos"), 0.5, 1.0, positive_xi_only=True
     )
     assert abs(trilinear_I(h, w, u_pos)) < 1e-20
 
@@ -350,19 +356,17 @@ def test_region_parts_match_tuple_oracle(win16, form, seed):
 
 
 def test_estimate_probe_reports():
-    fac = lambda d, i: stream(11, d, i)
     for name in PROBE_NAMES:
-        ps = 2.0 if name == "exp_lowband" else 1.0
-        cfg = EstimateProbeConfig(n=16, num_times=16, samples=6, seed=11,
-                                  period_scale=ps)
-        rep = estimate_probe(name, cfg, fac)
+        cfg = ProbeConfig(n=16, num_times=16, samples=6, seed=11,
+                          period_scale=default_period_scale(name))
+        rep = estimate_probe(name, cfg)
         assert len(rep.rows) + rep.skipped == 6
         assert np.isfinite(rep.sup)
         for row in rep.rows:
             if "closure_rel" in row:
                 assert row["closure_rel"] <= 1e-10
     with pytest.raises(ValueError):
-        estimate_probe("nope", EstimateProbeConfig(), fac)
+        estimate_probe("nope", ProbeConfig())
 
 
 # sup and mean of each probe at n = num_times = 16, samples = 6, seed = 11
@@ -386,20 +390,18 @@ _PINNED_PROBES = {
 
 @pytest.mark.parametrize("name,s", sorted(_PINNED_PROBES))
 def test_estimate_probe_pinned_values(name, s):
-    ps = 2.0 if name == "exp_lowband" else 1.0
-    cfg = EstimateProbeConfig(n=16, num_times=16, samples=6, seed=11, s=s,
-                              period_scale=ps)
-    rep = estimate_probe(name, cfg, lambda d, i: stream(11, d, i))
+    cfg = ProbeConfig(n=16, num_times=16, samples=6, seed=11, s=s,
+                      period_scale=default_period_scale(name))
+    rep = estimate_probe(name, cfg)
     sup, mean = _PINNED_PROBES[name, s]
     assert rep.sup == pytest.approx(sup, rel=1e-10)
     assert rep.mean == pytest.approx(mean, rel=1e-10)
 
 
 def test_probe_determinism():
-    fac = lambda d, i: stream(5, d, i)
-    cfg = EstimateProbeConfig(n=16, num_times=16, samples=4, seed=5)
-    a = estimate_probe("bilinear_critical_x", cfg, fac)
-    b = estimate_probe("bilinear_critical_x", cfg, fac)
+    cfg = ProbeConfig(n=16, num_times=16, samples=4, seed=5)
+    a = estimate_probe("bilinear_critical_x", cfg)
+    b = estimate_probe("bilinear_critical_x", cfg)
     assert a.rows == b.rows
 
 

@@ -320,6 +320,51 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     for extra in ([], ["--assert"]):
         assert main(["gauge-check", "--traj", str(nan), "--out",
                      str(tmp_path / "gn")] + extra) == 2
+
+    # initial data the config cannot build, and lipschitz-pairs without
+    # samples, are config errors: exit 2 and no CSV, with or without --assert
+    quick = "n = 64\ndt = 1e-3\nt_end = 0.02\nsnapshot_stride = 10\n"
+    bad_init = {
+        "simulate": ["init = wave\nlambda = 2\n", "init = wave\nrho = 1.5\n",
+                     "max_mode = 0\n", "max_mode = -3\n"],
+        "scaling-check": ["n = 64\nmax_mode = 0\n"],
+        "lipschitz-pairs": ["max_mode = 0\nsamples = 1\n",
+                            "trunc_max_mode = -2\nsamples = 1\n", "samples = 0\n"],
+    }
+    for cmd, bodies in bad_init.items():
+        for j, body in enumerate(bodies):
+            bad_cfg = tmp_path / f"{cmd}_{j}.cfg"
+            bad_cfg.write_text(body if cmd == "scaling-check" else quick + body)
+            for i, extra in enumerate(([], ["--assert"])):
+                dest = tmp_path / f"{cmd}_{j}_{i}"
+                assert main([cmd, "--config", str(bad_cfg), "--out", str(dest)]
+                            + extra) == 2, (cmd, body)
+                assert not any(dest.glob("*.csv"))
+
+    # trajectories gauge-check cannot difference: too few snapshots, mixed
+    # grids, uneven times, differing means
+    snaps = sorted(out.glob("snap_*.bin"))
+    last_field, last_t = read_snapshot(snaps[-1])
+    other_grid = random_field(make_grid(32, 1.0), stream(0, "other"), max_mode=4)
+    bad_trajs = {
+        "few": (snaps[:2], None),
+        "grids": (snaps, (other_grid, last_t)),
+        "uneven": (snaps, (last_field, last_t + 0.005)),
+        "means": (snaps, (RealField.from_samples(last_field.grid,
+                                                 last_field.samples + 0.5), last_t)),
+    }
+    for label, (kept, replacement) in bad_trajs.items():
+        traj = tmp_path / f"traj_{label}"
+        traj.mkdir()
+        for snap in kept:
+            (traj / snap.name).write_bytes(snap.read_bytes())
+        if replacement is not None:
+            write_snapshot(traj / kept[-1].name, replacement[0], time=replacement[1])
+        for i, extra in enumerate(([], ["--assert"])):
+            dest = tmp_path / f"g_{label}{i}"
+            assert main(["gauge-check", "--traj", str(traj), "--out", str(dest)]
+                        + extra) == 2, label
+            assert not any(dest.glob("*.csv"))
     # a probe whose sup is not finite is a numeric failure, with or without
     # --assert, and no summary is written
     huge_s = tmp_path / "huge_s.cfg"

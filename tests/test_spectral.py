@@ -293,3 +293,10 @@ def test_translate_is_spectral_shift():
     f = RealField.from_samples(g, np.cos(2 * g.x))
     moved = translate(f, 0.3)
     assert np.max(np.abs(moved.samples - np.cos(2 * (g.x - 0.3)))) < 1e-12
+
+
+def test_random_field_rejects_empty_band():
+    grid = make_grid(16, 1.0)
+    for max_mode in (0, -3):
+        with pytest.raises(ValueError, match="max_mode"):
+            random_field(grid, np.random.default_rng(0), max_mode=max_mode)

@@ -4,7 +4,6 @@ from .spectral import (
     SpatialGrid,
     RealField,
     ComplexField,
-    Multiplier,
     make_grid,
     hilbert,
     project,

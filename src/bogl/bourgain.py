@@ -26,13 +26,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import Trajectory
-from .lp import eta, shell_l2, shell_table
+from .lp import _tilde_sum, eta
 from .reporting import ProbeReport, stream
 from .spectral import (
     ComplexField,
     Field,
     SpatialGrid,
+    _lp_sum,
     make_grid,
     random_field,
     sobolev_norm,
@@ -41,7 +41,6 @@ from .spectral import (
 __all__ = [
     "SpaceTimeGrid",
     "SpaceTimeField",
-    "lift",
     "x_norm",
     "z_norm",
     "z_tilde_norm",
@@ -60,6 +59,11 @@ __all__ = [
 
 def _bracket(v: np.ndarray) -> np.ndarray:
     return 1.0 + np.abs(v)
+
+
+def _cutoff(t: np.ndarray, t_end: float) -> np.ndarray:
+    """Smooth cutoff over [0, t_end]: plateau on the central half."""
+    return np.asarray(eta(4.0 * (t - t_end / 2.0) / t_end))
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,7 @@ class SpaceTimeGrid:
     @cached_property
     def window(self) -> np.ndarray:
         """Smooth cutoff over [0, t_span]: plateau on the central half."""
-        t = self.times
-        return np.asarray(eta(4.0 * (t - self.t_span / 2.0) / self.t_span))
+        return _cutoff(self.times, self.t_span)
 
     @property
     def dt(self) -> float:
@@ -121,9 +124,7 @@ class SpaceTimeField:
     @classmethod
     def from_windowed_samples(cls, grid: SpaceTimeGrid, samples) -> "SpaceTimeField":
         samples = np.asarray(samples, dtype=np.complex128)
-        windowed = samples * grid.window[:, None]
-        coeff = np.fft.fft2(windowed) / (grid.num_times * grid.spatial.n)
-        return cls(grid, coeff)
+        return cls.from_raw_samples(grid, samples * grid.window[:, None])
 
     @classmethod
     def from_raw_samples(cls, grid: SpaceTimeGrid, samples) -> "SpaceTimeField":
@@ -161,19 +162,6 @@ class SpaceTimeField:
         )
 
 
-def lift(traj: Trajectory, win: SpaceTimeGrid) -> SpaceTimeField:
-    """Window a trajectory onto the slab; snapshot times must cover win.times."""
-    if traj.grid != win.spatial:
-        raise ValueError("trajectory grid does not match the window's spatial grid")
-    samples = np.zeros((win.num_times, win.spatial.n), dtype=np.complex128)
-    for m, t in enumerate(win.times):
-        j = int(np.argmin(np.abs(traj.times - t)))
-        if abs(traj.times[j] - t) > 1e-9 * max(1.0, win.t_span):
-            raise ValueError(f"no trajectory snapshot at window time {t:.6g}")
-        samples[m] = traj.states[j].samples
-    return SpaceTimeField.from_windowed_samples(win, samples)
-
-
 def x_norm(f: SpaceTimeField, s: float, b: float) -> float:
     g = f.grid
     w = _bracket(g.sigma) ** (2 * b) * _bracket(g.spatial.xi)[None, :] ** (2 * s)
@@ -191,9 +179,7 @@ def z_norm(f: SpaceTimeField, s: float, b: float) -> float:
 
 def _shell_summed(f: SpaceTimeField, norm) -> float:
     """norm(P_lo f) + (sum_N norm(P_N f)^2)^{1/2} over the spatial shells."""
-    grid = f.grid.spatial
-    low = norm(f.spatial_mask(shell_table(grid).low))
-    return low + shell_l2(grid, lambda mask: norm(f.spatial_mask(mask)))
+    return _tilde_sum(f.grid.spatial, lambda mask: norm(f.spatial_mask(mask)))
 
 
 def z_tilde_norm(f: SpaceTimeField, s: float, b: float) -> float:
@@ -205,10 +191,7 @@ def y_norm(f: SpaceTimeField, s: float) -> float:
 
 
 def spacetime_lebesgue(f: SpaceTimeField, p) -> float:
-    a = np.abs(f.samples)
-    if p == np.inf:
-        return float(np.max(a))
-    return float((np.sum(a**p) * f.grid.cell) ** (1.0 / p))
+    return _lp_sum(f.samples, f.grid.cell, p)
 
 
 def spacetime_tilde_lebesgue(f: SpaceTimeField, p) -> float:
@@ -220,8 +203,7 @@ def localize(f: SpaceTimeField, t_loc: float) -> SpaceTimeField:
     """Multiply by the cutoff scaled to [0, t_loc] (canonical localized extension)."""
     if not (0 < t_loc <= f.grid.t_span):
         raise ValueError("localization time must lie in (0, t_span]")
-    t = f.grid.times
-    w = np.asarray(eta(4.0 * (t - t_loc / 2.0) / t_loc))
+    w = _cutoff(f.grid.times, t_loc)
     return SpaceTimeField.from_raw_samples(f.grid, f.samples * w[:, None])
 
 

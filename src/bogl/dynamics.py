@@ -76,14 +76,11 @@ class SimConfig:
     grid: SpatialGrid
     dt: float
     t_end: float
-    dealias: float = 2.0 / 3.0
     snapshot_stride: int = 1
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        if not (0 < self.dealias <= 1):
-            raise ValueError("dealias fraction must lie in (0, 1]")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         n = round(self.t_end / self.dt)
@@ -129,10 +126,10 @@ class Trajectory:
         ]
 
 
-def _dealias_mask(k: np.ndarray, n: int, fraction: float) -> np.ndarray:
-    """Modes kept by the dealias rule.  k lists the mode numbers of one layout
+def _dealias_mask(k: np.ndarray, n: int) -> np.ndarray:
+    """Modes kept by the 2/3 rule.  k lists the mode numbers of one layout
     (FFT order or the half spectrum); in both, index n/2 is the Nyquist line."""
-    keep = np.abs(k) <= fraction * (n // 2) + 1e-9
+    keep = np.abs(k) <= 2.0 / 3.0 * (n // 2) + 1e-9
     keep[n // 2] = False
     return keep
 
@@ -152,8 +149,7 @@ class ETDRK4Stepper:
     (the aliases of u^2 fall outside the kept band).
     """
 
-    def __init__(self, grid: SpatialGrid, dt: float, dealias: float = 2.0 / 3.0,
-                 contour_points: int = 32):
+    def __init__(self, grid: SpatialGrid, dt: float):
         self.grid = grid
         self.dt = dt
         k = np.arange(grid.n // 2 + 1)
@@ -161,15 +157,16 @@ class ETDRK4Stepper:
         lin = -1j * xi * xi  # -i|xi|xi, xi >= 0 here
         self.exp_full = np.exp(dt * lin)
         self.exp_half = np.exp(0.5 * dt * lin)
-        # contour average around each dt*L removes the 0/0 at small |xi|xi dt
-        theta = np.exp(2j * np.pi * (np.arange(contour_points) + 0.5) / contour_points)
+        # contour average (32 points) around each dt*L removes the 0/0 at
+        # small |xi|xi dt
+        theta = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
         lr = dt * lin[:, None] + theta[None, :]
         elr = np.exp(lr)
         self.q = dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
         self.f1 = dt * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
         self.f2 = dt * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
         self.f3 = dt * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
-        self.mask = _dealias_mask(k, grid.n, dealias)
+        self.mask = _dealias_mask(k, grid.n)
         self._half_ddx = np.where(self.mask, 0.5j * xi, 0.0)
 
     def nonlinear(self, coeff: np.ndarray) -> np.ndarray:
@@ -196,33 +193,33 @@ class ETDRK4Stepper:
 _STEPPER_CACHE: dict = {}
 
 
-def _stepper(grid: SpatialGrid, dt: float, dealias: float = 2.0 / 3.0) -> ETDRK4Stepper:
-    key = (grid.n, grid.period_scale, dt, dealias)
+def _stepper(grid: SpatialGrid, dt: float) -> ETDRK4Stepper:
+    key = (grid.n, grid.period_scale, dt)
     if key not in _STEPPER_CACHE:
         if len(_STEPPER_CACHE) > 64:
             _STEPPER_CACHE.clear()
-        _STEPPER_CACHE[key] = ETDRK4Stepper(grid, dt, dealias)
+        _STEPPER_CACHE[key] = ETDRK4Stepper(grid, dt)
     return _STEPPER_CACHE[key]
 
 
-def nonlinearity(u: RealField, dealias: float = 2.0 / 3.0) -> RealField:
-    """Dealiased u * u_x (the right-hand side of the evolution)."""
+def nonlinearity(u: RealField) -> RealField:
+    """u * u_x dealiased by the 2/3 rule (the right-hand side of the evolution)."""
     grid = u.grid
     ux = derivative(u)
     prod = np.asarray(u.samples) * np.asarray(ux.samples)
     coeff = np.fft.fft(prod) / grid.n
-    coeff[~_dealias_mask(grid.k, grid.n, dealias)] = 0.0
+    coeff[~_dealias_mask(grid.k, grid.n)] = 0.0
     return RealField(grid, coeff)
 
 
-def step(u: RealField, dt: float, dealias: float = 2.0 / 3.0) -> RealField:
+def step(u: RealField, dt: float) -> RealField:
     """One ETDRK4 step; raises IntegrationError on non-finite output."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = u.grid.n
     # overflow is reported by the finiteness check, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _stepper(u.grid, dt, dealias).advance(u.coefficients[: n // 2 + 1])
+        out = _stepper(u.grid, dt).advance(u.coefficients[: n // 2 + 1])
     if not np.all(np.isfinite(out)):
         raise IntegrationError(dt=dt)
     return RealField(u.grid, _full_spectrum(out, n))
@@ -254,7 +251,7 @@ def simulate(u0: RealField, cfg: SimConfig) -> Trajectory:
     if u0.grid != cfg.grid:
         raise ValueError("initial data does not live on the configured grid")
     n = cfg.grid.n
-    stepper = _stepper(cfg.grid, cfg.dt, cfg.dealias)
+    stepper = _stepper(cfg.grid, cfg.dt)
     coeff = u0.coefficients[: n // 2 + 1]
     times, states = [0.0], [RealField(cfg.grid, _full_spectrum(coeff, n))]
     # overflow is reported by the finiteness check, not as numpy warnings

@@ -144,13 +144,21 @@ def _manifest_value(v):
     return v
 
 
-def _validated(build, *args, **kwargs):
+def _validated(keys: str, build, *args, **kwargs):
     """build(*args, **kwargs) with its ValueErrors (the checks of make_grid,
-    SimConfig, SpaceTimeGrid, random_field, ...) reported as config errors."""
+    SimConfig, SpaceTimeGrid, random_field, ...) reported as config errors
+    that name the config keys the arguments come from."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
+def _require_positive(cfg: dict, *keys: str) -> None:
+    """Config error unless each of the integer keys is >= 1."""
+    for key in keys:
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
 
 
 def _read_snapshot(path):
@@ -188,7 +196,6 @@ SIMULATE_SCHEMA = {
     "lambda": (float, 1.0),
     "dt": (float, 1e-3),
     "t_end": (float, 1.0),
-    "dealias": (float, 2.0 / 3.0),
     "snapshot_stride": (int, 100),
     "seed": (int, 0),
     "init": (str, "random"),
@@ -226,15 +233,15 @@ def initial_data(grid, cfg: dict) -> RealField:
 
 def run_simulate(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, SIMULATE_SCHEMA)
-    grid = _validated(make_grid, cfg["n"], cfg["lambda"])
+    grid = _validated("n, lambda", make_grid, cfg["n"], cfg["lambda"])
     # a rho, lambda or max_mode that the chosen init cannot take
-    u0 = _validated(initial_data, grid, cfg)
+    u0 = _validated("init, rho, lambda, max_mode", initial_data, grid, cfg)
     sim_cfg = _validated(
+        "dt, t_end, snapshot_stride",
         SimConfig,
         grid,
         dt=cfg["dt"],
         t_end=cfg["t_end"],
-        dealias=cfg["dealias"],
         snapshot_stride=cfg["snapshot_stride"],
     )
     out = _prep(out_dir)
@@ -292,7 +299,8 @@ def load_trajectory(traj_dir) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def run_gauge_check(traj_dir, out_dir, oversample: int = 4) -> RunResult:
+def run_gauge_check(traj_dir, out_dir) -> RunResult:
+    oversample = 4  # fine-lattice factor of the gauge exponentials
     traj = load_trajectory(traj_dir)
     mean = float(traj.states[0].mean.real)
     if abs(mean) > 1e-12:
@@ -303,7 +311,7 @@ def run_gauge_check(traj_dir, out_dir, oversample: int = 4) -> RunResult:
             reduced.append(shifted)
         traj = Trajectory(times=traj.times, states=reduced)
     # fewer than 3 or unevenly spaced snapshots
-    rep = _validated(gauge.gauge_residual, traj, oversample=oversample)
+    rep = _validated("traj", gauge.gauge_residual, traj, oversample=oversample)
     out = _prep(out_dir)
     res_csv = out / "gauge_residual.csv"
     write_csv(res_csv, rep.rows(), ["t", "residual_L2", "mean_term_L2"])
@@ -333,8 +341,8 @@ def run_gauge_check(traj_dir, out_dir, oversample: int = 4) -> RunResult:
 
 
 def run_lp_decompose(input_path, out_dir) -> RunResult:
-    out = _prep(out_dir)
     field, t = _read_snapshot(input_path)
+    out = _prep(out_dir)
     dec = lp.decompose(field)
     rows = [{"shell": n, "mass": m} for n, m in dec.shell_masses()]
     csv = out / "lp_masses.csv"
@@ -369,10 +377,11 @@ NORM_SWEEP_SCHEMA = {
 @np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
 def run_norm_sweep(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, NORM_SWEEP_SCHEMA)
-    out = _prep(out_dir)
+    _require_positive(cfg, "samples")
     win = _validated(
+        "num_times, t_span_pi",
         bourgain.SpaceTimeGrid,
-        _validated(make_grid, cfg["n"], cfg["lambda"]),
+        _validated("n, lambda", make_grid, cfg["n"], cfg["lambda"]),
         cfg["num_times"],
         cfg["t_span_pi"] * math.pi,
     )
@@ -405,6 +414,7 @@ def run_norm_sweep(config: dict, out_dir) -> RunResult:
         )
     norms = ("x_norm", "x_regroup", "z_norm", "z_tilde", "y_norm", "l4")
     _require_finite({key: [row[key] for row in rows] for key in norms})
+    out = _prep(out_dir)
     csv = out / "norm_sweep.csv"
     write_csv(csv, rows)
     assertions = [
@@ -452,14 +462,14 @@ def _worst_closure(reports) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
 def run_bilinear_probe(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, BILINEAR_SCHEMA)
-    out = _prep(out_dir)
+    _require_positive(cfg, "samples")
     which = cfg["which"]
     period_scale = bilinear.default_period_scale(which, cfg["lambda"])
-    try:
-        rep = _estimate_probe(which, cfg, period_scale)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    rep = _validated(
+        "which, n, num_times, lambda", _estimate_probe, which, cfg, period_scale
+    )
     _require_finite({rep.name: rep.ratios})
+    out = _prep(out_dir)
     outputs = rep.write(out)
     worst_closure = _worst_closure([rep])
     assertions = [
@@ -497,13 +507,10 @@ LIPSCHITZ_SCHEMA = {
 }
 
 
-def _high_frequency_direction(grid, rng, min_freq: float, max_mode: int) -> RealField:
+def _high_frequency_direction(grid, rng, band: range) -> RealField:
+    """Unit-L2 random direction on the modes of band."""
     coeff = np.zeros(grid.n, dtype=complex)
-    lo = int(np.ceil(min_freq * grid.period_scale))
-    hi = min(max_mode, grid.n // 2 - 1)
-    if lo > hi:
-        raise ConfigError("perturbation band is empty")
-    for k in range(lo, hi + 1):
+    for k in band:
         z = rng.standard_normal() + 1j * rng.standard_normal()
         z *= (1.0 + k / grid.period_scale) ** (-2.0)
         coeff[k] += z
@@ -521,26 +528,37 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
         raise ConfigError("no positive perturbation sizes given")
     if cfg["perturb_min_freq"] < 8.0:
         raise ConfigError("perturbation must live at frequencies |xi| >= 8")
-    if cfg["samples"] < 1:
-        raise ConfigError(f"samples must be >= 1, got {cfg['samples']}")
-    grid = _validated(make_grid, cfg["n"], cfg["lambda"])
+    _require_positive(cfg, "samples", "max_mode")
+    if cfg["trunc_max_mode"] < 0:
+        raise ConfigError(f"trunc_max_mode must be >= 0, got {cfg['trunc_max_mode']}")
+    grid = _validated("n, lambda", make_grid, cfg["n"], cfg["lambda"])
     sim_cfg = _validated(
-        SimConfig, grid, dt=cfg["dt"], t_end=cfg["t_end"],
-        snapshot_stride=cfg["snapshot_stride"],
+        "dt, t_end, snapshot_stride", SimConfig, grid, dt=cfg["dt"],
+        t_end=cfg["t_end"], snapshot_stride=cfg["snapshot_stride"],
     )
+    band = range(
+        int(np.ceil(cfg["perturb_min_freq"] * grid.period_scale)),
+        min(cfg["perturb_max_mode"], grid.n // 2 - 1) + 1,
+    )
+    if not band:
+        raise ConfigError(
+            f"perturb_min_freq, perturb_max_mode: the perturbation band "
+            f"[{band.start}, {band.stop - 1}] is empty"
+        )
+    # frequency-truncated data use a rough-tailed datum, so the truncation
+    # actually removes mass
+    rough_max = cfg["trunc_max_mode"] or int(grid.n // 3) - 1
     out = _prep(out_dir)
     rows = []
     trunc_rows = []
     spreads = []
     for i in range(cfg["samples"]):
         rng = stream(cfg["seed"], "lipschitz", i)
-        phi1 = _validated(
-            random_field, grid, rng, decay=cfg["decay"], amplitude=cfg["amplitude"],
+        phi1 = random_field(
+            grid, rng, decay=cfg["decay"], amplitude=cfg["amplitude"],
             max_mode=cfg["max_mode"],
         )
-        direction = _high_frequency_direction(
-            grid, rng, cfg["perturb_min_freq"], cfg["perturb_max_mode"]
-        )
+        direction = _high_frequency_direction(grid, rng, band)
         traj1 = simulate(phi1, sim_cfg)
         ratios = []
         for delta in deltas:
@@ -572,12 +590,10 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
                 }
             )
         spreads.append((max(ratios) - min(ratios)) / min(ratios))
-        # frequency-truncated data: convergence of u^j to the full solution;
-        # uses a rough-tailed datum so the truncation actually removes mass
-        rough_max = cfg["trunc_max_mode"] or int(grid.n // 3) - 1
-        psi = _validated(
-            random_field, grid, rng, decay=cfg["trunc_decay"],
-            amplitude=cfg["amplitude"], max_mode=rough_max,
+        # frequency-truncated data: convergence of u^j to the full solution
+        psi = random_field(
+            grid, rng, decay=cfg["trunc_decay"], amplitude=cfg["amplitude"],
+            max_mode=rough_max,
         )
         traj_ref = simulate(psi, sim_cfg)
         for cutoff in cfg["cutoffs"]:
@@ -633,13 +649,12 @@ def run_scaling_check(config: dict, out_dir) -> RunResult:
     lam = cfg["scale"]
     if lam < 1 or (lam & (lam - 1)) != 0:
         raise ConfigError("scale must be a dyadic integer >= 1")
-    grid = _validated(make_grid, cfg["n"], cfg["lambda_base"])
+    grid = _validated("n, lambda_base", make_grid, cfg["n"], cfg["lambda_base"])
     rng = stream(cfg["seed"], "scaling")
     u0 = _validated(
-        random_field, grid, rng, decay=cfg["decay"], amplitude=cfg["amplitude"],
-        max_mode=cfg["max_mode"],
+        "max_mode", random_field, grid, rng, decay=cfg["decay"],
+        amplitude=cfg["amplitude"], max_mode=cfg["max_mode"],
     )
-    out = _prep(out_dir)
     rows = []
     norm_worst = 0.0
     for factor in (1, 2, 4):
@@ -654,18 +669,19 @@ def run_scaling_check(config: dict, out_dir) -> RunResult:
                      "expected": want, "rel_err": err})
     t_scaled = cfg["t_scaled"]
     steps_base = round(lam**2 * t_scaled / cfg["dt"])
-    base_cfg = _validated(SimConfig, grid, dt=cfg["dt"], t_end=lam**2 * t_scaled,
-                          snapshot_stride=steps_base)
+    base_cfg = _validated("dt, t_scaled, scale", SimConfig, grid, dt=cfg["dt"],
+                          t_end=lam**2 * t_scaled, snapshot_stride=steps_base)
     base_final = simulate(u0, base_cfg).states[-1]
     v0 = rescale(u0, lam)
     steps_scaled = round(t_scaled / cfg["dt"])
-    scaled_cfg = _validated(SimConfig, v0.grid, dt=cfg["dt"], t_end=t_scaled,
-                            snapshot_stride=steps_scaled)
+    scaled_cfg = _validated("dt, t_scaled", SimConfig, v0.grid, dt=cfg["dt"],
+                            t_end=t_scaled, snapshot_stride=steps_scaled)
     scaled_final = simulate(v0, scaled_cfg).states[-1]
     expected = rescale(base_final, lam)
     corr = lebesgue_norm(scaled_final - expected, 2)
     rows.append({"check": "solution_correspondence", "value": corr,
                  "expected": 0.0, "rel_err": corr})
+    out = _prep(out_dir)
     csv = out / "scaling.csv"
     write_csv(csv, rows, ["check", "value", "expected", "rel_err"])
     assertions = [
@@ -729,13 +745,16 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
     unknown = set(selected) - set(SUITE_PROBES)
     if unknown:
         raise ConfigError(f"unknown probes: {sorted(unknown)}")
+    _require_positive(cfg, "samples", "exp_samples")
     # validated up front: inside the probe loop a bad grid would be recorded
     # as a probe failure instead of a config error
-    _validated(bourgain.ProbeConfig(n=cfg["n"], num_times=cfg["num_times"]).window)
-    _validated(make_grid, cfg["exp_n"], 1.0)
+    _validated(
+        "n, num_times",
+        bourgain.ProbeConfig(n=cfg["n"], num_times=cfg["num_times"]).window,
+    )
+    _validated("exp_n", make_grid, cfg["exp_n"], 1.0)
     if not math.isfinite(cfg["bracket_mu_max"]):
         raise ConfigError(f"bracket_mu_max must be finite, got {cfg['bracket_mu_max']}")
-    out = _prep(out_dir)
     outputs: list = []
     summary: dict = {}
     failures: list = []
@@ -748,6 +767,7 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
         except Exception as exc:  # record and continue, per the suite contract
             failures.append({"probe": name, "error": str(exc)})
     _require_finite({rep.name: rep.ratios for rep in reports})
+    out = _prep(out_dir)
     for rep in reports:
         outputs.extend(rep.write(out))
         summary[rep.name] = {

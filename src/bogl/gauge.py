@@ -34,6 +34,7 @@ from .spectral import (
     SpatialGrid,
     _analyze,
     _band_product,
+    _lp_sum,
     _reband,
     _samples,
     derivative,
@@ -45,8 +46,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "mean_zero_reduce",
-    "ungauge_trajectory",
     "translate_to_zero_mean",
     "primitive",
     "gauge_W",
@@ -115,27 +114,10 @@ def _conj_reflect(coeff: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
-def mean_zero_reduce(u0: RealField) -> tuple[RealField, float]:
-    """Split u0 into its mean-zero part and the mean."""
-    mean = float(u0.mean.real)
-    coeff = u0.copy_coefficients()
-    coeff[0] = 0.0
-    return RealField(u0.grid, coeff), mean
-
-
-def ungauge_trajectory(traj: Trajectory, mean_shift: float) -> Trajectory:
-    """Undo the Galilean reduction: u(t, x) = u_tilde(t, x + t*mean) + mean."""
-    states = []
-    for t, v in zip(traj.times, traj.states):
-        shifted = translate(v, -mean_shift * float(t))
-        coeff = shifted.copy_coefficients()
-        coeff[0] += mean_shift
-        states.append(RealField(v.grid, coeff))
-    return Trajectory(times=traj.times.copy(), states=states)
-
-
 def translate_to_zero_mean(u: RealField, mean_shift: float, t: float) -> RealField:
-    """One slice of the Galilean change of unknown: u(t, x - t*mean) - mean."""
+    """One slice of the Galilean change of unknown: u(t, x - t*mean) - mean.
+
+    mean_shift = -mean undoes it: u_tilde(t, x + t*mean) + mean."""
     shifted = translate(u, mean_shift * t)
     coeff = shifted.copy_coefficients()
     coeff[0] -= mean_shift
@@ -339,11 +321,8 @@ def exp_multiplication_probe(
     prod = _band_product([(em, gfine)])
     bessel = (1.0 + xi**2) ** (alpha / 2.0)
     dx_fine = grid.length / len(xi)
-
-    def _lq(coeff: np.ndarray) -> float:
-        vals = np.abs(_samples(coeff))
-        return float((np.sum(vals**q) * dx_fine) ** (1.0 / q))
-
-    lhs = _lq(prod * bessel)
-    rhs = (1.0 + lebesgue_norm(f_source, 2)) * _lq(gfine * bessel)
+    lhs = _lp_sum(_samples(prod * bessel), dx_fine, q)
+    rhs = (1.0 + lebesgue_norm(f_source, 2)) * _lp_sum(
+        _samples(gfine * bessel), dx_fine, q
+    )
     return ExpMultiplicationResult(ratio=lhs / rhs if rhs > 0 else np.nan, lhs=lhs, rhs=rhs)

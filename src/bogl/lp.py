@@ -104,6 +104,12 @@ def shell_l2(grid: SpatialGrid, norm: Callable[[np.ndarray], float]) -> float:
     return float(np.sqrt(total))
 
 
+def _tilde_sum(grid: SpatialGrid, norm: Callable[[np.ndarray], float]) -> float:
+    """norm(eta) + (sum_N norm(phi_N)^2)^{1/2}: the shell-summed norm, with
+    norm taking a spatial frequency mask of the grid."""
+    return norm(shell_table(grid).low) + shell_l2(grid, norm)
+
+
 @dataclass(frozen=True)
 class LPDecomposition:
     """Low part plus dyadic shells of a field.
@@ -140,5 +146,6 @@ def tilde_lp_norm(f: Field, p: int) -> float:
     """||P_lo f||_p + (sum_N ||P_N f||_p^2)^{1/2} over dyadic N >= 1."""
     if p not in (2, 4):
         raise ValueError("shell-summed norm supports p in {2, 4}")
-    norm = lambda m: lebesgue_norm(_wrap(f.grid, f.coefficients * m), p)  # noqa: E731
-    return norm(shell_table(f.grid).low) + shell_l2(f.grid, norm)
+    return _tilde_sum(
+        f.grid, lambda m: lebesgue_norm(_wrap(f.grid, f.coefficients * m), p)
+    )

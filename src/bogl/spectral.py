@@ -15,9 +15,9 @@ construction; the sign projections P_± exclude xi = 0 from both halves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "RealField",
     "ComplexField",
     "Field",
-    "Multiplier",
     "make_grid",
     "hilbert",
     "project",
@@ -121,6 +120,7 @@ class _FieldBase:
     """
 
     grid: SpatialGrid
+    _sample_dtype = np.complex128
 
     def __init__(self, grid: SpatialGrid, coefficients: np.ndarray):
         coefficients = np.asarray(coefficients, dtype=np.complex128).copy()
@@ -129,6 +129,15 @@ class _FieldBase:
         coefficients[grid.nyquist_index] = 0.0
         self.grid = grid
         self._coeff = coefficients
+
+    @classmethod
+    def from_samples(cls, grid: SpatialGrid, samples):
+        """The field with these grid samples, read as the class's sample dtype
+        (float64 for RealField, complex128 for ComplexField)."""
+        samples = np.asarray(samples, dtype=cls._sample_dtype)
+        if samples.shape != (grid.n,):
+            raise ValueError("sample array does not match the grid")
+        return cls(grid, np.fft.fft(samples) / grid.n)
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -168,6 +177,8 @@ class _FieldBase:
 class RealField(_FieldBase):
     """Real-valued field; coefficients are Hermitian-symmetric."""
 
+    _sample_dtype = np.float64
+
     def __init__(self, grid: SpatialGrid, coefficients: np.ndarray):
         super().__init__(grid, coefficients)
         c = self._coeff
@@ -178,13 +189,6 @@ class RealField(_FieldBase):
         # symmetrize exactly so realness cannot drift
         self._coeff = 0.5 * (c + mirror)
         self._coeff[grid.nyquist_index] = 0.0
-
-    @classmethod
-    def from_samples(cls, grid: SpatialGrid, samples) -> "RealField":
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.shape != (grid.n,):
-            raise ValueError("sample array does not match the grid")
-        return cls(grid, np.fft.fft(samples) / grid.n)
 
     @property
     def samples(self) -> np.ndarray:
@@ -197,13 +201,6 @@ class RealField(_FieldBase):
 
 class ComplexField(_FieldBase):
     """Complex-valued field; no symmetry constraint."""
-
-    @classmethod
-    def from_samples(cls, grid: SpatialGrid, samples) -> "ComplexField":
-        samples = np.asarray(samples, dtype=np.complex128)
-        if samples.shape != (grid.n,):
-            raise ValueError("sample array does not match the grid")
-        return cls(grid, np.fft.fft(samples) / grid.n)
 
     @property
     def samples(self) -> np.ndarray:
@@ -226,30 +223,9 @@ def _wrap(grid: SpatialGrid, coeff: np.ndarray) -> Field:
     return ComplexField(grid, coeff)
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Fourier multiplier: diagonal action coeff(xi) -> symbol(xi)*coeff(xi)."""
-
-    name: str
-    symbol: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-
-    def values(self, grid: SpatialGrid) -> np.ndarray:
-        return np.asarray(self.symbol(grid.xi), dtype=np.complex128)
-
-    def apply(self, f: Field) -> Field:
-        return _wrap(f.grid, f.coefficients * self.values(f.grid))
-
-    def __call__(self, f: Field) -> Field:
-        return self.apply(f)
-
-
-HILBERT = Multiplier("hilbert", lambda xi: -1j * np.sign(xi))
-DERIVATIVE = Multiplier("d/dx", lambda xi: 1j * xi)
-
-
 def hilbert(f: Field) -> Field:
     """Hilbert transform, symbol -i*sgn(xi) with sgn(0) = 0."""
-    return HILBERT.apply(f)
+    return _wrap(f.grid, f.coefficients * (-1j * np.sign(f.grid.xi)))
 
 
 def derivative(f: Field, order: int = 1) -> Field:
@@ -327,14 +303,19 @@ def translate(f: Field, shift: float) -> Field:
     return _wrap(f.grid, f.coefficients * np.exp(-1j * f.grid.xi * shift))
 
 
+def _lp_sum(samples: np.ndarray, cell: float, p) -> float:
+    """Riemann-sum L^p norm of samples on cells of measure `cell` (max at p = inf)."""
+    a = np.abs(samples)
+    if p == np.inf:
+        return float(np.max(a))
+    return float((np.sum(a**p) * cell) ** (1.0 / p))
+
+
 def lebesgue_norm(f: Field, p) -> float:
     """Riemann-sum L^p norm on the sample grid; p in {1, 2, 4, inf}."""
-    a = np.abs(f.samples)
-    if p == np.inf or p == "inf":
-        return float(np.max(a))
-    if p not in (1, 2, 4):
+    if p not in (1, 2, 4, np.inf):
         raise ValueError("supported exponents: 1, 2, 4, inf")
-    return float((np.sum(a**p) * f.grid.dx) ** (1.0 / p))
+    return _lp_sum(f.samples, f.grid.dx, p)
 
 
 def sobolev_norm(f: Field, s: float) -> float:

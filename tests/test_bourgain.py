@@ -1,4 +1,4 @@
-"""Space-time norms, lifting, and the linear estimate probes."""
+"""Space-time norms, free/Duhamel fields and the linear estimate probes."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from bogl.bourgain import (
     SpaceTimeGrid,
     duhamel_field,
     free_evolution_field,
-    lift,
     linear_probes,
     localize,
     random_spacetime_field,
@@ -21,11 +20,9 @@ from bogl.bourgain import (
     z_norm,
     z_tilde_norm,
 )
-from bogl.dynamics import SimConfig, simulate
 from bogl.lp import dyadic_shells, eta, phi_shell
 from bogl.reporting import stream
 from bogl.spectral import ComplexField, make_grid
-from bogl.spectral import RealField
 
 
 @pytest.fixture(scope="module")
@@ -56,19 +53,6 @@ def test_round_trip(win):
     u = random_spacetime_field(win, stream(0, "rt"), real=True)
     again = SpaceTimeField.from_raw_samples(win, u.samples)
     assert np.max(np.abs(again.coefficients - u.coefficients)) < 1e-12
-
-
-def test_lift_zero_and_alignment(win):
-    zero = RealField.from_samples(win.spatial, np.zeros(win.spatial.n))
-    steps = 4
-    cfg = SimConfig(win.spatial, dt=win.dt / steps, t_end=win.t_span,
-                    snapshot_stride=steps)
-    traj = simulate(zero, cfg)
-    lifted = lift(traj, win)
-    assert np.max(np.abs(lifted.coefficients)) == 0.0
-    bad = SpaceTimeGrid(win.spatial, win.num_times, win.t_span / 3.1)
-    with pytest.raises(ValueError):
-        lift(traj, bad)
 
 
 def test_free_evolution_resonant_line(win):

@@ -59,18 +59,18 @@ class ComplexStepperOracle:
     half-spectrum conservative-form stepper.
     """
 
-    def __init__(self, grid, dt, dealias=2.0 / 3.0, contour_points=32):
+    def __init__(self, grid, dt):
         xi = grid.xi
         lin = -1j * np.abs(xi) * xi
         self.exp_full, self.exp_half = np.exp(dt * lin), np.exp(0.5 * dt * lin)
-        theta = np.exp(2j * np.pi * (np.arange(contour_points) + 0.5) / contour_points)
+        theta = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)  # 32 contour points
         lr = dt * lin[:, None] + theta[None, :]
         elr = np.exp(lr)
         self.q = dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
         self.f1 = dt * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
         self.f2 = dt * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
         self.f3 = dt * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
-        self.drop = np.abs(grid.k) > dealias * (grid.n // 2) + 1e-9
+        self.drop = np.abs(grid.k) > 2.0 / 3.0 * (grid.n // 2) + 1e-9  # the 2/3 rule
         self.drop[grid.nyquist_index] = True
         self.ikxi, self.n = 1j * xi, grid.n
 

@@ -321,25 +321,37 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["gauge-check", "--traj", str(nan), "--out",
                      str(tmp_path / "gn")] + extra) == 2
 
-    # initial data the config cannot build, and lipschitz-pairs without
-    # samples, are config errors: exit 2 and no CSV, with or without --assert
+    # config errors are found before the output directory is made: exit 2
+    # and no directory, with or without --assert, and the message names the
+    # config key of the body's last line (lp-decompose: the missing file)
     quick = "n = 64\ndt = 1e-3\nt_end = 0.02\nsnapshot_stride = 10\n"
-    bad_init = {
-        "simulate": ["init = wave\nlambda = 2\n", "init = wave\nrho = 1.5\n",
-                     "max_mode = 0\n", "max_mode = -3\n"],
-        "scaling-check": ["n = 64\nmax_mode = 0\n"],
-        "lipschitz-pairs": ["max_mode = 0\nsamples = 1\n",
-                            "trunc_max_mode = -2\nsamples = 1\n", "samples = 0\n"],
+    bad_configs = {
+        "simulate": [quick + body for body in (
+            "init = wave\nlambda = 2\n", "init = wave\nrho = 1.5\n",
+            "max_mode = 0\n", "max_mode = -3\n")],
+        "scaling-check": ["n = 64\nmax_mode = 0\n", "n = 64\ndt = 0.3\n"],
+        "lipschitz-pairs": [quick + body for body in (
+            "samples = 1\nmax_mode = 0\n", "samples = 1\ntrunc_max_mode = -2\n",
+            "samples = 1\nperturb_max_mode = 4\n", "samples = 0\n")],
+        "norm-sweep": ["samples = 0\n", "n = 100\n"],
+        "bilinear-probe": ["samples = 0\n", "n = 100\n", "which = nope\n"],
+        "probe-suite": ["samples = 0\n", "samples = -5\n", "exp_samples = 0\n"],
     }
-    for cmd, bodies in bad_init.items():
+    runs = [(["lp-decompose", "--input", str(tmp_path / "missing.bin")], "missing.bin"),
+            (["bilinear-probe", "--samples", "0"], "samples")]
+    for cmd, bodies in bad_configs.items():
         for j, body in enumerate(bodies):
             bad_cfg = tmp_path / f"{cmd}_{j}.cfg"
-            bad_cfg.write_text(body if cmd == "scaling-check" else quick + body)
-            for i, extra in enumerate(([], ["--assert"])):
-                dest = tmp_path / f"{cmd}_{j}_{i}"
-                assert main([cmd, "--config", str(bad_cfg), "--out", str(dest)]
-                            + extra) == 2, (cmd, body)
-                assert not any(dest.glob("*.csv"))
+            bad_cfg.write_text(body)
+            key = body.splitlines()[-1].split("=")[0].strip()
+            runs.append(([cmd, "--config", str(bad_cfg)], key))
+    for k, (argv, key) in enumerate(runs):
+        for i, extra in enumerate(([], ["--assert"])):
+            dest = tmp_path / f"early_{k}_{i}"
+            capsys.readouterr()
+            assert main(argv + ["--out", str(dest)] + extra) == 2, argv
+            assert not dest.exists(), argv
+            assert key in capsys.readouterr().err, argv
 
     # trajectories gauge-check cannot difference: too few snapshots, mixed
     # grids, uneven times, differing means
@@ -366,11 +378,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                         + extra) == 2, label
             assert not any(dest.glob("*.csv"))
     # a probe whose sup is not finite is a numeric failure, with or without
-    # --assert, and no summary is written
+    # --assert, and no output directory is made
     huge_s = tmp_path / "huge_s.cfg"
     huge_s.write_text("s = 1000\nselect = bilinear_periodic\nsamples = 3\n")
     # the same for a NaN sup of bilinear-probe and NaN norms of norm-sweep,
-    # which write nothing at all; numpy warns of none of the overflows
+    # which make no output directory; numpy warns of none of the overflows
     huge_ns = tmp_path / "huge_ns.cfg"
     huge_ns.write_text("s = 1000\nsamples = 3\n")
     capsys.readouterr()
@@ -380,15 +392,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             ps = tmp_path / f"pn{i}"
             assert main(["probe-suite", "--config", str(huge_s), "--out", str(ps)]
                         + extra) == 3
-            assert not (ps / "probe_suite_summary.json").exists()
+            assert not ps.exists()
             bp = tmp_path / f"bn{i}"
             assert main(["bilinear-probe", "--which", "bilinear_periodic", "--s", "1000",
                          "--samples", "3", "--out", str(bp)] + extra) == 3
-            assert not any(bp.iterdir())
+            assert not bp.exists()
             ns = tmp_path / f"nn{i}"
             assert main(["norm-sweep", "--config", str(huge_ns), "--out", str(ns)]
                         + extra) == 3
-            assert not any(ns.iterdir())
+            assert not ns.exists()
     err = capsys.readouterr().err
     assert err.count("bilinear_periodic") == 4
     assert err.count("x_norm") == 2

@@ -8,7 +8,6 @@ from bogl.spectral import (
     _band_product,
     ComplexField,
     RealField,
-    Multiplier,
     make_grid,
     hilbert,
     project,
@@ -193,16 +192,6 @@ def test_sobolev_norms():
     assert oracle == pytest.approx(np.sqrt(2 * np.pi), rel=1e-15)
     zero = RealField.from_samples(g, np.zeros(g.n))
     assert sobolev_norm(zero, 0.37) == 0.0
-
-
-def test_multiplier_composition_and_commutation():
-    g = make_grid(128, 1.0)
-    f = random_field(g, np.random.default_rng(5), decay=0.5)
-    m1 = Multiplier("a", lambda xi: np.exp(-np.abs(xi)))
-    m2 = Multiplier("b", lambda xi: 1.0 / (1.0 + xi**2))
-    ba = m2.apply(m1.apply(f))
-    ab = m1.apply(m2.apply(f))
-    assert np.max(np.abs(ab.coefficients - ba.coefficients)) < 1e-13
 
 
 def test_oversampled_product_exactness():

@@ -48,13 +48,14 @@ from .bourgain import (
     z_tilde_norm,
     random_spacetime_field,
 )
-from .gauge import _gauge_exponential, _truncate
+from .gauge import _fine_exponential, _truncate
 from .lp import dyadic_shells, shell_l2, shell_table
 from .reporting import ProbeReport, stream
 from .spectral import (
-    ComplexField,
-    RealField,
     _band_product,
+    _complex_coefficients,
+    _real_coefficients,
+    _wrapped_rows,
     derivative,
     fractional,
     lebesgue_norm,
@@ -611,6 +612,22 @@ def _probe_bilinear_weighted(name, cfg, win, env, periodic) -> ProbeReport:
     return rep
 
 
+def _exp_lowband_operator(u: SpaceTimeField) -> np.ndarray:
+    """dx P_+(P_lo e^{-iF/2} P_- dx u) on each time slice of u, F the primitive
+    of the slice: the (M, n) array of spatial coefficients, formed in one pass
+    over all slices.  Each row is stored, checked and rounded as a RealField,
+    _gauge_exponential and pointwise_product of that slice alone would give it."""
+    grid = u.grid.spatial
+    xi = grid.xi
+    coeff = _real_coefficients(np.fft.fft(u.samples.real, axis=-1) / grid.n)
+    e_lo = _truncate(_fine_exponential(coeff, grid, 4), grid) * projection_symbol("lo", xi)
+    ux_m = coeff * (projection_symbol("minus", xi) * (1j * xi))
+    prod = _band_product(
+        [(_complex_coefficients(e_lo), _complex_coefficients(ux_m))], axes=(-1,)
+    )
+    return _wrapped_rows(prod) * (projection_symbol("plus", xi) * (1j * xi))
+
+
 def _probe_exp_lowband(name, cfg, win, env) -> ProbeReport:
     rep = ProbeReport(
         name,
@@ -618,11 +635,6 @@ def _probe_exp_lowband(name, cfg, win, env) -> ProbeReport:
         environment=env,
     )
     s = cfg.s
-    grid = win.spatial
-    xi = grid.xi
-    s_lo = projection_symbol("lo", xi)
-    s_minus_dx = projection_symbol("minus", xi) * (1j * xi)
-    s_outer = projection_symbol("plus", xi) * (1j * xi)
     for i in range(cfg.samples):
         rng = stream(cfg.seed, name, i)
         decay = max(_decay_schedule(i), 1.0)
@@ -632,17 +644,8 @@ def _probe_exp_lowband(name, cfg, win, env) -> ProbeReport:
         if l4 == 0:
             rep.skip()
             continue
-        samples = u.samples.real
-        out = np.zeros((win.num_times, grid.n), dtype=np.complex128)
-        for mth in range(win.num_times):
-            slice_u = RealField.from_samples(grid, samples[mth])
-            em = _gauge_exponential(slice_u, 4)
-            e_lo = _truncate(em, grid) * s_lo
-            ux_m = slice_u.coefficients * s_minus_dx
-            prod = pointwise_product(ComplexField(grid, e_lo), ComplexField(grid, ux_m))
-            out[mth] = prod.coefficients * s_outer
         op = SpaceTimeField.from_raw_samples(
-            win, np.fft.ifft(out, axis=1) * grid.n
+            win, np.fft.ifft(_exp_lowband_operator(u), axis=1) * win.spatial.n
         )
         lhs = z_tilde_norm(op, s, -1.0) + x_norm(op, s, -0.5)
         rep.add(sample=i, lhs=lhs, rhs=l4**2, ratio=lhs / l4**2)

@@ -244,8 +244,8 @@ def run_simulate(config: dict, out_dir) -> RunResult:
         t_end=cfg["t_end"],
         snapshot_stride=cfg["snapshot_stride"],
     )
-    out = _prep(out_dir)
     traj = simulate(u0, sim_cfg)
+    out = _prep(out_dir)
     outputs = []
     for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
         path = out / f"snap_{idx:06d}.bin"
@@ -548,7 +548,6 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
     # frequency-truncated data use a rough-tailed datum, so the truncation
     # actually removes mass
     rough_max = cfg["trunc_max_mode"] or int(grid.n // 3) - 1
-    out = _prep(out_dir)
     rows = []
     trunc_rows = []
     spreads = []
@@ -605,6 +604,7 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
                 for a, b in zip(trajj.states, traj_ref.states)
             )
             trunc_rows.append({"sample": i, "cutoff": int(cutoff), "err_l2": err})
+    out = _prep(out_dir)
     lip_csv = out / "lipschitz.csv"
     write_csv(lip_csv, rows, ["sample", "delta", "ratio_l2", "ratio_hs",
                               "ratio_gauge_z"])

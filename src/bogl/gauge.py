@@ -17,6 +17,10 @@ Products with it are exact on that band (spectral._band_product), except the
 one in gauge_residual whose result is cut to the coarse band: that one is
 exact on the nf lattice itself (the bound is stated where it is formed).  The
 only approximation left is the spectral tail of the exponential itself.
+
+The fine-lattice kernels take coefficient arrays whose leading axes are a
+batch and whose last axis is x, so one call forms e^{-iF/2} for a stack of
+time slices; _gauge_exponential is the one-field entry point.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from .spectral import (
     _analyze,
     _band_product,
     _lp_sum,
+    _mirror,
+    _real_coefficients,
     _reband,
     _samples,
     derivative,
@@ -65,13 +71,13 @@ __all__ = [
 # ----------------------------------------------------------------------------
 
 
-def _embed(field: Field, factor: int) -> np.ndarray:
-    return _reband(field.coefficients, (field.grid.n * factor,))
+def _embed(coeff: np.ndarray, factor: int) -> np.ndarray:
+    return _reband(coeff, coeff.shape[:-1] + (coeff.shape[-1] * factor,))
 
 
 def _truncate(fine: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    out = _reband(fine, (grid.n,))
-    out[grid.n // 2] = 0.0
+    out = _reband(fine, fine.shape[:-1] + (grid.n,))
+    out[..., grid.n // 2] = 0.0
     return out
 
 
@@ -94,19 +100,29 @@ def _fdx(a: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return a * (1j * xi)
 
 
-def _fine_primitive(u: RealField, factor: int) -> np.ndarray:
-    """Samples of F = primitive(u) on the factor-times finer lattice."""
-    return _samples(_embed(primitive(u), factor)).real
+def _primitive_coefficients(coeff: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Coefficients u_hat(xi)/(i xi) of the zero-mean primitive of each row,
+    before RealField symmetrizes them; every row must have mean zero."""
+    scale = np.maximum(np.max(np.abs(coeff), axis=-1), 1.0)
+    if np.any(np.abs(coeff[..., 0]) > 1e-12 * scale):
+        raise ValueError("primitive needs a mean-zero field")
+    out = np.zeros_like(coeff)
+    nz = xi != 0
+    out[..., nz] = coeff[..., nz] / (1j * xi[nz])
+    return out
+
+
+def _fine_exponential(coeff: np.ndarray, grid: SpatialGrid, factor: int) -> np.ndarray:
+    """Fine-lattice coefficients of e^{-iF/2} for each row of the RealField
+    coefficients coeff, F the primitive of the row."""
+    prim = _real_coefficients(_primitive_coefficients(coeff, grid.xi))
+    phase = _samples(_embed(prim, factor), axes=(-1,)).real
+    return _analyze(np.exp(-0.5j * phase), axes=(-1,))
 
 
 def _gauge_exponential(u: RealField, factor: int) -> np.ndarray:
     """Fine-lattice coefficients of e^{-iF/2} for F = primitive(u)."""
-    return _analyze(np.exp(-0.5j * _fine_primitive(u, factor)))
-
-
-def _conj_reflect(coeff: np.ndarray) -> np.ndarray:
-    """Coefficients of conj(f) from those of f: c[k] -> conj(c[-k])."""
-    return np.conj(np.concatenate((coeff[:1], coeff[:0:-1])))
+    return _fine_exponential(u.coefficients, u.grid, factor)
 
 
 # ----------------------------------------------------------------------------
@@ -126,15 +142,7 @@ def translate_to_zero_mean(u: RealField, mean_shift: float, t: float) -> RealFie
 
 def primitive(u: RealField) -> RealField:
     """Unique periodic zero-mean F with F_x = u; requires mean-zero u."""
-    coeff = u.coefficients
-    scale = max(float(np.max(np.abs(coeff))), 1e-300)
-    if abs(coeff[0]) > 1e-12 * max(scale, 1.0):
-        raise ValueError("primitive needs a mean-zero field")
-    xi = u.grid.xi
-    out = np.zeros_like(coeff)
-    nz = xi != 0
-    out[nz] = coeff[nz] / (1j * xi[nz])
-    return RealField(u.grid, out)
+    return RealField(u.grid, _primitive_coefficients(u.coefficients, u.grid.xi))
 
 
 def gauge_W(u: RealField, oversample: int = 4) -> ComplexField:
@@ -152,7 +160,7 @@ def gauge_w(u: RealField, oversample: int = 4) -> ComplexField:
 def gauge_w_product_form(u: RealField, oversample: int = 4) -> ComplexField:
     """w computed as -(i/2) P_+(e^{-iF/2} u); equals gauge_w up to aliasing."""
     em = _gauge_exponential(u, oversample)
-    prod = _band_product([(em, _embed(u, oversample))])
+    prod = _band_product([(em, _embed(u.coefficients, oversample))])
     w = -0.5j * (prod * _fine_mask(u.grid, oversample, "plus"))
     return ComplexField(u.grid, _truncate(w, u.grid))
 
@@ -197,7 +205,7 @@ def gauge_residual(
     for v in traj.states:
         em_plus = _gauge_exponential(v, oversample) * plus
         w_fine = _fdx(em_plus, xi)
-        ux_minus = _embed(derivative(v), oversample) * minus
+        ux_minus = _embed(derivative(v).coefficients, oversample) * minus
         # P_+ e^{-iF/2} carries the modes (0, nf/2) and P_- u_x carries
         # [-n/2, 0), so their product carries (-n/2, nf/2).  P_+ and the
         # truncation below keep only 0 < k < n/2, whose aliases k - nf < -n/2
@@ -249,8 +257,8 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
     xi = _fine_xi(grid, oversample)
     mask = partial(_fine_mask, grid, oversample)
     em = _gauge_exponential(u, oversample)
-    ep = _conj_reflect(em)  # e^{+iF/2} is the conjugate of e^{-iF/2}
-    ufine = _embed(u, oversample)
+    ep = _mirror(em)  # e^{+iF/2} is the conjugate of e^{-iF/2}
+    ufine = _embed(u.coefficients, oversample)
     inner_lo = _band_product([(em, ufine)]) * mask("lo")
     w_hi = _fdx(em * mask("plus_hi"), xi)
     # the three P_{+HI} terms keep the whole fine band: one exact sum
@@ -317,7 +325,7 @@ def exp_multiplication_probe(
     grid = f_source.grid
     xi = _fine_xi(grid, oversample)
     em = _gauge_exponential(f_source, oversample)
-    gfine = _embed(g, oversample)
+    gfine = _embed(g.coefficients, oversample)
     prod = _band_product([(em, gfine)])
     bessel = (1.0 + xi**2) ** (alpha / 2.0)
     dx_fine = grid.length / len(xi)

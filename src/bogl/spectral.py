@@ -10,11 +10,16 @@ and Plancherel reads  int |u|^2 dx = 2*pi*lambda * sum_k |u_hat(xi_k)|^2.
 
 The Nyquist mode k = -N/2 has no conjugate partner and is zeroed on field
 construction; the sign projections P_± exclude xi = 0 from both halves.
+
+The private array kernels (field storage, transforms, re-banding, band
+products) also take stacks of slices: leading axes are a batch and the last
+axis is x, and each row comes out as the one-slice call would give it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -112,6 +117,56 @@ def make_grid(n: int, period_scale: float = 1.0) -> SpatialGrid:
     return SpatialGrid(n, float(period_scale))
 
 
+def _complex_coefficients(coeff: np.ndarray) -> np.ndarray:
+    """The coefficients a ComplexField stores for each row of coeff (leading
+    axes are a batch, the last axis is x): a copy with the Nyquist mode zeroed."""
+    c = np.array(coeff, dtype=np.complex128)
+    c[..., c.shape[-1] // 2] = 0.0
+    return c
+
+
+def _mirror(coeff: np.ndarray) -> np.ndarray:
+    """conj(c[-k]) along the last axis: the coefficients of the conjugate."""
+    return np.conj(np.concatenate((coeff[..., :1], coeff[..., :0:-1]), axis=-1))
+
+
+def _hermitian_gap(coeff: np.ndarray, mirror: np.ndarray):
+    """Per row: max |c - conj(c[-k])| and the slack it is held to,
+    HERMITIAN_TOL * max(max |c|, 1)."""
+    gap = np.max(np.abs(coeff - mirror), axis=-1)
+    return gap, HERMITIAN_TOL * np.maximum(np.max(np.abs(coeff), axis=-1), 1.0)
+
+
+def _is_hermitian(coeff: np.ndarray) -> np.ndarray:
+    """Per row: whether coeff is Hermitian-symmetric to HERMITIAN_TOL."""
+    gap, slack = _hermitian_gap(coeff, _mirror(coeff))
+    return gap <= slack
+
+
+def _real_coefficients(coeff: np.ndarray) -> np.ndarray:
+    """The coefficients a RealField stores for each row of coeff: the
+    ComplexField copy, checked Hermitian to HERMITIAN_TOL and then symmetrized
+    exactly so realness cannot drift."""
+    c = _complex_coefficients(coeff)
+    mirror = _mirror(c)
+    gap, slack = _hermitian_gap(c, mirror)
+    if np.any(gap > slack):
+        raise ValueError("coefficients are not Hermitian-symmetric")
+    c = 0.5 * (c + mirror)
+    c[..., c.shape[-1] // 2] = 0.0
+    return c
+
+
+def _wrapped_rows(coeff: np.ndarray) -> np.ndarray:
+    """The coefficients _wrap stores, row by row: RealField's for the rows
+    that are Hermitian, ComplexField's for the others."""
+    out = _complex_coefficients(coeff)
+    real = _is_hermitian(coeff)
+    if np.any(real):
+        out[real] = _real_coefficients(coeff[real])
+    return out
+
+
 class _FieldBase:
     """One space slice with its spectral representation.
 
@@ -121,14 +176,14 @@ class _FieldBase:
 
     grid: SpatialGrid
     _sample_dtype = np.complex128
+    _stored = staticmethod(_complex_coefficients)
 
     def __init__(self, grid: SpatialGrid, coefficients: np.ndarray):
-        coefficients = np.asarray(coefficients, dtype=np.complex128).copy()
+        coefficients = np.asarray(coefficients, dtype=np.complex128)
         if coefficients.shape != (grid.n,):
             raise ValueError("coefficient array does not match the grid")
-        coefficients[grid.nyquist_index] = 0.0
         self.grid = grid
-        self._coeff = coefficients
+        self._coeff = self._stored(coefficients)
 
     @classmethod
     def from_samples(cls, grid: SpatialGrid, samples):
@@ -178,17 +233,7 @@ class RealField(_FieldBase):
     """Real-valued field; coefficients are Hermitian-symmetric."""
 
     _sample_dtype = np.float64
-
-    def __init__(self, grid: SpatialGrid, coefficients: np.ndarray):
-        super().__init__(grid, coefficients)
-        c = self._coeff
-        mirror = np.conj(c[(-grid.k) % grid.n])
-        scale = np.max(np.abs(c))
-        if scale > 0 and np.max(np.abs(c - mirror)) > HERMITIAN_TOL * max(scale, 1.0):
-            raise ValueError("coefficients are not Hermitian-symmetric")
-        # symmetrize exactly so realness cannot drift
-        self._coeff = 0.5 * (c + mirror)
-        self._coeff[grid.nyquist_index] = 0.0
+    _stored = staticmethod(_real_coefficients)
 
     @property
     def samples(self) -> np.ndarray:
@@ -210,15 +255,9 @@ class ComplexField(_FieldBase):
 Field = Union[RealField, ComplexField]
 
 
-def _is_hermitian(grid: SpatialGrid, coeff: np.ndarray) -> bool:
-    mirror = np.conj(coeff[(-grid.k) % grid.n])
-    scale = max(float(np.max(np.abs(coeff))), 1e-300)
-    return float(np.max(np.abs(coeff - mirror))) <= HERMITIAN_TOL * max(scale, 1.0)
-
-
 def _wrap(grid: SpatialGrid, coeff: np.ndarray) -> Field:
     """Wrap coefficients as RealField when Hermitian, else ComplexField."""
-    if _is_hermitian(grid, coeff):
+    if _is_hermitian(coeff):
         return RealField(grid, coeff)
     return ComplexField(grid, coeff)
 
@@ -304,7 +343,10 @@ def translate(f: Field, shift: float) -> Field:
 
 
 def _lp_sum(samples: np.ndarray, cell: float, p) -> float:
-    """Riemann-sum L^p norm of samples on cells of measure `cell` (max at p = inf)."""
+    """Riemann-sum L^p norm of samples on cells of measure `cell` (max at p = inf);
+    p in {1, 2, 4, inf}."""
+    if p not in (1, 2, 4, np.inf):
+        raise ValueError("supported exponents: 1, 2, 4, inf")
     a = np.abs(samples)
     if p == np.inf:
         return float(np.max(a))
@@ -313,8 +355,6 @@ def _lp_sum(samples: np.ndarray, cell: float, p) -> float:
 
 def lebesgue_norm(f: Field, p) -> float:
     """Riemann-sum L^p norm on the sample grid; p in {1, 2, 4, inf}."""
-    if p not in (1, 2, 4, np.inf):
-        raise ValueError("supported exponents: 1, 2, 4, inf")
     return _lp_sum(f.samples, f.grid.dx, p)
 
 
@@ -325,12 +365,14 @@ def sobolev_norm(f: Field, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Oversampled products.  Coefficient arrays are in FFT order on every axis,
-# and an axis of L points carries the modes [-L/2, L/2 - 1], so a product of
-# two of them carries [-L, L - 2].  It is formed from samples on 3L/2 points
-# (Orszag's 3/2 rule): every alias k +- 3L/2 of a kept mode k then lies
-# outside [-L, L - 2], and no shorter lattice has that property.  exp(i F)
-# and friends are not band-limited; they are sampled on a finer band first.
+# Oversampled products.  Coefficient arrays are in FFT order on every axis
+# they are transformed along (`axes`, default every axis; the other axes are
+# a batch), and an axis of L points carries the modes [-L/2, L/2 - 1], so a
+# product of two of them carries [-L, L - 2].  It is formed from samples on
+# 3L/2 points (Orszag's 3/2 rule): every alias k +- 3L/2 of a kept mode k
+# then lies outside [-L, L - 2], and no shorter lattice has that property.
+# exp(i F) and friends are not band-limited; they are sampled on a finer band
+# first.
 # ---------------------------------------------------------------------------
 
 
@@ -339,22 +381,31 @@ def fine_frequencies(grid: SpatialGrid, factor: int) -> np.ndarray:
     return np.fft.fftfreq(nf, d=1.0 / nf) / grid.period_scale
 
 
-def _samples(coeff: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(coeff) * coeff.size
+def _points(shape: tuple, axes) -> int:
+    """Lattice points of one transform along `axes` (None: every axis)."""
+    return math.prod(shape if axes is None else (shape[a] for a in axes))
 
 
-def _analyze(samples: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(samples) / samples.size
+def _samples(coeff: np.ndarray, axes=None) -> np.ndarray:
+    return np.fft.ifftn(coeff, axes=axes) * _points(coeff.shape, axes)
+
+
+def _analyze(samples: np.ndarray, axes=None) -> np.ndarray:
+    return np.fft.fftn(samples, axes=axes) / _points(samples.shape, axes)
 
 
 def _reband(coeff: np.ndarray, shape: tuple) -> np.ndarray:
     """The band of coeff on a lattice of the given shape: zero-padded along an
     axis that grows, cut to the modes [-L/2, L/2 - 1] along one that shrinks
-    to L points."""
+    to L points, copied whole along one that keeps its length (a batch axis
+    may have any length)."""
     out = np.zeros(shape, dtype=np.complex128)
     # per axis, the (source, target) slices of the modes >= 0 and of those < 0
     axes = []
     for a, b in zip(coeff.shape, shape):
+        if a == b:
+            axes.append(((slice(None), slice(None)),))
+            continue
         h = min(a, b) // 2
         axes.append(((slice(h), slice(h)), (slice(a - h, a), slice(b - h, b))))
     for blocks in itertools.product(*axes):
@@ -363,16 +414,18 @@ def _reband(coeff: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def _band_product(pairs) -> np.ndarray:
-    """Exact sum of the products a*b of same-shape coefficient arrays, cut to
-    their band.  The products are formed on 3L/2 points per axis and summed
-    on the samples, so m products cost 2m + 1 transforms."""
+def _band_product(pairs, axes=None) -> np.ndarray:
+    """Exact sum of the products a*b of same-shape coefficient arrays along
+    `axes` (default every axis; the others are a batch), cut to their band.
+    The products are formed on 3L/2 points per transformed axis and summed on
+    the samples, so m products cost 2m + 1 transforms."""
     shape = pairs[0][0].shape
-    fine = tuple(3 * n // 2 for n in shape)
+    along = range(len(shape)) if axes is None else [a % len(shape) for a in axes]
+    fine = tuple(3 * n // 2 if i in along else n for i, n in enumerate(shape))
     acc = np.zeros(fine, dtype=np.complex128)
     for a, b in pairs:
-        acc += _samples(_reband(a, fine)) * _samples(_reband(b, fine))
-    return _reband(_analyze(acc), shape)
+        acc += _samples(_reband(a, fine), axes) * _samples(_reband(b, fine), axes)
+    return _reband(_analyze(acc, axes), shape)
 
 
 def pointwise_product(f: Field, g: Field) -> Field:

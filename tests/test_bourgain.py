@@ -22,7 +22,7 @@ from bogl.bourgain import (
 )
 from bogl.lp import dyadic_shells, eta, phi_shell
 from bogl.reporting import stream
-from bogl.spectral import ComplexField, make_grid
+from bogl.spectral import ComplexField, lebesgue_norm, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +102,16 @@ def test_x_norm_plancherel_and_monotonicity(win):
     assert x_norm(u, 0.0, 0.5) <= x_norm(u, 0.5, 0.5) <= x_norm(u, 1.0, 0.5)
     assert y_norm(u, 0.5) >= x_norm(u, 0.5, 0.5)
     assert y_norm(u, 0.5) >= z_tilde_norm(u, 0.5, 0.0)
+
+
+def test_lp_norms_reject_unsupported_exponents(win):
+    u = random_spacetime_field(win, stream(1, "pl"), real=True)
+    f = ComplexField(win.spatial, u.time_slice(0))
+    for p in (0, 3, "inf"):
+        with pytest.raises(ValueError, match="supported exponents"):
+            spacetime_lebesgue(u, p)
+        with pytest.raises(ValueError, match="supported exponents"):
+            lebesgue_norm(f, p)
 
 
 def test_x_norm_regroup_reported(win):

@@ -259,6 +259,14 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["simulate", "--config", str(tmp_path / "none.cfg")]) == 2
+    # a march that overflows is a numeric failure: exit 3 and no output
+    # directory, for the single march and for the Lipschitz pairs
+    blowup = tmp_path / "blowup.cfg"
+    for cmd, extra_key in (("simulate", ""), ("lipschitz-pairs", "samples = 1\n")):
+        blowup.write_text("n = 64\namplitude = 1e8\ndt = 1e-2\n" + extra_key)
+        dest = tmp_path / f"blowup_{cmd}"
+        assert main([cmd, "--config", str(blowup), "--out", str(dest)]) == 3, cmd
+        assert not dest.exists(), cmd
     bad = tmp_path / "bad.cfg"
     bad.write_text("nope = 3\n")
     assert main(["norm-sweep", "--config", str(bad)]) == 2

@@ -337,4 +337,4 @@ def test_gauge_products_match_padded_reference(n, period_scale, oversample):
         assert abs(rec.gap_abs - ref_gap) < 1e-15 * lebesgue_norm(u, 2)
     em, ep = _ref_exponential_pair(u0, oversample)
     assert np.array_equal(gauge._gauge_exponential(u0, oversample), em)
-    assert _rel(gauge._conj_reflect(em), ep) < 1e-14
+    assert _rel(gauge._mirror(em), ep) < 1e-14

@@ -1,19 +1,31 @@
-"""Property tests over random grids and seeds: the Galilean change of unknown
-and Plancherel through the shared L^p sum."""
+"""Property tests over random grids and seeds: the Galilean change of unknown,
+Plancherel through the shared L^p sum, and the batched (time slice, x)
+passes against per-slice loops."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bogl.bilinear import _exp_lowband_operator
 from bogl.bourgain import (
     SpaceTimeGrid,
     random_spacetime_field,
     spacetime_lebesgue,
     x_norm,
 )
-from bogl.gauge import translate_to_zero_mean
+from bogl.gauge import _gauge_exponential, _truncate, translate_to_zero_mean
 from bogl.reporting import stream
-from bogl.spectral import lebesgue_norm, make_grid, random_field, sobolev_norm
+from bogl.spectral import (
+    ComplexField,
+    RealField,
+    _band_product,
+    lebesgue_norm,
+    make_grid,
+    pointwise_product,
+    projection_symbol,
+    random_field,
+    sobolev_norm,
+)
 
 PROPERTY = settings(max_examples=30, deadline=None, database=None)
 grids = st.builds(
@@ -41,3 +53,51 @@ def test_plancherel_through_the_lp_sum(grid, num_times, t_span, seed):
     big = random_spacetime_field(SpaceTimeGrid(grid, num_times, t_span), rng)
     x00 = x_norm(big, 0, 0)
     assert abs(spacetime_lebesgue(big, 2) - x00) <= 1e-12 * x00
+
+
+def _exp_lowband_loop(u):
+    """The per-slice path of the exp_lowband probe: one RealField, one gauge
+    exponential and one pointwise_product per time slice."""
+    grid = u.grid.spatial
+    xi = grid.xi
+    s_lo = projection_symbol("lo", xi)
+    s_minus_dx = projection_symbol("minus", xi) * (1j * xi)
+    s_outer = projection_symbol("plus", xi) * (1j * xi)
+    samples = u.samples.real
+    out = np.zeros((u.grid.num_times, grid.n), dtype=np.complex128)
+    for mth in range(u.grid.num_times):
+        slice_u = RealField.from_samples(grid, samples[mth])
+        em = _gauge_exponential(slice_u, 4)
+        e_lo = _truncate(em, grid) * s_lo
+        ux_m = slice_u.coefficients * s_minus_dx
+        prod = pointwise_product(ComplexField(grid, e_lo), ComplexField(grid, ux_m))
+        out[mth] = prod.coefficients * s_outer
+    return out
+
+
+slabs = st.builds(
+    lambda n, num_times, lam: SpaceTimeGrid(make_grid(n, lam), num_times, 2.0 * np.pi),
+    st.sampled_from([8, 16, 32]), st.sampled_from([16, 32]), st.sampled_from([1.0, 2.0]),
+)
+
+
+@PROPERTY
+@given(win=slabs, decay=st.sampled_from([1.0, 2.0]), seed=seeds)
+def test_exp_lowband_batch_equals_slice_loop(win, decay, seed):
+    u = random_spacetime_field(win, stream(seed, "property"), xi_decay=decay,
+                               sigma_decay=1.5, real=True, zero_mean_x=True)
+    assert np.array_equal(_exp_lowband_operator(u), _exp_lowband_loop(u))
+
+
+@PROPERTY
+@given(win=slabs, pairs=st.integers(1, 3), seed=seeds)
+def test_band_product_along_x_equals_rows(win, pairs, seed):
+    rng = stream(seed, "property")
+    shape = (win.num_times, win.spatial.n)
+    stacks = [
+        tuple(rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ab")
+        for _ in range(pairs)
+    ]
+    batch = _band_product(stacks, axes=(-1,))
+    rows = [_band_product([(a[m], b[m]) for a, b in stacks]) for m in range(shape[0])]
+    assert np.array_equal(batch, np.array(rows))

@@ -6,6 +6,7 @@ from scipy.signal import convolve
 
 from bogl.spectral import (
     _band_product,
+    _reband,
     ComplexField,
     RealField,
     make_grid,
@@ -275,6 +276,13 @@ def test_full_band_product_lattice_length(shape):
     for axis in range(len(shape)):
         short = tuple(n - (i == axis) for i, n in enumerate(fine))
         assert np.max(np.abs(_lattice_product(a, b, short) - direct)) > 1e-3
+
+
+@pytest.mark.parametrize("shape", [(3,), (8,), (5, 8), (1, 16), (4, 6), (7, 9, 2)])
+def test_reband_to_own_shape_is_a_copy(shape):
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(_reband(x, x.shape), x)
 
 
 def test_translate_is_spectral_shift():

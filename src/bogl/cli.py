@@ -6,7 +6,8 @@ Subcommands: simulate, gauge-check, lp-decompose, norm-sweep, bilinear-probe,
 lipschitz-pairs, scaling-check, probe-suite.  Config files are "key = value"
 lines with # comments; --seed overrides the config seed and --out picks the
 run directory.  Exit codes: 0 success, 2 config error, 3 numeric failure,
-4 acceptance-threshold violation in --assert mode.
+4 acceptance-threshold violation in --assert mode; exits 2 and 3 make no run
+directory.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ CSV schemas
                   z_tilde, y_norm, l4, ratio_l4_x38
   bilinear-probe  <which>.csv: sample, lhs, rhs, ratio [, region_A, region_B,
                   region_C, pairing_total, closure_rel, g_dual_norm]
+                  <which>.json: name, inequality, samples, skipped, sup,
+                  mean, stddev, environment
   lipschitz-pairs lipschitz.csv: sample, delta, ratio_l2, ratio_hs,
                   ratio_gauge_z; truncation.csv: sample, cutoff, err_l2
   scaling-check   scaling.csv: check, value, expected, rel_err
@@ -76,23 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> tuple[dict, str | None]:
-    raw = {}
-    if getattr(args, "config", None):
-        raw = experiments.parse_config_file(args.config)
-    if args.seed is not None:
-        raw["seed"] = str(args.seed)
-    return raw, experiments.pop_out_dir(raw)
-
-
-def _out_dir(args, config_out, default_name: str) -> str:
-    if args.out:
-        return args.out
-    if config_out:
-        return config_out
-    return default_name
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -100,10 +86,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except IntegrationError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except FloatingPointError as exc:
+    except (IntegrationError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     for a in result.assertions:
@@ -116,40 +99,34 @@ def main(argv=None) -> int:
     return 0
 
 
+# subcommand -> (experiments.run_* name, default output directory, the
+# argument naming its input, or None for a config-driven run).  The functions
+# are named, not stored, so one rebound on the module after import (a tracer
+# does this) is the one called.
+_COMMANDS = {
+    "simulate": ("run_simulate", "sim_out", None),
+    "gauge-check": ("run_gauge_check", "gauge_out", "traj"),
+    "lp-decompose": ("run_lp_decompose", "lp_out", "input"),
+    "norm-sweep": ("run_norm_sweep", "norm_out", None),
+    "bilinear-probe": ("run_bilinear_probe", "bilinear_out", None),
+    "lipschitz-pairs": ("run_lipschitz_pairs", "lipschitz_out", None),
+    "scaling-check": ("run_scaling_check", "scaling_out", None),
+    "probe-suite": ("run_probe_suite", "suite_out", None),
+}
+
+
 def _dispatch(args) -> experiments.RunResult:
-    cmd = args.command
-    if cmd == "gauge-check":
-        return experiments.run_gauge_check(args.traj, _out_dir(args, None, "gauge_out"))
-    if cmd == "lp-decompose":
-        return experiments.run_lp_decompose(args.input, _out_dir(args, None, "lp_out"))
-    raw, config_out = _load_config(args)
-    if cmd == "simulate":
-        return experiments.run_simulate(raw, _out_dir(args, config_out, "sim_out"))
-    if cmd == "norm-sweep":
-        return experiments.run_norm_sweep(raw, _out_dir(args, config_out, "norm_out"))
-    if cmd == "bilinear-probe":
-        if args.which is not None:
-            raw["which"] = args.which
-        if args.s is not None:
-            raw["s"] = str(args.s)
-        if args.samples is not None:
-            raw["samples"] = str(args.samples)
-        return experiments.run_bilinear_probe(
-            raw, _out_dir(args, config_out, "bilinear_out")
-        )
-    if cmd == "lipschitz-pairs":
-        return experiments.run_lipschitz_pairs(
-            raw, _out_dir(args, config_out, "lipschitz_out")
-        )
-    if cmd == "scaling-check":
-        return experiments.run_scaling_check(
-            raw, _out_dir(args, config_out, "scaling_out")
-        )
-    if cmd == "probe-suite":
-        return experiments.run_probe_suite(
-            raw, _out_dir(args, config_out, "suite_out")
-        )
-    raise AssertionError(cmd)
+    run_name, default_out, input_arg = _COMMANDS[args.command]
+    raw = {}
+    if getattr(args, "config", None):
+        raw = experiments.parse_config_file(args.config)
+    for key in ("seed", "which", "s", "samples"):
+        if getattr(args, key, None) is not None:
+            raw[key] = str(getattr(args, key))
+    config_out = raw.pop("out_dir", None)  # never echoed into manifests
+    out_dir = args.out or config_out or default_out
+    source = raw if input_arg is None else getattr(args, input_arg)
+    return getattr(experiments, run_name)(source, out_dir)
 
 
 if __name__ == "__main__":

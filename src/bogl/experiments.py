@@ -2,8 +2,13 @@
 simulation / gauge / probe / well-posedness studies behind the CLI.
 
 Config files are UTF-8 "key = value" lines with # comments; unknown keys are
-rejected.  Every run writes a manifest echoing the resolved configuration
-and a sha256 per output file.  Paths inside the manifest are relative to the
+rejected.  Every run_* function follows one protocol: it resolves and
+checks its config (a bad one raises ConfigError), computes everything,
+rejects non-finite results (FloatingPointError), and only then hands `_emit`
+its outputs, each a file name plus a one-argument writer.  `_emit` makes the run
+directory, writes the files in order and writes a manifest echoing the
+resolved configuration and a sha256 per output file, so a run that fails
+leaves no directory behind.  Paths inside the manifest are relative to the
 run directory and the manifest never records the directory itself, so a
 fixed seed reproduces every byte regardless of where the run lands.
 """
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -96,11 +102,6 @@ def resolve_config(raw: dict, schema: dict) -> dict:
     return resolved
 
 
-def pop_out_dir(raw: dict) -> str | None:
-    """Extract the optional out_dir key (never echoed into manifests)."""
-    return raw.pop("out_dir", None)
-
-
 @dataclass
 class Assertion:
     name: str
@@ -120,22 +121,28 @@ class RunResult:
         return all(a.ok for a in self.assertions)
 
 
-def _finish(command: str, out_dir: Path, config: dict, outputs: list,
-            assertions: list) -> RunResult:
+def _emit(command: str, out_dir, config: dict, files: dict,
+          assertions: list) -> RunResult:
+    """Make out_dir, call each writer of files (name -> writer(path)) in
+    order, then write manifest.json: the resolved config, the sha256 of each
+    output and the assertions."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = [out / name for name in files]
+    for write, path in zip(files.values(), outputs):
+        write(path)
     manifest = {
         "command": command,
         "config": {k: _manifest_value(v) for k, v in config.items()},
-        "outputs": {
-            str(Path(p).relative_to(out_dir)): sha256_file(p) for p in outputs
-        },
+        "outputs": {name: sha256_file(path) for name, path in zip(files, outputs)},
         "assertions": [
             {"name": a.name, "ok": a.ok, "detail": a.detail} for a in assertions
         ],
         "format_version": 1,
     }
-    path = Path(out_dir) / "manifest.json"
+    path = out / "manifest.json"
     write_json(path, manifest)
-    return RunResult(Path(out_dir), config, [*outputs, path], assertions)
+    return RunResult(out, config, [*outputs, path], assertions)
 
 
 def _manifest_value(v):
@@ -179,12 +186,6 @@ def _require_finite(values: dict) -> None:
     bad = [name for name, v in values.items() if not np.all(np.isfinite(v))]
     if bad:
         raise FloatingPointError(f"non-finite values in {', '.join(bad)}")
-
-
-def _prep(out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +246,13 @@ def run_simulate(config: dict, out_dir) -> RunResult:
         snapshot_stride=cfg["snapshot_stride"],
     )
     traj = simulate(u0, sim_cfg)
-    out = _prep(out_dir)
-    outputs = []
-    for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
-        path = out / f"snap_{idx:06d}.bin"
-        write_snapshot(path, state, time=float(t))
-        outputs.append(path)
-    diag = out / "diagnostics.csv"
-    write_csv(diag, traj.diagnostics_rows(), ["t", "M", "E", "Linf"])
-    outputs.append(diag)
+    files = {
+        f"snap_{idx:06d}.bin": partial(write_snapshot, field=state, time=float(t))
+        for idx, (t, state) in enumerate(zip(traj.times, traj.states))
+    }
+    files["diagnostics.csv"] = partial(
+        write_csv, rows=traj.diagnostics_rows(), columns=["t", "M", "E", "Linf"]
+    )
     m_drift = float(np.max(np.abs(traj.momenta - traj.momenta[0])))
     e_drift = float(np.max(np.abs(traj.energies - traj.energies[0])))
     m_ref = max(abs(traj.momenta[0]), 1e-300)
@@ -269,7 +268,7 @@ def run_simulate(config: dict, out_dir) -> RunResult:
             f"rel drift {e_drift / e_ref:.3e}",
         ),
     ]
-    return _finish("simulate", out, cfg, outputs, assertions)
+    return _emit("simulate", out_dir, cfg, files, assertions)
 
 
 def load_trajectory(traj_dir) -> Trajectory:
@@ -312,17 +311,12 @@ def run_gauge_check(traj_dir, out_dir) -> RunResult:
         traj = Trajectory(times=traj.times, states=reduced)
     # fewer than 3 or unevenly spaced snapshots
     rep = _validated("traj", gauge.gauge_residual, traj, oversample=oversample)
-    out = _prep(out_dir)
-    res_csv = out / "gauge_residual.csv"
-    write_csv(res_csv, rep.rows(), ["t", "residual_L2", "mean_term_L2"])
     rec_rows = []
     for t, state in zip(traj.times, traj.states):
         rec = gauge.reconstruct_high(state, oversample=oversample)
         rec_rows.append({"t": float(t), "rel_gap": rec.rel_gap})
     # np.max, unlike max(), keeps a NaN gap
     worst = float(np.max([row["rel_gap"] for row in rec_rows]))
-    rec_csv = out / "reconstruction.csv"
-    write_csv(rec_csv, rec_rows, ["t", "rel_gap"])
     config = {"traj_dir": str(traj_dir), "oversample": oversample,
               "snapshots": len(traj.states), "mean_shift": mean}
     assertions = [
@@ -332,7 +326,15 @@ def run_gauge_check(traj_dir, out_dir) -> RunResult:
             f"max residual {float(np.max(rep.residuals)):.3e}",
         ),
     ]
-    return _finish("gauge-check", out, config, [res_csv, rec_csv], assertions)
+    files = {
+        "gauge_residual.csv": partial(
+            write_csv, rows=rep.rows(), columns=["t", "residual_L2", "mean_term_L2"]
+        ),
+        "reconstruction.csv": partial(
+            write_csv, rows=rec_rows, columns=["t", "rel_gap"]
+        ),
+    }
+    return _emit("gauge-check", out_dir, config, files, assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +344,16 @@ def run_gauge_check(traj_dir, out_dir) -> RunResult:
 
 def run_lp_decompose(input_path, out_dir) -> RunResult:
     field, t = _read_snapshot(input_path)
-    out = _prep(out_dir)
     dec = lp.decompose(field)
     rows = [{"shell": n, "mass": m} for n, m in dec.shell_masses()]
-    csv = out / "lp_masses.csv"
-    write_csv(csv, rows, ["shell", "mass"])
     rec = dec.reconstruct()
     scale = max(float(np.max(np.abs(field.coefficients))), 1e-300)
     gap = float(np.max(np.abs(rec.coefficients - field.coefficients))) / scale
     config = {"input": str(Path(input_path).name), "time": t,
               "profile": lp.PROFILE_NAME}
     assertions = [Assertion("reconstruction", gap <= 1e-12, f"rel gap {gap:.3e}")]
-    return _finish("lp-decompose", out, config, [csv], assertions)
+    files = {"lp_masses.csv": partial(write_csv, rows=rows, columns=["shell", "mass"])}
+    return _emit("lp-decompose", out_dir, config, files, assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +414,14 @@ def run_norm_sweep(config: dict, out_dir) -> RunResult:
         )
     norms = ("x_norm", "x_regroup", "z_norm", "z_tilde", "y_norm", "l4")
     _require_finite({key: [row[key] for row in rows] for key in norms})
-    out = _prep(out_dir)
-    csv = out / "norm_sweep.csv"
-    write_csv(csv, rows)
     assertions = [
         Assertion(
             "plancherel", plancherel_worst <= 1e-12,
             f"max |X^{{0,0}} - L2|/L2 = {plancherel_worst:.3e}",
         )
     ]
-    return _finish("norm-sweep", out, cfg, [csv], assertions)
+    files = {"norm_sweep.csv": partial(write_csv, rows=rows)}
+    return _emit("norm-sweep", out_dir, cfg, files, assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +467,6 @@ def run_bilinear_probe(config: dict, out_dir) -> RunResult:
         "which, n, num_times, lambda", _estimate_probe, which, cfg, period_scale
     )
     _require_finite({rep.name: rep.ratios})
-    out = _prep(out_dir)
-    outputs = rep.write(out)
     worst_closure = _worst_closure([rep])
     assertions = [
         Assertion(
@@ -479,7 +475,7 @@ def run_bilinear_probe(config: dict, out_dir) -> RunResult:
         ),
     ]
     resolved = {**cfg, "lambda": period_scale}
-    return _finish("bilinear-probe", out, resolved, outputs, assertions)
+    return _emit("bilinear-probe", out_dir, resolved, rep.files(), assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +518,8 @@ def _high_frequency_direction(grid, rng, band: range) -> RealField:
 
 def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, LIPSCHITZ_SCHEMA)
+    if not all(math.isfinite(d) for d in cfg["deltas"]):
+        raise ConfigError(f"deltas must be finite, got {cfg['deltas']}")
     deltas = tuple(d for d in cfg["deltas"] if d > 0)
     skipped_deltas = len(cfg["deltas"]) - len(deltas)  # ratio undefined at 0
     if not deltas:
@@ -604,12 +602,8 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
                 for a, b in zip(trajj.states, traj_ref.states)
             )
             trunc_rows.append({"sample": i, "cutoff": int(cutoff), "err_l2": err})
-    out = _prep(out_dir)
-    lip_csv = out / "lipschitz.csv"
-    write_csv(lip_csv, rows, ["sample", "delta", "ratio_l2", "ratio_hs",
-                              "ratio_gauge_z"])
-    trunc_csv = out / "truncation.csv"
-    write_csv(trunc_csv, trunc_rows, ["sample", "cutoff", "err_l2"])
+    ratio_columns = ["ratio_l2", "ratio_hs", "ratio_gauge_z"]
+    _require_finite({key: [row[key] for row in rows] for key in ratio_columns})
     max_spread = max(spreads)
     decreasing = all(
         a["err_l2"] >= b["err_l2"] - 1e-15
@@ -624,7 +618,15 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
         Assertion("truncation_monotone", decreasing, ""),
     ]
     resolved = {**cfg, "deltas": deltas, "skipped_deltas": skipped_deltas}
-    return _finish("lipschitz-pairs", out, resolved, [lip_csv, trunc_csv], assertions)
+    files = {
+        "lipschitz.csv": partial(
+            write_csv, rows=rows, columns=["sample", "delta", *ratio_columns]
+        ),
+        "truncation.csv": partial(
+            write_csv, rows=trunc_rows, columns=["sample", "cutoff", "err_l2"]
+        ),
+    }
+    return _emit("lipschitz-pairs", out_dir, resolved, files, assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +651,10 @@ def run_scaling_check(config: dict, out_dir) -> RunResult:
     lam = cfg["scale"]
     if lam < 1 or (lam & (lam - 1)) != 0:
         raise ConfigError("scale must be a dyadic integer >= 1")
+    # checked before the step counts below divide by dt and round
+    for key in ("dt", "t_scaled"):
+        if not (math.isfinite(cfg[key]) and cfg[key] > 0):
+            raise ConfigError(f"{key} must be positive and finite, got {cfg[key]}")
     grid = _validated("n, lambda_base", make_grid, cfg["n"], cfg["lambda_base"])
     rng = stream(cfg["seed"], "scaling")
     u0 = _validated(
@@ -681,14 +687,14 @@ def run_scaling_check(config: dict, out_dir) -> RunResult:
     corr = lebesgue_norm(scaled_final - expected, 2)
     rows.append({"check": "solution_correspondence", "value": corr,
                  "expected": 0.0, "rel_err": corr})
-    out = _prep(out_dir)
-    csv = out / "scaling.csv"
-    write_csv(csv, rows, ["check", "value", "expected", "rel_err"])
     assertions = [
         Assertion("norm_relation", norm_worst <= 1e-12, f"rel err {norm_worst:.3e}"),
         Assertion("correspondence", corr <= 1e-6, f"L2 error {corr:.3e}"),
     ]
-    return _finish("scaling-check", out, cfg, [csv], assertions)
+    files = {"scaling.csv": partial(
+        write_csv, rows=rows, columns=["check", "value", "expected", "rel_err"]
+    )}
+    return _emit("scaling-check", out_dir, cfg, files, assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +761,6 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
     _validated("exp_n", make_grid, cfg["exp_n"], 1.0)
     if not math.isfinite(cfg["bracket_mu_max"]):
         raise ConfigError(f"bracket_mu_max must be finite, got {cfg['bracket_mu_max']}")
-    outputs: list = []
-    summary: dict = {}
     failures: list = []
     reports: list[ProbeReport] = []
     for name in selected:
@@ -767,9 +771,10 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
         except Exception as exc:  # record and continue, per the suite contract
             failures.append({"probe": name, "error": str(exc)})
     _require_finite({rep.name: rep.ratios for rep in reports})
-    out = _prep(out_dir)
+    files: dict = {}
+    summary: dict = {}
     for rep in reports:
-        outputs.extend(rep.write(out))
+        files.update(rep.files())
         summary[rep.name] = {
             "inequality": rep.inequality,
             "sup": rep.sup,
@@ -778,10 +783,10 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
             "samples": len(rep.rows),
             "skipped": rep.skipped,
         }
-    summary_path = out / "probe_suite_summary.json"
-    write_json(summary_path, {"probes": summary, "failures": failures,
-                              "seed": cfg["seed"]})
-    outputs.append(summary_path)
+    files["probe_suite_summary.json"] = partial(
+        write_json,
+        payload={"probes": summary, "failures": failures, "seed": cfg["seed"]},
+    )
     worst_closure = _worst_closure(reports)
     assertions = [
         Assertion("no_probe_failures", not failures, str(failures)),
@@ -790,7 +795,7 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
             f"max closure {worst_closure:.3e}",
         ),
     ]
-    return _finish("probe-suite", out, cfg, outputs, assertions)
+    return _emit("probe-suite", out_dir, cfg, files, assertions)
 
 
 def _run_one_suite_probe(name: str, cfg: dict) -> list[ProbeReport]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -139,11 +140,11 @@ class ProbeReport:
                     cols.append(key)
         return cols
 
-    def write(self, out_dir: Path) -> list[Path]:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / f"{self.name}.csv"
-        json_path = out_dir / f"{self.name}.json"
-        write_csv(csv_path, self.rows, self.columns())
-        write_json(json_path, self.summary())
-        return [csv_path, json_path]
+    def files(self) -> dict:
+        """The report's outputs: file name -> writer(path), the rows as
+        <name>.csv and the summary as <name>.json."""
+        return {
+            f"{self.name}.csv": partial(write_csv, rows=self.rows,
+                                        columns=self.columns()),
+            f"{self.name}.json": partial(write_json, payload=self.summary()),
+        }

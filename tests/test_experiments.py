@@ -337,10 +337,12 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         "simulate": [quick + body for body in (
             "init = wave\nlambda = 2\n", "init = wave\nrho = 1.5\n",
             "max_mode = 0\n", "max_mode = -3\n")],
-        "scaling-check": ["n = 64\nmax_mode = 0\n", "n = 64\ndt = 0.3\n"],
+        "scaling-check": ["n = 64\nmax_mode = 0\n", "n = 64\ndt = 0.3\n",
+                          "n = 64\ndt = 0\n", "n = 64\nt_scaled = nan\n"],
         "lipschitz-pairs": [quick + body for body in (
             "samples = 1\nmax_mode = 0\n", "samples = 1\ntrunc_max_mode = -2\n",
-            "samples = 1\nperturb_max_mode = 4\n", "samples = 0\n")],
+            "samples = 1\nperturb_max_mode = 4\n", "samples = 0\n",
+            "samples = 1\ndeltas = inf\n")],
         "norm-sweep": ["samples = 0\n", "n = 100\n"],
         "bilinear-probe": ["samples = 0\n", "n = 100\n", "which = nope\n"],
         "probe-suite": ["samples = 0\n", "samples = -5\n", "exp_samples = 0\n"],
@@ -389,10 +391,13 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # --assert, and no output directory is made
     huge_s = tmp_path / "huge_s.cfg"
     huge_s.write_text("s = 1000\nselect = bilinear_periodic\nsamples = 3\n")
-    # the same for a NaN sup of bilinear-probe and NaN norms of norm-sweep,
-    # which make no output directory; numpy warns of none of the overflows
+    # the same for a NaN sup of bilinear-probe, NaN norms of norm-sweep and
+    # NaN H^s ratios of lipschitz-pairs, which make no output directory;
+    # numpy warns of none of the overflows
     huge_ns = tmp_path / "huge_ns.cfg"
     huge_ns.write_text("s = 1000\nsamples = 3\n")
+    nan_s = tmp_path / "nan_s.cfg"
+    nan_s.write_text(quick + "samples = 1\ns = nan\n")
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -409,9 +414,69 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             assert main(["norm-sweep", "--config", str(huge_ns), "--out", str(ns)]
                         + extra) == 3
             assert not ns.exists()
+            lip = tmp_path / f"ln{i}"
+            assert main(["lipschitz-pairs", "--config", str(nan_s), "--out", str(lip)]
+                        + extra) == 3
+            assert not lip.exists()
     err = capsys.readouterr().err
     assert err.count("bilinear_periodic") == 4
     assert err.count("x_norm") == 2
+    assert err.count("ratio_hs") == 2
+
+
+def test_cli_late_numeric_failure_leaves_no_directory(sim_run, tmp_path,
+                                                       monkeypatch):
+    # a numeric failure in the last stage of a run, after the first outputs
+    # are computed, still leaves no output directory
+    from bogl import gauge, lp
+
+    def fail(*args, **kwargs):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(gauge, "reconstruct_high", fail)
+    monkeypatch.setattr(lp, "decompose", fail)
+    snap = sorted(Path(sim_run.out_dir).glob("snap_*.bin"))[0]
+    for argv in (["gauge-check", "--traj", str(sim_run.out_dir)],
+                 ["lp-decompose", "--input", str(snap)]):
+        dest = tmp_path / argv[0]
+        assert main(argv + ["--out", str(dest)]) == 3, argv
+        assert not dest.exists(), argv
+
+
+def test_cli_out_dir_from_config(tmp_path):
+    # out_dir in the config picks the run directory, --out overrides it, and
+    # the manifest never records it
+    from_cfg, from_flag = tmp_path / "from_cfg", tmp_path / "from_flag"
+    cfg = tmp_path / "ns.cfg"
+    cfg.write_text(f"out_dir = {from_cfg}\nsamples = 2\n")
+    assert main(["norm-sweep", "--config", str(cfg), "--out", str(from_flag)]) == 0
+    assert (from_flag / "norm_sweep.csv").exists()
+    assert not from_cfg.exists()
+    assert main(["norm-sweep", "--config", str(cfg)]) == 0
+    assert (from_cfg / "norm_sweep.csv").exists()
+    manifest = (from_cfg / "manifest.json").read_text()
+    assert "out_dir" not in json.loads(manifest)["config"]
+    assert (from_flag / "manifest.json").read_text() == manifest
+
+
+def test_cli_looks_up_run_functions_at_call_time(tmp_path, monkeypatch):
+    # the CLI looks each run_* function up on the experiments module when it
+    # runs, so one rebound after import (as a tracer does) is the one called
+    from bogl import experiments
+
+    real = experiments.run_norm_sweep
+    calls = []
+
+    def spy(config, out_dir):
+        calls.append(out_dir)
+        return real(config, out_dir)
+
+    monkeypatch.setattr(experiments, "run_norm_sweep", spy)
+    cfg = tmp_path / "ns.cfg"
+    cfg.write_text("samples = 2\n")
+    out = tmp_path / "ns"
+    assert main(["norm-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == [str(out)]
 
 
 def test_cli_seed_override(tmp_path):

@@ -5,9 +5,10 @@
 Subcommands: simulate, gauge-check, lp-decompose, norm-sweep, bilinear-probe,
 lipschitz-pairs, scaling-check, probe-suite.  Config files are "key = value"
 lines with # comments; --seed overrides the config seed and --out picks the
-run directory.  Exit codes: 0 success, 2 config error, 3 numeric failure,
-4 acceptance-threshold violation in --assert mode; exits 2 and 3 make no run
-directory.
+run directory (gauge-check and lp-decompose take no config: they accept
+--seed and ignore it).  Exit codes: 0 success, 2 config error, 3 numeric
+failure, 4 acceptance-threshold violation in --assert mode; exits 2 and 3
+make no run directory.
 """
 
 from __future__ import annotations
@@ -52,7 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", help="key = value config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
+        p.add_argument(
+            "--seed", type=int, default=None,
+            help="override the config seed" if needs_config
+            else "accepted and ignored: this command takes no seed",
+        )
         p.add_argument(
             "--assert",
             dest="assert_mode",

@@ -79,6 +79,9 @@ class SimConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
+        for key in ("dt", "t_end"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         if self.snapshot_stride < 1:

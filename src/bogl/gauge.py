@@ -13,10 +13,18 @@ full exponential to W inside the product).
 
 Exponentials are not band-limited: e^{+-iF/2} is sampled on a lattice of
 nf = oversample*n points (default 4x) and kept on its band [-nf/2, nf/2 - 1].
-Products with it are exact on that band (spectral._band_product), except the
-one in gauge_residual whose result is cut to the coarse band: that one is
-exact on the nf lattice itself (the bound is stated where it is formed).  The
-only approximation left is the spectral tail of the exponential itself.
+Each product with it is formed on the shortest lattice that is exact for the
+modes its result keeps, and none needs more than nf points:
+  - gauge_residual's P_+(P_+e^{-iF/2} P_-u_x) keeps 0 < k < n/2 and is
+    formed on n points: the true product carries [1 - n/2, n - 2], so every
+    alias k +- n misses it;
+  - reconstruct_high's P_{+HI} terms keep 8 lambda <= k < nf/2.  The two
+    with one factor of each sign band are formed on nf points (every alias
+    k +- nf misses the product band), and the low band P_lo(e^{-iF/2} u) is
+    a few direct sums (its docstring gives the bounds);
+  - gauge_w_product_form and exp_multiplication_probe keep the whole fine
+    band and go through spectral._band_product on 3nf/2 points.
+The only approximation left is the spectral tail of the exponential itself.
 
 The fine-lattice kernels take coefficient arrays whose leading axes are a
 batch and whose last axis is x, so one call forms e^{-iF/2} for a stack of
@@ -112,12 +120,20 @@ def _primitive_coefficients(coeff: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fine_exponential(coeff: np.ndarray, grid: SpatialGrid, factor: int) -> np.ndarray:
-    """Fine-lattice coefficients of e^{-iF/2} for each row of the RealField
-    coefficients coeff, F the primitive of the row."""
+def _fine_exponential_samples(
+    coeff: np.ndarray, grid: SpatialGrid, factor: int
+) -> np.ndarray:
+    """exp(-iF/2) sampled on the factor*n points of the fine lattice, for each
+    row of the RealField coefficients coeff, F the primitive of the row."""
     prim = _real_coefficients(_primitive_coefficients(coeff, grid.xi))
     phase = _samples(_embed(prim, factor), axes=(-1,)).real
-    return _analyze(np.exp(-0.5j * phase), axes=(-1,))
+    return np.exp(-0.5j * phase)
+
+
+def _fine_exponential(coeff: np.ndarray, grid: SpatialGrid, factor: int) -> np.ndarray:
+    """Fine-lattice coefficients of e^{-iF/2} for each row of coeff (see
+    _fine_exponential_samples)."""
+    return _analyze(_fine_exponential_samples(coeff, grid, factor), axes=(-1,))
 
 
 def _gauge_exponential(u: RealField, factor: int) -> np.ndarray:
@@ -200,25 +216,26 @@ def gauge_residual(
             raise ValueError("gauge residual needs mean-zero states")
     xi = _fine_xi(grid, oversample)
     plus = _fine_mask(grid, oversample, "plus")
-    minus = _fine_mask(grid, oversample, "minus")
+    # the coarse lattice is the fine lattice of factor 1
+    plus_n, minus_n = _fine_mask(grid, 1, "plus"), _fine_mask(grid, 1, "minus")
     ws, rhss, mean_terms = [], [], []
     for v in traj.states:
         em_plus = _gauge_exponential(v, oversample) * plus
-        w_fine = _fdx(em_plus, xi)
-        ux_minus = _embed(derivative(v).coefficients, oversample) * minus
-        # P_+ e^{-iF/2} carries the modes (0, nf/2) and P_- u_x carries
-        # [-n/2, 0), so their product carries (-n/2, nf/2).  P_+ and the
-        # truncation below keep only 0 < k < n/2, whose aliases k - nf < -n/2
-        # and k + nf > nf/2 lie outside that band for any oversample >= 1:
-        # the product is exact on the nf lattice, with no padding.
-        prod = _analyze(_samples(em_plus) * _samples(ux_minus))
-        bil = _fdx(prod * plus, xi)
+        w = _truncate(_fdx(em_plus, xi), grid)
+        ux_minus = derivative(v).coefficients * minus_n
+        # bil keeps 0 < k < n/2 of P_+e^{-iF/2} P_-u_x.  With P_-u_x on
+        # [-n/2, 0), only e^{-iF/2}'s modes 1..n-1 reach that band; they are
+        # the first n fine coefficients (at oversample 1 P_+ has zeroed those
+        # past n/2), stored at index j mod n.  The true product then carries
+        # [1 - n/2, n - 2], and every alias k +- n of a kept k lies outside
+        # it: the product is exact on n points.
+        prod = _analyze(_samples(em_plus[: grid.n]) * _samples(ux_minus))
+        bil = _fdx(prod * plus_n, grid.xi)
         p0 = float(np.mean(np.asarray(v.samples) ** 2))
-        mean_term = 0.25j * p0 * w_fine
-        rhs = -bil + (mean_term if include_mean_term else 0.0)
-        ws.append(_truncate(w_fine, grid))
-        rhss.append(_truncate(rhs, grid))
-        mean_terms.append(_truncate(mean_term, grid))
+        mean_term = 0.25j * p0 * w
+        ws.append(w)
+        rhss.append(-bil + (mean_term if include_mean_term else 0.0))
+        mean_terms.append(mean_term)
     dt = float(dts[0])
     times, residuals, magnitudes = [], [], []
     for k in range(1, len(ws) - 1):
@@ -252,21 +269,42 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
     with w_hi = d/dx P_{+hi}(e^{-iF/2}).  With the sharp |xi|>=8 split the
     inner projector insertions are lossless, so the relative gap measures
     only aliasing of the oversampled exponentials.
+
+    The exponentials carry the fine band [-nf/2, nf/2), nf = oversample*n,
+    and P_{+HI} keeps 8 lambda <= k < nf/2.  Each term has one factor of one
+    sign or of the low band, so each is exact on a lattice of at most nf:
+      - T1 and T3 on nf points.  The factors carry [-nf/2, nf/2) and
+        (0, nf/2) (T1), or [8 lambda, nf/2) and [-nf/2, 0) (T3); every alias
+        k +- nf of a kept k falls outside the product band.  On nf points
+        the samples of e^{-iF/2} are exp(-iF/2) itself, and e^{+iF/2} is
+        their conjugate, so T1's first factor costs no transform.
+      - P_lo(e^{-iF/2} u) keeps |m| < 2 lambda: a few direct sums of u's
+        modes k against e^{-iF/2}'s modes m - k, these taken only inside
+        [-nf/2, nf/2) (at oversample 1 a wrapped index would alias).
+      - T2 = P_{+hi}e^{+iF/2} P_lo(...) is one shifted add per low mode m;
+        a shift that carries a mode past nf/2 lands on P_{+hi}'s zeros.
     """
     grid = u.grid
+    nf = grid.n * oversample
     xi = _fine_xi(grid, oversample)
     mask = partial(_fine_mask, grid, oversample)
-    em = _gauge_exponential(u, oversample)
+    em_samples = _fine_exponential_samples(u.coefficients, grid, oversample)
+    em = _analyze(em_samples)
     ep = _mirror(em)  # e^{+iF/2} is the conjugate of e^{-iF/2}
     ufine = _embed(u.coefficients, oversample)
-    inner_lo = _band_product([(em, ufine)]) * mask("lo")
     w_hi = _fdx(em * mask("plus_hi"), xi)
-    # the three P_{+HI} terms keep the whole fine band: one exact sum
-    rhs_fine = mask("plus_HI") * _band_product([
-        (ep, 2j * w_hi),
-        (ep * mask("plus_hi"), inner_lo),
-        (ep * mask("plus_HI"), 2j * _fdx(em * mask("minus_hi"), xi)),
-    ])
+    # T1 + T3, summed on the nf samples
+    prod = np.conj(em_samples) * _samples(2j * w_hi)
+    prod += _samples(ep * mask("plus_HI")) * _samples(2j * _fdx(em * mask("minus_hi"), xi))
+    # the low band: inner_lo[m] = eta(xi_m) sum_k em[m - k] u[k]
+    lo = np.flatnonzero(mask("lo"))
+    lo_modes = np.where(lo < nf // 2, lo, lo - nf)
+    j = lo_modes[:, None] - grid.k[None, :]
+    em_j = np.where((j >= -nf // 2) & (j < nf // 2), em[j % nf], 0.0)
+    inner_lo = (em_j @ u.coefficients) * mask("lo")[lo]
+    ep_hi = ep * mask("plus_hi")
+    t2 = sum(c * np.roll(ep_hi, m) for m, c in zip(lo_modes, inner_lo))
+    rhs_fine = mask("plus_HI") * (_analyze(prod) + t2)
     lhs_fine = ufine * mask("plus_HI")
 
     gap = float(np.sqrt(grid.length * np.sum(np.abs(rhs_fine - lhs_fine) ** 2)))

@@ -333,16 +333,21 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # and no directory, with or without --assert, and the message names the
     # config key of the body's last line (lp-decompose: the missing file)
     quick = "n = 64\ndt = 1e-3\nt_end = 0.02\nsnapshot_stride = 10\n"
+    # a non-finite dt or t_end, each given once (a second dt would be a
+    # duplicate-key error)
+    infinite = ["n = 64\nt_end = 0.02\nsnapshot_stride = 10\ndt = inf\n",
+                "n = 64\ndt = 1e-3\nsnapshot_stride = 10\nt_end = inf\n"]
     bad_configs = {
         "simulate": [quick + body for body in (
             "init = wave\nlambda = 2\n", "init = wave\nrho = 1.5\n",
-            "max_mode = 0\n", "max_mode = -3\n")],
+            "max_mode = 0\n", "max_mode = -3\n")] + infinite,
         "scaling-check": ["n = 64\nmax_mode = 0\n", "n = 64\ndt = 0.3\n",
                           "n = 64\ndt = 0\n", "n = 64\nt_scaled = nan\n"],
         "lipschitz-pairs": [quick + body for body in (
             "samples = 1\nmax_mode = 0\n", "samples = 1\ntrunc_max_mode = -2\n",
             "samples = 1\nperturb_max_mode = 4\n", "samples = 0\n",
-            "samples = 1\ndeltas = inf\n")],
+            "samples = 1\ndeltas = inf\n")]
+        + ["samples = 1\n" + body for body in infinite],
         "norm-sweep": ["samples = 0\n", "n = 100\n"],
         "bilinear-probe": ["samples = 0\n", "n = 100\n", "which = nope\n"],
         "probe-suite": ["samples = 0\n", "samples = -5\n", "exp_samples = 0\n"],

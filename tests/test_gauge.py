@@ -238,8 +238,8 @@ def test_exp_multiplication_quarter_order(grid):
 # ----------------------------------------------------------------------------
 # Reference: every gauge product formed on a lattice of 2nf points, with the
 # exponential pair taken from two separate transforms.  The gauge products,
-# formed on the 3/2 lattice by spectral._band_product, must agree with it to
-# rounding.
+# formed on the shortest exact lattice (n or nf points, or direct sums), must
+# agree with it to rounding.
 # ----------------------------------------------------------------------------
 
 
@@ -316,11 +316,13 @@ def _rel(a, b):
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
 
 
-# oversample 1 is the tightest case of the nf-lattice bound in gauge_residual
+# oversample 1 is the tightest case of the lattice bounds, and of the band
+# guard on the direct low-band sums of reconstruct_high (more low modes at
+# lambda = 2)
 @pytest.mark.parametrize(
     "n, period_scale, oversample",
     [(n, lam, o) for n in (64, 256, 1024) for lam in (1.0, 2.0) for o in (2, 4)]
-    + [(64, 1.0, 1)],
+    + [(64, 1.0, 1), (64, 2.0, 1), (256, 1.0, 1)],
 )
 def test_gauge_products_match_padded_reference(n, period_scale, oversample):
     g = make_grid(n, period_scale)
@@ -338,3 +340,28 @@ def test_gauge_products_match_padded_reference(n, period_scale, oversample):
     em, ep = _ref_exponential_pair(u0, oversample)
     assert np.array_equal(gauge._gauge_exponential(u0, oversample), em)
     assert _rel(gauge._mirror(em), ep) < 1e-14
+
+
+@pytest.mark.parametrize("oversample", [1, 4])
+def test_gauge_products_need_no_padding(monkeypatch, oversample):
+    """No transform in gauge_residual or reconstruct_high is longer than the
+    nf lattice of the exponentials: a 3nf/2-padded product fails this."""
+    g = make_grid(64, 1.0)
+    u0 = random_field(g, np.random.default_rng(3), decay=1.0, amplitude=0.9)
+    traj = simulate(u0, SimConfig(g, dt=1e-3, t_end=4e-3, snapshot_stride=2))
+    lengths = []
+
+    def recording(transform):
+        def call(a, *args, axes=None, **kwargs):
+            a = np.asarray(a)
+            along = range(a.ndim) if axes is None else axes
+            lengths.append(max(a.shape[ax] for ax in along))
+            return transform(a, *args, axes=axes, **kwargs)
+        return call
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    gauge_residual(traj, oversample=oversample)
+    reconstruct_high(u0, oversample=oversample)
+    nf = g.n * oversample
+    assert lengths and max(lengths) == nf

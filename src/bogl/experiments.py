@@ -92,13 +92,29 @@ def _convert(key: str, raw: str, kind):
     raise AssertionError(kind)
 
 
+# Domains of config values, each (test, words): the third field of a schema
+# entry.  Grid sizes and lambda >= 1 are left to make_grid and SpaceTimeGrid.
+ANY = (lambda v: True, "anything")
+FINITE = (math.isfinite, "finite")
+POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+COUNT = (lambda v: v >= 1, ">= 1")
+NATURAL = (lambda v: v >= 0, ">= 0")
+DYADIC = (lambda v: v >= 1 and v & (v - 1) == 0, "a power of two >= 1")
+
+
 def resolve_config(raw: dict, schema: dict) -> dict:
+    """raw converted and defaulted by schema (key -> (kind, default, domain));
+    a value, default or list element outside its key's domain is an error."""
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for key, (kind, default) in schema.items():
-        resolved[key] = _convert(key, raw[key], kind) if key in raw else default
+    for key, (kind, default, (test, words)) in schema.items():
+        value = _convert(key, raw[key], kind) if key in raw else default
+        for v in value if isinstance(value, tuple) else (value,):
+            if not test(v):
+                raise ConfigError(f"{key} must be {words}, got {v}")
+        resolved[key] = value
     return resolved
 
 
@@ -161,13 +177,6 @@ def _validated(keys: str, build, *args, **kwargs):
         raise ConfigError(f"{keys}: {exc}") from None
 
 
-def _require_positive(cfg: dict, *keys: str) -> None:
-    """Config error unless each of the integer keys is >= 1."""
-    for key in keys:
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-
-
 def _read_snapshot(path):
     """read_snapshot with unreadable, malformed or non-finite files reported
     as input errors."""
@@ -193,17 +202,17 @@ def _require_finite(values: dict) -> None:
 # ---------------------------------------------------------------------------
 
 SIMULATE_SCHEMA = {
-    "n": (int, 256),
-    "lambda": (float, 1.0),
-    "dt": (float, 1e-3),
-    "t_end": (float, 1.0),
-    "snapshot_stride": (int, 100),
-    "seed": (int, 0),
-    "init": (str, "random"),
-    "amplitude": (float, 1.0),
-    "max_mode": (int, 8),
-    "decay": (float, 2.0),
-    "rho": (float, 0.3),
+    "n": (int, 256, ANY),
+    "lambda": (float, 1.0, FINITE),
+    "dt": (float, 1e-3, POSITIVE),
+    "t_end": (float, 1.0, POSITIVE),
+    "snapshot_stride": (int, 100, COUNT),
+    "seed": (int, 0, ANY),
+    "init": (str, "random", ANY),
+    "amplitude": (float, 1.0, FINITE),
+    "max_mode": (int, 8, COUNT),
+    "decay": (float, 2.0, FINITE),
+    "rho": (float, 0.3, FINITE),
 }
 
 
@@ -235,8 +244,8 @@ def initial_data(grid, cfg: dict) -> RealField:
 def run_simulate(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, SIMULATE_SCHEMA)
     grid = _validated("n, lambda", make_grid, cfg["n"], cfg["lambda"])
-    # a rho, lambda or max_mode that the chosen init cannot take
-    u0 = _validated("init, rho, lambda, max_mode", initial_data, grid, cfg)
+    # a rho or lambda that the wave profile cannot take
+    u0 = _validated("init, rho, lambda", initial_data, grid, cfg)
     sim_cfg = _validated(
         "dt, t_end, snapshot_stride",
         SimConfig,
@@ -361,23 +370,22 @@ def run_lp_decompose(input_path, out_dir) -> RunResult:
 # ---------------------------------------------------------------------------
 
 NORM_SWEEP_SCHEMA = {
-    "n": (int, 32),
-    "lambda": (float, 1.0),
-    "num_times": (int, 32),
-    "t_span_pi": (float, 2.0),
-    "samples": (int, 20),
-    "seed": (int, 0),
-    "s": (float, 0.0),
-    "b": (float, 0.5),
-    "xi_decay": (float, 1.0),
-    "sigma_decay": (float, 1.5),
+    "n": (int, 32, ANY),
+    "lambda": (float, 1.0, FINITE),
+    "num_times": (int, 32, ANY),
+    "t_span_pi": (float, 2.0, POSITIVE),
+    "samples": (int, 20, COUNT),
+    "seed": (int, 0, ANY),
+    "s": (float, 0.0, FINITE),
+    "b": (float, 0.5, FINITE),
+    "xi_decay": (float, 1.0, FINITE),
+    "sigma_decay": (float, 1.5, FINITE),
 }
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
 def run_norm_sweep(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, NORM_SWEEP_SCHEMA)
-    _require_positive(cfg, "samples")
     win = _validated(
         "num_times, t_span_pi",
         bourgain.SpaceTimeGrid,
@@ -429,13 +437,13 @@ def run_norm_sweep(config: dict, out_dir) -> RunResult:
 # ---------------------------------------------------------------------------
 
 BILINEAR_SCHEMA = {
-    "which": (str, "bilinear_critical_x"),
-    "s": (float, 0.0),
-    "samples": (int, 100),
-    "seed": (int, 0),
-    "n": (int, 32),
-    "num_times": (int, 32),
-    "lambda": (float, 0.0),  # 0 means: probe-specific default
+    "which": (str, "bilinear_critical_x", ANY),
+    "s": (float, 0.0, FINITE),
+    "samples": (int, 100, COUNT),
+    "seed": (int, 0, ANY),
+    "n": (int, 32, ANY),
+    "num_times": (int, 32, ANY),
+    "lambda": (float, 0.0, FINITE),  # 0 means: probe-specific default
 }
 
 
@@ -460,13 +468,13 @@ def _worst_closure(reports) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
 def run_bilinear_probe(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, BILINEAR_SCHEMA)
-    _require_positive(cfg, "samples")
     which = cfg["which"]
     period_scale = bilinear.default_period_scale(which, cfg["lambda"])
     rep = _validated(
         "which, n, num_times, lambda", _estimate_probe, which, cfg, period_scale
     )
-    _require_finite({rep.name: rep.ratios})
+    # the sup is NaN when no sample was kept
+    _require_finite({rep.name: np.append(rep.ratios, rep.sup)})
     worst_closure = _worst_closure([rep])
     assertions = [
         Assertion(
@@ -483,23 +491,26 @@ def run_bilinear_probe(config: dict, out_dir) -> RunResult:
 # ---------------------------------------------------------------------------
 
 LIPSCHITZ_SCHEMA = {
-    "n": (int, 256),
-    "lambda": (float, 1.0),
-    "dt": (float, 1e-3),
-    "t_end": (float, 0.5),
-    "snapshot_stride": (int, 50),
-    "seed": (int, 0),
-    "s": (float, 0.0),
-    "deltas": ("floats", (1e-1, 1e-2, 1e-3)),
-    "samples": (int, 2),
-    "perturb_min_freq": (float, 8.0),
-    "perturb_max_mode": (int, 24),
-    "cutoffs": ("ints", (20, 40, 80)),
-    "amplitude": (float, 1.0),
-    "max_mode": (int, 8),
-    "decay": (float, 2.0),
-    "trunc_decay": (float, 1.0),
-    "trunc_max_mode": (int, 0),  # 0: fill the dealiased band
+    "n": (int, 256, ANY),
+    "lambda": (float, 1.0, FINITE),
+    "dt": (float, 1e-3, POSITIVE),
+    "t_end": (float, 0.5, POSITIVE),
+    "snapshot_stride": (int, 50, COUNT),
+    "seed": (int, 0, ANY),
+    "s": (float, 0.0, FINITE),
+    "deltas": ("floats", (1e-1, 1e-2, 1e-3), FINITE),
+    "samples": (int, 2, COUNT),
+    # the pair must share its frequencies |xi| < 8 (gauge.primitive_gap)
+    "perturb_min_freq": (
+        float, 8.0, (lambda v: math.isfinite(v) and v >= 8, "finite and >= 8")
+    ),
+    "perturb_max_mode": (int, 24, ANY),
+    "cutoffs": ("ints", (20, 40, 80), ANY),
+    "amplitude": (float, 1.0, FINITE),
+    "max_mode": (int, 8, COUNT),
+    "decay": (float, 2.0, FINITE),
+    "trunc_decay": (float, 1.0, FINITE),
+    "trunc_max_mode": (int, 0, NATURAL),  # 0: fill the dealiased band
 }
 
 
@@ -516,19 +527,13 @@ def _high_frequency_direction(grid, rng, band: range) -> RealField:
     return f * (1.0 / norm)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
 def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, LIPSCHITZ_SCHEMA)
-    if not all(math.isfinite(d) for d in cfg["deltas"]):
-        raise ConfigError(f"deltas must be finite, got {cfg['deltas']}")
     deltas = tuple(d for d in cfg["deltas"] if d > 0)
     skipped_deltas = len(cfg["deltas"]) - len(deltas)  # ratio undefined at 0
     if not deltas:
         raise ConfigError("no positive perturbation sizes given")
-    if cfg["perturb_min_freq"] < 8.0:
-        raise ConfigError("perturbation must live at frequencies |xi| >= 8")
-    _require_positive(cfg, "samples", "max_mode")
-    if cfg["trunc_max_mode"] < 0:
-        raise ConfigError(f"trunc_max_mode must be >= 0, got {cfg['trunc_max_mode']}")
     grid = _validated("n, lambda", make_grid, cfg["n"], cfg["lambda"])
     sim_cfg = _validated(
         "dt, t_end, snapshot_stride", SimConfig, grid, dt=cfg["dt"],
@@ -582,7 +587,8 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
                     "sample": i,
                     "delta": float(delta),
                     "ratio_l2": sup_l2 / denom_l2,
-                    "ratio_hs": sup_hs / denom_hs,
+                    # an extreme s underflows the H^s norm to 0
+                    "ratio_hs": sup_hs / denom_hs if denom_hs > 0 else float("nan"),
                     "ratio_gauge_z": sup_z / denom_l2,
                 }
             )
@@ -634,33 +640,27 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
 # ---------------------------------------------------------------------------
 
 SCALING_SCHEMA = {
-    "n": (int, 256),
-    "lambda_base": (float, 2.0),
-    "scale": (int, 2),
-    "dt": (float, 1e-3),
-    "t_scaled": (float, 0.25),
-    "seed": (int, 0),
-    "amplitude": (float, 0.25),
-    "max_mode": (int, 6),
-    "decay": (float, 2.0),
+    "n": (int, 256, ANY),
+    "lambda_base": (float, 2.0, FINITE),
+    "scale": (int, 2, DYADIC),
+    "dt": (float, 1e-3, POSITIVE),
+    "t_scaled": (float, 0.25, POSITIVE),
+    "seed": (int, 0, ANY),
+    "amplitude": (float, 0.25, FINITE),
+    "max_mode": (int, 6, COUNT),
+    "decay": (float, 2.0, FINITE),
 }
 
 
 def run_scaling_check(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, SCALING_SCHEMA)
     lam = cfg["scale"]
-    if lam < 1 or (lam & (lam - 1)) != 0:
-        raise ConfigError("scale must be a dyadic integer >= 1")
-    # checked before the step counts below divide by dt and round
-    for key in ("dt", "t_scaled"):
-        if not (math.isfinite(cfg[key]) and cfg[key] > 0):
-            raise ConfigError(f"{key} must be positive and finite, got {cfg[key]}")
     grid = _validated("n, lambda_base", make_grid, cfg["n"], cfg["lambda_base"])
     rng = stream(cfg["seed"], "scaling")
-    u0 = _validated(
-        "max_mode", random_field, grid, rng, decay=cfg["decay"],
-        amplitude=cfg["amplitude"], max_mode=cfg["max_mode"],
-    )
+    u0 = random_field(grid, rng, decay=cfg["decay"], amplitude=cfg["amplitude"],
+                      max_mode=cfg["max_mode"])
+    # a scale the base lattice cannot take, found before any march
+    v0 = _validated("scale, lambda_base", rescale, u0, lam)
     rows = []
     norm_worst = 0.0
     for factor in (1, 2, 4):
@@ -669,7 +669,7 @@ def run_scaling_check(config: dict, out_dir) -> RunResult:
         v = rescale(u0, factor)
         got = lebesgue_norm(v, 2)
         want = math.sqrt(factor) * lebesgue_norm(u0, 2)
-        err = abs(got - want) / want
+        err = abs(got - want) / max(want, 1e-300)  # u0 = 0 at amplitude 0
         norm_worst = max(norm_worst, err)
         rows.append({"check": f"norm_scale_{factor}", "value": got,
                      "expected": want, "rel_err": err})
@@ -678,7 +678,6 @@ def run_scaling_check(config: dict, out_dir) -> RunResult:
     base_cfg = _validated("dt, t_scaled, scale", SimConfig, grid, dt=cfg["dt"],
                           t_end=lam**2 * t_scaled, snapshot_stride=steps_base)
     base_final = simulate(u0, base_cfg).states[-1]
-    v0 = rescale(u0, lam)
     steps_scaled = round(t_scaled / cfg["dt"])
     scaled_cfg = _validated("dt, t_scaled", SimConfig, v0.grid, dt=cfg["dt"],
                             t_end=t_scaled, snapshot_stride=steps_scaled)
@@ -702,15 +701,15 @@ def run_scaling_check(config: dict, out_dir) -> RunResult:
 # ---------------------------------------------------------------------------
 
 PROBE_SUITE_SCHEMA = {
-    "seed": (int, 0),
-    "samples": (int, 100),
-    "n": (int, 32),
-    "num_times": (int, 32),
-    "s": (float, 0.0),
-    "select": (str, "all"),
-    "exp_samples": (int, 40),
-    "exp_n": (int, 64),
-    "bracket_mu_max": (float, 1e4),
+    "seed": (int, 0, ANY),
+    "samples": (int, 100, COUNT),
+    "n": (int, 32, ANY),
+    "num_times": (int, 32, ANY),
+    "s": (float, 0.0, FINITE),
+    "select": (str, "all", ANY),
+    "exp_samples": (int, 40, COUNT),
+    "exp_n": (int, 64, ANY),
+    "bracket_mu_max": (float, 1e4, FINITE),
 }
 
 SUITE_PROBES = (
@@ -751,7 +750,6 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
     unknown = set(selected) - set(SUITE_PROBES)
     if unknown:
         raise ConfigError(f"unknown probes: {sorted(unknown)}")
-    _require_positive(cfg, "samples", "exp_samples")
     # validated up front: inside the probe loop a bad grid would be recorded
     # as a probe failure instead of a config error
     _validated(
@@ -759,8 +757,6 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
         bourgain.ProbeConfig(n=cfg["n"], num_times=cfg["num_times"]).window,
     )
     _validated("exp_n", make_grid, cfg["exp_n"], 1.0)
-    if not math.isfinite(cfg["bracket_mu_max"]):
-        raise ConfigError(f"bracket_mu_max must be finite, got {cfg['bracket_mu_max']}")
     failures: list = []
     reports: list[ProbeReport] = []
     for name in selected:
@@ -770,7 +766,8 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
             raise
         except Exception as exc:  # record and continue, per the suite contract
             failures.append({"probe": name, "error": str(exc)})
-    _require_finite({rep.name: rep.ratios for rep in reports})
+    # the sup is NaN when no sample was kept
+    _require_finite({rep.name: np.append(rep.ratios, rep.sup) for rep in reports})
     files: dict = {}
     summary: dict = {}
     for rep in reports:

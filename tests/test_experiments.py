@@ -8,9 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bogl import experiments
 from bogl.bilinear import PROBE_NAMES
 from bogl.cli import main
 from bogl.experiments import (
+    ANY,
+    FINITE,
+    POSITIVE,
     ConfigError,
     parse_config_file,
     resolve_config,
@@ -74,12 +78,18 @@ def test_config_parsing(tmp_path):
 
 
 def test_resolve_config_rejects_unknown():
-    schema = {"n": (int, 4), "x": (float, 1.0)}
-    assert resolve_config({"n": "8"}, schema) == {"n": 8, "x": 1.0}
+    schema = {"n": (int, 4, ANY), "x": (float, 1.0, POSITIVE),
+              "d": ("floats", (1.0, 2.0), FINITE)}
+    assert resolve_config({"n": "8"}, schema) == {"n": 8, "x": 1.0, "d": (1.0, 2.0)}
     with pytest.raises(ConfigError):
         resolve_config({"bogus": "1"}, schema)
     with pytest.raises(ConfigError):
         resolve_config({"n": "not-an-int"}, schema)
+    # a value outside its key's domain, and one element of a list
+    with pytest.raises(ConfigError, match="x must be finite and > 0, got -1.0"):
+        resolve_config({"x": "-1"}, schema)
+    with pytest.raises(ConfigError, match="d must be finite, got nan"):
+        resolve_config({"d": "1, nan"}, schema)
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +210,15 @@ def test_run_scaling_check(tmp_path):
         {"n": "128", "t_scaled": "0.05", "lambda_base": "2"}, tmp_path / "sc"
     )
     assert res.passed
+    # a zero datum, from amplitude 0 or from a decay that underflows every
+    # mode, has zero norms: the rows are zeros and not a division by zero
+    for i, body in enumerate(({"amplitude": "0"}, {"decay": "1e308"})):
+        res = run_scaling_check({"n": "64", "t_scaled": "0.05", **body},
+                                tmp_path / f"zero{i}")
+        assert res.passed
+        rows = (res.out_dir / "scaling.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(float(v) == 0.0 for row in rows for v in row.split(",")[1:])
 
 
 def test_run_lipschitz_small(tmp_path):
@@ -342,11 +361,13 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             "init = wave\nlambda = 2\n", "init = wave\nrho = 1.5\n",
             "max_mode = 0\n", "max_mode = -3\n")] + infinite,
         "scaling-check": ["n = 64\nmax_mode = 0\n", "n = 64\ndt = 0.3\n",
-                          "n = 64\ndt = 0\n", "n = 64\nt_scaled = nan\n"],
+                          "n = 64\ndt = 0\n", "n = 64\nt_scaled = nan\n",
+                          # beyond lambda_base: found before the base march
+                          "n = 64\nscale = 4\n"],
         "lipschitz-pairs": [quick + body for body in (
             "samples = 1\nmax_mode = 0\n", "samples = 1\ntrunc_max_mode = -2\n",
             "samples = 1\nperturb_max_mode = 4\n", "samples = 0\n",
-            "samples = 1\ndeltas = inf\n")]
+            "samples = 1\ndeltas = inf\n", "samples = 1\ns = nan\n")]
         + ["samples = 1\n" + body for body in infinite],
         "norm-sweep": ["samples = 0\n", "n = 100\n"],
         "bilinear-probe": ["samples = 0\n", "n = 100\n", "which = nope\n"],
@@ -396,13 +417,16 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # --assert, and no output directory is made
     huge_s = tmp_path / "huge_s.cfg"
     huge_s.write_text("s = 1000\nselect = bilinear_periodic\nsamples = 3\n")
-    # the same for a NaN sup of bilinear-probe, NaN norms of norm-sweep and
-    # NaN H^s ratios of lipschitz-pairs, which make no output directory;
-    # numpy warns of none of the overflows
+    # the same for a NaN sup of bilinear-probe, also one with no kept sample,
+    # NaN norms of norm-sweep and NaN H^s ratios of lipschitz-pairs, whose
+    # H^s norms overflow at s = 1000 and underflow to 0 at s = -1000; numpy
+    # warns of none of the overflows
     huge_ns = tmp_path / "huge_ns.cfg"
     huge_ns.write_text("s = 1000\nsamples = 3\n")
-    nan_s = tmp_path / "nan_s.cfg"
-    nan_s.write_text(quick + "samples = 1\ns = nan\n")
+    extreme_s = []
+    for s in ("1000", "-1000"):
+        extreme_s.append(tmp_path / f"lip_s{s}.cfg")
+        extreme_s[-1].write_text(quick + f"samples = 1\ns = {s}\n")
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -411,22 +435,94 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             assert main(["probe-suite", "--config", str(huge_s), "--out", str(ps)]
                         + extra) == 3
             assert not ps.exists()
-            bp = tmp_path / f"bn{i}"
-            assert main(["bilinear-probe", "--which", "bilinear_periodic", "--s", "1000",
-                         "--samples", "3", "--out", str(bp)] + extra) == 3
-            assert not bp.exists()
+            for which, s in (("bilinear_periodic", "1000"),
+                             ("bilinear_critical_x", "-1000")):
+                bp = tmp_path / f"bn{i}"
+                assert main(["bilinear-probe", "--which", which, "--s", s,
+                             "--samples", "3", "--out", str(bp)] + extra) == 3
+                assert not bp.exists()
             ns = tmp_path / f"nn{i}"
             assert main(["norm-sweep", "--config", str(huge_ns), "--out", str(ns)]
                         + extra) == 3
             assert not ns.exists()
-            lip = tmp_path / f"ln{i}"
-            assert main(["lipschitz-pairs", "--config", str(nan_s), "--out", str(lip)]
-                        + extra) == 3
-            assert not lip.exists()
+            for lip_cfg in extreme_s:
+                lip = tmp_path / f"ln{i}"
+                assert main(["lipschitz-pairs", "--config", str(lip_cfg), "--out",
+                             str(lip)] + extra) == 3
+                assert not lip.exists()
     err = capsys.readouterr().err
     assert err.count("bilinear_periodic") == 4
+    assert err.count("bilinear_critical_x") == 2
     assert err.count("x_norm") == 2
-    assert err.count("ratio_hs") == 2
+    assert err.count("ratio_hs") == 4
+
+
+# each config schema's command, with a base config that runs in milliseconds
+_CONTRACT_BASES = {
+    "simulate": ("SIMULATE_SCHEMA", {
+        "n": "16", "dt": "0.01", "t_end": "0.02", "snapshot_stride": "1",
+        "max_mode": "4"}),
+    "norm-sweep": ("NORM_SWEEP_SCHEMA", {"n": "16", "num_times": "16",
+                                         "samples": "1"}),
+    "bilinear-probe": ("BILINEAR_SCHEMA", {"n": "16", "num_times": "16",
+                                           "samples": "1"}),
+    "lipschitz-pairs": ("LIPSCHITZ_SCHEMA", {
+        "n": "32", "dt": "0.01", "t_end": "0.02", "snapshot_stride": "1",
+        "samples": "1", "deltas": "1e-2", "cutoffs": "4", "max_mode": "4",
+        "perturb_max_mode": "15"}),
+    "scaling-check": ("SCALING_SCHEMA", {"n": "16", "dt": "0.01",
+                                         "t_scaled": "0.01", "max_mode": "4"}),
+    "probe-suite": ("PROBE_SUITE_SCHEMA", {
+        "n": "16", "num_times": "16", "samples": "1", "exp_samples": "1",
+        "exp_n": "16"}),
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON")
+
+
+def test_cli_contract_from_schemas(tmp_path):
+    # every default lies in its domain; every numeric key, set to a boundary
+    # or non-finite value, exits 2 or 3 with no directory, or exits 0 or 4
+    # with finite data and strict JSON, never with a traceback
+    schemas = {name for name in dir(experiments) if name.endswith("_SCHEMA")}
+    assert schemas == {schema for schema, _ in _CONTRACT_BASES.values()}
+    floats = ("nan", "inf", "-inf", "0", "-1")
+    values = {float: floats, "floats": floats, int: ("0", "-1"), "ints": ("0", "-1"),
+              str: ()}
+    runs = 0
+    for cmd, (schema_name, base) in _CONTRACT_BASES.items():
+        schema = getattr(experiments, schema_name)
+        resolve_config({}, schema)
+        for key, (kind, _, _) in schema.items():
+            for value in values[kind]:
+                cfg = tmp_path / f"{cmd}_{key}_{value}.cfg"
+                cfg.write_text("".join(
+                    f"{k} = {v}\n" for k, v in {**base, key: value}.items()))
+                for extra in ([], ["--assert"]):
+                    runs += 1
+                    out = tmp_path / f"run{runs}"
+                    label = f"{cmd} {key} = {value} {extra}"
+                    try:
+                        code = main([cmd, "--config", str(cfg), "--out", str(out)]
+                                    + extra)
+                    except Exception as exc:
+                        raise AssertionError(f"{label}: exit 1") from exc
+                    if code in (2, 3):
+                        assert not out.exists(), label
+                        continue
+                    assert code in (0, 4), label
+                    for path in out.glob("*.json"):
+                        json.loads(path.read_text(), parse_constant=_reject_constant)
+                    for path in out.glob("*.csv"):
+                        for row in path.read_text().splitlines()[1:]:
+                            for cell in row.split(","):
+                                try:
+                                    number = float(cell)
+                                except ValueError:  # a label column
+                                    continue
+                                assert np.isfinite(number), (label, path.name, row)
 
 
 def test_cli_late_numeric_failure_leaves_no_directory(sim_run, tmp_path,

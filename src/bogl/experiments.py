@@ -581,15 +581,17 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
                 lebesgue_norm(gauge.gauge_w(a) - gauge.gauge_w(b), 2)
                 for a, b in zip(traj1.states, traj2.states)
             )
-            ratios.append(sup_l2 / denom_l2)
+            # a subnormal delta underflows the L2 norm, an extreme s the H^s
+            # norm, to 0: the ratio is NaN and _require_finite exits 3
+            ratio_l2 = sup_l2 / denom_l2 if denom_l2 > 0 else np.nan
+            ratios.append(ratio_l2)
             rows.append(
                 {
                     "sample": i,
                     "delta": float(delta),
-                    "ratio_l2": sup_l2 / denom_l2,
-                    # an extreme s underflows the H^s norm to 0
-                    "ratio_hs": sup_hs / denom_hs if denom_hs > 0 else float("nan"),
-                    "ratio_gauge_z": sup_z / denom_l2,
+                    "ratio_l2": ratio_l2,
+                    "ratio_hs": sup_hs / denom_hs if denom_hs > 0 else np.nan,
+                    "ratio_gauge_z": sup_z / denom_l2 if denom_l2 > 0 else np.nan,
                 }
             )
         spreads.append((max(ratios) - min(ratios)) / min(ratios))

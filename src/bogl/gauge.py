@@ -33,6 +33,7 @@ time slices; _gauge_exponential is the one-field entry point.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -194,6 +195,26 @@ class GaugeResidualReport:
         ]
 
 
+def _residual_terms(v: RealField, oversample: int):
+    """(w, bil, P0(u^2)) of one snapshot for gauge_residual: w = d/dx
+    P_+(e^{-iF/2}) and bil = d/dx P_+(P_+e^{-iF/2} P_-u_x), both cut to the
+    coarse band."""
+    grid = v.grid
+    em_plus = _gauge_exponential(v, oversample) * _fine_mask(grid, oversample, "plus")
+    w = _truncate(_fdx(em_plus, _fine_xi(grid, oversample)), grid)
+    # the coarse lattice is the fine lattice of factor 1
+    ux_minus = derivative(v).coefficients * _fine_mask(grid, 1, "minus")
+    # bil keeps 0 < k < n/2 of P_+e^{-iF/2} P_-u_x.  With P_-u_x on
+    # [-n/2, 0), only e^{-iF/2}'s modes 1..n-1 reach that band; they are
+    # the first n fine coefficients (at oversample 1 P_+ has zeroed those
+    # past n/2), stored at index j mod n.  The true product then carries
+    # [1 - n/2, n - 2], and every alias k +- n of a kept k lies outside
+    # it: the product is exact on n points.
+    prod = _analyze(_samples(em_plus[: grid.n]) * _samples(ux_minus))
+    bil = _fdx(prod * _fine_mask(grid, 1, "plus"), grid.xi)
+    return w, bil, float(np.mean(np.asarray(v.samples) ** 2))
+
+
 def gauge_residual(
     traj: Trajectory,
     oversample: int = 4,
@@ -204,6 +225,11 @@ def gauge_residual(
     w_t is a centered difference of stored snapshots, so the residual is a
     genuine test of the evolution identity, dominated by the O(dt_snap^2)
     differencing error.  include_mean_term=False ablates (i/4) P0(F_x^2) w.
+
+    The snapshots stream through a window of three: each holds its w, its
+    bilinear term and P0(u^2), and the residual of the middle one is formed
+    as soon as the next is in, so memory does not grow with the snapshot
+    count.
     """
     if len(traj.states) < 3:
         raise ValueError("need at least 3 snapshots for a centered difference")
@@ -214,37 +240,21 @@ def gauge_residual(
     for v in traj.states:
         if abs(v.mean.real) > 1e-10:
             raise ValueError("gauge residual needs mean-zero states")
-    xi = _fine_xi(grid, oversample)
-    plus = _fine_mask(grid, oversample, "plus")
-    # the coarse lattice is the fine lattice of factor 1
-    plus_n, minus_n = _fine_mask(grid, 1, "plus"), _fine_mask(grid, 1, "minus")
-    ws, rhss, mean_terms = [], [], []
-    for v in traj.states:
-        em_plus = _gauge_exponential(v, oversample) * plus
-        w = _truncate(_fdx(em_plus, xi), grid)
-        ux_minus = derivative(v).coefficients * minus_n
-        # bil keeps 0 < k < n/2 of P_+e^{-iF/2} P_-u_x.  With P_-u_x on
-        # [-n/2, 0), only e^{-iF/2}'s modes 1..n-1 reach that band; they are
-        # the first n fine coefficients (at oversample 1 P_+ has zeroed those
-        # past n/2), stored at index j mod n.  The true product then carries
-        # [1 - n/2, n - 2], and every alias k +- n of a kept k lies outside
-        # it: the product is exact on n points.
-        prod = _analyze(_samples(em_plus[: grid.n]) * _samples(ux_minus))
-        bil = _fdx(prod * plus_n, grid.xi)
-        p0 = float(np.mean(np.asarray(v.samples) ** 2))
-        mean_term = 0.25j * p0 * w
-        ws.append(w)
-        rhss.append(-bil + (mean_term if include_mean_term else 0.0))
-        mean_terms.append(mean_term)
     dt = float(dts[0])
+    window = deque(maxlen=3)
     times, residuals, magnitudes = [], [], []
-    for k in range(1, len(ws) - 1):
-        wt = (ws[k + 1] - ws[k - 1]) / (2.0 * dt)
-        lhs = wt - 1j * (1j * grid.xi) ** 2 * ws[k]  # w_t - i w_xx
-        res = ComplexField(grid, lhs - rhss[k])
-        times.append(float(traj.times[k]))
-        residuals.append(lebesgue_norm(res, 2))
-        magnitudes.append(lebesgue_norm(ComplexField(grid, mean_terms[k]), 2))
+    for k, v in enumerate(traj.states):
+        window.append(_residual_terms(v, oversample))
+        if len(window) < 3:
+            continue
+        (w_prev, _, _), (w, bil, p0), (w_next, _, _) = window
+        mean_term = 0.25j * p0 * w
+        rhs = -bil + (mean_term if include_mean_term else 0.0)
+        wt = (w_next - w_prev) / (2.0 * dt)
+        lhs = wt - 1j * (1j * grid.xi) ** 2 * w  # w_t - i w_xx
+        times.append(float(traj.times[k - 1]))
+        residuals.append(lebesgue_norm(ComplexField(grid, lhs - rhs), 2))
+        magnitudes.append(lebesgue_norm(ComplexField(grid, mean_term), 2))
     return GaugeResidualReport(
         np.array(times), np.array(residuals), np.array(magnitudes)
     )
@@ -283,6 +293,10 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
         [-nf/2, nf/2) (at oversample 1 a wrapped index would alias).
       - T2 = P_{+hi}e^{+iF/2} P_lo(...) is one shifted add per low mode m;
         a shift that carries a mode past nf/2 lands on P_{+hi}'s zeros.
+
+    Each nf-point array is released after its last use, so at most five are
+    alive at once.  Every product keeps the operand order of the formulas
+    above: with fused multiply-adds, a*b and b*a can round differently.
     """
     grid = u.grid
     nf = grid.n * oversample
@@ -290,22 +304,32 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
     mask = partial(_fine_mask, grid, oversample)
     em_samples = _fine_exponential_samples(u.coefficients, grid, oversample)
     em = _analyze(em_samples)
-    ep = _mirror(em)  # e^{+iF/2} is the conjugate of e^{-iF/2}
-    ufine = _embed(u.coefficients, oversample)
-    w_hi = _fdx(em * mask("plus_hi"), xi)
-    # T1 + T3, summed on the nf samples
-    prod = np.conj(em_samples) * _samples(2j * w_hi)
-    prod += _samples(ep * mask("plus_HI")) * _samples(2j * _fdx(em * mask("minus_hi"), xi))
     # the low band: inner_lo[m] = eta(xi_m) sum_k em[m - k] u[k]
     lo = np.flatnonzero(mask("lo"))
     lo_modes = np.where(lo < nf // 2, lo, lo - nf)
     j = lo_modes[:, None] - grid.k[None, :]
     em_j = np.where((j >= -nf // 2) & (j < nf // 2), em[j % nf], 0.0)
     inner_lo = (em_j @ u.coefficients) * mask("lo")[lo]
+    del em_j
+    # T1 + T3, summed on the nf samples
+    t1 = _samples(2j * _fdx(em * mask("plus_hi"), xi))  # 2i w_hi
+    prod = np.conj(em_samples) * t1
+    del em_samples, t1
+    t3 = _samples(2j * _fdx(em * mask("minus_hi"), xi))
+    ep = _mirror(em)  # e^{+iF/2} is the conjugate of e^{-iF/2}
+    del em
+    prod += _samples(ep * mask("plus_HI")) * t3
+    del t3
     ep_hi = ep * mask("plus_hi")
+    del ep
     t2 = sum(c * np.roll(ep_hi, m) for m, c in zip(lo_modes, inner_lo))
-    rhs_fine = mask("plus_HI") * (_analyze(prod) + t2)
-    lhs_fine = ufine * mask("plus_HI")
+    del ep_hi
+    rhs_fine = _analyze(prod)
+    del prod
+    rhs_fine += t2
+    del t2
+    rhs_fine = mask("plus_HI") * rhs_fine
+    lhs_fine = _embed(u.coefficients, oversample) * mask("plus_HI")
 
     gap = float(np.sqrt(grid.length * np.sum(np.abs(rhs_fine - lhs_fine) ** 2)))
     lhs_norm = float(np.sqrt(grid.length * np.sum(np.abs(lhs_fine) ** 2)))

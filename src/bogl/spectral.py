@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -112,8 +112,12 @@ class SpatialGrid:
         return hash((self.n, self.period_scale))
 
 
+@lru_cache(maxsize=64)
 def make_grid(n: int, period_scale: float = 1.0) -> SpatialGrid:
-    """Build the periodic grid; rejects non-power-of-two n and period_scale < 1."""
+    """Build the periodic grid; rejects non-power-of-two n and period_scale < 1.
+
+    Equal arguments give the same grid object, so fields built apart (one per
+    snapshot file, say) share its cached k, xi and x arrays."""
     return SpatialGrid(n, float(period_scale))
 
 

@@ -430,10 +430,32 @@ def _symbolic_oracle(mu: float):
     return float(sum(sp.integrate(sp.apart(f, y), lim) for f, lim in segments))
 
 
+def _closed_form_oracle(mu: float) -> float:
+    """The a- = a+ = 1 integral for mu >= 0, from the partial fractions of the
+    three segments: 2/3 at mu = 0, and otherwise 2 I1 + I2 with S = 2 + mu,
+    I1 = (1 + 1/(1+mu))/mu^2 - 2 ln(1+mu)/mu^3 and
+    I2 = (2 (1 - 1/(1+mu)) + 4 ln(1+mu)/S)/S^2, in 60-digit arithmetic."""
+    import mpmath as mp
+
+    if mu == 0:
+        return 2.0 / 3.0
+    with mp.workdps(60):
+        m = mp.mpf(mu)
+        s, log = 2 + m, mp.log1p(m)
+        i1 = (1 + 1 / (1 + m)) / m**2 - 2 * log / m**3
+        i2 = (2 * (1 - 1 / (1 + m)) + 4 * log / s) / s**2
+        return float(2 * i1 + i2)
+
+
+def test_closed_form_oracle_vs_symbolic():
+    # sympy's exact integral certifies the closed form once, at a rational mu
+    assert _closed_form_oracle(3.0) == pytest.approx(_symbolic_oracle(3.0), rel=1e-15, abs=0)
+
+
 @pytest.mark.parametrize("mu", [0.0, 3.0, 57.0])
 def test_bracket_quadrature_vs_symbolic_oracle(mu):
     adaptive = bracket_convolution_integral(1.0, 1.0, mu)
-    exact = _symbolic_oracle(mu)
+    exact = _closed_form_oracle(mu)
     assert adaptive == pytest.approx(exact, abs=1e-10)
 
 
@@ -442,7 +464,7 @@ def test_bracket_quadrature_vs_symbolic_oracle(mu):
 @pytest.mark.parametrize("mu", [1e4, 1e8, 1e12])
 def test_bracket_rule_vs_exact_value(mu):
     assert bracket_convolution_integral(1.0, 1.0, mu) == pytest.approx(
-        _symbolic_oracle(mu), rel=1e-13, abs=0
+        _closed_form_oracle(mu), rel=1e-13, abs=0
     )
 
 

@@ -1,5 +1,6 @@
 """Integrator order, conservation and invariances of the evolution."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +96,31 @@ class ComplexStepperOracle:
 
 def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("period_scale", [1.0, 2.0])
+@pytest.mark.parametrize("n", [64, 256, 16384])
+def test_stepper_coefficients_match_one_shot_contour(n, period_scale):
+    # the stepper forms the contour average in blocks of modes, the oracle on
+    # its whole (n x 32) array; on the modes both hold (k < n/2) they agree
+    # bit for bit, which a partition into blocks of another size can break
+    g = make_grid(n, period_scale)
+    stepper, oracle = ETDRK4Stepper(g, 5e-4), ComplexStepperOracle(g, 5e-4)
+    for name in ("q", "f1", "f2", "f3"):
+        got, expected = getattr(stepper, name), getattr(oracle, name)
+        assert np.array_equal(got[: n // 2], expected[: n // 2]), name
+
+
+def test_stepper_setup_memory_is_linear_in_n():
+    # the whole (n/2+1) x 32 contour at once peaks near 80 MB here
+    g = make_grid(2**16, 1.0)
+    tracemalloc.start()
+    try:
+        ETDRK4Stepper(g, 5e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 @pytest.mark.parametrize("n", [64, 256, 4096])

@@ -455,6 +455,19 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert err.count("bilinear_critical_x") == 2
     assert err.count("x_norm") == 2
     assert err.count("ratio_hs") == 4
+    # a subnormal delta underflows the L2 norm of the perturbation to 0: the
+    # ratios over it are NaN (exit 3), not a ZeroDivisionError (exit 1)
+    tiny = tmp_path / "lip_tiny.cfg"
+    tiny.write_text(quick + "samples = 1\ndeltas = 1e-320\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, extra in enumerate(([], ["--assert"])):
+            lip = tmp_path / f"lt{i}"
+            assert main(["lipschitz-pairs", "--config", str(tiny), "--out",
+                         str(lip)] + extra) == 3
+            assert not lip.exists()
+            err = capsys.readouterr().err
+            assert "ratio_l2" in err and "ratio_gauge_z" in err
 
 
 # each config schema's command, with a base config that runs in milliseconds

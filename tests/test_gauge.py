@@ -1,11 +1,13 @@
 """Gauge transform: primitive, W/w, evolution residual, reconstruction,
 Lipschitz gap and the exponential multiplication bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bogl import gauge
-from bogl.dynamics import SimConfig, simulate
+from bogl.dynamics import SimConfig, Trajectory, simulate
 from bogl.gauge import (
     exp_multiplication_probe,
     gauge_residual,
@@ -130,6 +132,46 @@ def test_gauge_residual_needs_three_snapshots(grid):
     traj = simulate(u0, cfg)  # two snapshots only
     with pytest.raises(ValueError):
         gauge_residual(traj)
+
+
+def _dyadic_trajectory(n, steps, seed):
+    # snapshots at multiples of 2^-10, so every window has the same spacing
+    # to the last bit
+    g = make_grid(n, 1.0)
+    u0 = random_field(g, np.random.default_rng(seed), decay=1.0, amplitude=0.9)
+    dt = 2.0**-10
+    return simulate(u0, SimConfig(g, dt=dt, t_end=steps * dt, snapshot_stride=1))
+
+
+@pytest.mark.parametrize("include_mean_term", [True, False])
+def test_gauge_residual_is_local(include_mean_term):
+    # each interior residual is that of its own three-snapshot window
+    traj = _dyadic_trajectory(64, 6, 11)
+    rep = gauge_residual(traj, include_mean_term=include_mean_term)
+    assert len(rep.residuals) == len(traj.states) - 2
+    for k in range(1, len(traj.states) - 1):
+        window = Trajectory(traj.times[k - 1 : k + 2], traj.states[k - 1 : k + 2])
+        one = gauge_residual(window, include_mean_term=include_mean_term)
+        assert one.times[0] == rep.times[k - 1] == traj.times[k]
+        assert one.residuals[0] == rep.residuals[k - 1]
+        assert one.mean_term_magnitudes[0] == rep.mean_term_magnitudes[k - 1]
+
+
+def test_gauge_residual_memory_does_not_grow_with_snapshots():
+    traj = _dyadic_trajectory(1024, 20, 5)
+    peaks = []
+    for count in (5, 21):
+        part = Trajectory(traj.times[:count], traj.states[:count])
+        gauge_residual(part)  # fills the mask and sample caches
+        tracemalloc.start()
+        try:
+            gauge_residual(part)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # less than one more coarse complex array (keeping every snapshot's
+    # three arrays grows the peak by about 50 of them)
+    assert peaks[1] - peaks[0] < 1024 * 16
 
 
 def test_gauge_residual_refinement_and_ablation(grid):

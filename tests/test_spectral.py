@@ -30,6 +30,8 @@ def test_make_grid_basic():
 
     g2 = make_grid(8, 2.0)
     assert sorted(g2.xi) == pytest.approx([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+    # equal arguments give one grid object, so its cached arrays are shared
+    assert make_grid(8, 2) is g2 and make_grid(8, 2.0).xi is g2.xi
 
     g3 = make_grid(256, 1.0)
     assert g3.n == 256 and g3.length == pytest.approx(2 * np.pi)

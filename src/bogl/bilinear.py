@@ -613,13 +613,14 @@ def _probe_bilinear_weighted(name, cfg, win, env, periodic) -> ProbeReport:
 
 
 def _exp_lowband_operator(u: SpaceTimeField) -> np.ndarray:
-    """dx P_+(P_lo e^{-iF/2} P_- dx u) on each time slice of u, F the primitive
-    of the slice: the (M, n) array of spatial coefficients, formed in one pass
-    over all slices.  Each row is stored, checked and rounded as a RealField,
-    _gauge_exponential and pointwise_product of that slice alone would give it."""
+    """dx P_+(P_lo e^{-iF/2} P_- dx u) on each time slice of the real field u,
+    F the primitive of the slice: the (M, n) array of spatial coefficients,
+    formed in one pass over all slices.  Each row is stored, checked and
+    rounded as a RealField, _gauge_exponential and pointwise_product of that
+    slice alone would give it."""
     grid = u.grid.spatial
     xi = grid.xi
-    coeff = _real_coefficients(np.fft.fft(u.samples.real, axis=-1) / grid.n)
+    coeff = _real_coefficients(u.slices())
     e_lo = _truncate(_fine_exponential(coeff, grid, 4), grid) * projection_symbol("lo", xi)
     ux_m = coeff * (projection_symbol("minus", xi) * (1j * xi))
     prod = _band_product(
@@ -644,9 +645,7 @@ def _probe_exp_lowband(name, cfg, win, env) -> ProbeReport:
         if l4 == 0:
             rep.skip()
             continue
-        op = SpaceTimeField.from_raw_samples(
-            win, np.fft.ifft(_exp_lowband_operator(u), axis=1) * win.spatial.n
-        )
+        op = SpaceTimeField.from_slices(win, _exp_lowband_operator(u))
         lhs = z_tilde_norm(op, s, -1.0) + x_norm(op, s, -0.5)
         rep.add(sample=i, lhs=lhs, rhs=l4**2, ratio=lhs / l4**2)
     return rep

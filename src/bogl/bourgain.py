@@ -1,7 +1,9 @@
 """Space-time fields on a windowed slab and the dispersive-weighted norms.
 
-A SpaceTimeField carries samples u(x_j, t_m) on spatial grid x window grid
-and their 2-D coefficients c(xi, tau) with u = sum c e^{i(xi x + tau t)}.
+A SpaceTimeField stores coefficients c(tau, xi), axis 0 time, with
+u = sum c e^{i(xi x + tau t)}.  samples/from_raw_samples reach the values
+u(x_j, t_m); slices()/from_slices, the one t-only pair, reach the spatial
+coefficients of each time slice (both through spectral._samples/_analyze).
 The modulation variable is sigma = tau + |xi| xi, so the free evolution
 populates the sigma = 0 line.  Weights use the bracket <v> = 1 + |v| (the
 Sobolev operations in spectral.py use the Bessel bracket instead; both
@@ -14,8 +16,8 @@ Norms, with L_x = 2 pi lambda, L_t = t_span, dtau = 2 pi / t_span:
     Ztilde:   ||P_lo .||_Z + ( sum_N ||P_N .||_Z^2 )^{1/2}   (spatial shells)
     Y^s    =  X^{s,1/2} + Ztilde^{s,0}
 
-The time localization to [0, T] multiplies samples by the scaled cutoff
-window (plateau on the central half of [0, T]), the canonical extension
+The time localization to [0, T] multiplies each time slice by the scaled
+cutoff window (plateau on the central half of [0, T]), the canonical extension
 realizing the localized norms.
 """
 
@@ -32,7 +34,9 @@ from .spectral import (
     ComplexField,
     Field,
     SpatialGrid,
+    _analyze,
     _lp_sum,
+    _samples,
     make_grid,
     random_field,
     sobolev_norm,
@@ -110,7 +114,7 @@ class SpaceTimeGrid:
 
 
 class SpaceTimeField:
-    """Windowed (x,t) data with its (xi,tau) transform; axis 0 is time."""
+    """(tau, xi) coefficients of (x, t) data on a window grid; axis 0 is time."""
 
     def __init__(self, grid: SpaceTimeGrid, coefficients: np.ndarray):
         coefficients = np.asarray(coefficients, dtype=np.complex128).copy()
@@ -122,15 +126,14 @@ class SpaceTimeField:
         self._coeff = coefficients
 
     @classmethod
-    def from_windowed_samples(cls, grid: SpaceTimeGrid, samples) -> "SpaceTimeField":
-        samples = np.asarray(samples, dtype=np.complex128)
-        return cls.from_raw_samples(grid, samples * grid.window[:, None])
+    def from_raw_samples(cls, grid: SpaceTimeGrid, samples) -> "SpaceTimeField":
+        """The field with these (t, x) samples."""
+        return cls(grid, _analyze(np.asarray(samples, dtype=np.complex128)))
 
     @classmethod
-    def from_raw_samples(cls, grid: SpaceTimeGrid, samples) -> "SpaceTimeField":
-        samples = np.asarray(samples, dtype=np.complex128)
-        coeff = np.fft.fft2(samples) / (grid.num_times * grid.spatial.n)
-        return cls(grid, coeff)
+    def from_slices(cls, grid: SpaceTimeGrid, slices) -> "SpaceTimeField":
+        """The field whose spatial coefficients at times[m] are slices[m]."""
+        return cls(grid, _analyze(np.asarray(slices, dtype=np.complex128), axes=(0,)))
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -138,7 +141,11 @@ class SpaceTimeField:
 
     @property
     def samples(self) -> np.ndarray:
-        return np.fft.ifft2(self._coeff) * (self.grid.num_times * self.grid.spatial.n)
+        return _samples(self._coeff)
+
+    def slices(self) -> np.ndarray:
+        """The spatial coefficients of each time slice: row m is at times[m]."""
+        return _samples(self._coeff, axes=(0,))
 
     def spatial_mask(self, mask: np.ndarray) -> "SpaceTimeField":
         return SpaceTimeField(self.grid, self._coeff * mask[None, :])
@@ -153,13 +160,6 @@ class SpaceTimeField:
         return SpaceTimeField(self.grid, self._coeff * scalar)
 
     __rmul__ = __mul__
-
-    def time_slice(self, index: int) -> np.ndarray:
-        """Spatial coefficients of the synthesized field at time index."""
-        return np.sum(
-            self._coeff * np.exp(1j * self.grid.tau * self.grid.times[index])[:, None],
-            axis=0,
-        )
 
 
 def x_norm(f: SpaceTimeField, s: float, b: float) -> float:
@@ -204,7 +204,7 @@ def localize(f: SpaceTimeField, t_loc: float) -> SpaceTimeField:
     if not (0 < t_loc <= f.grid.t_span):
         raise ValueError("localization time must lie in (0, t_span]")
     w = _cutoff(f.grid.times, t_loc)
-    return SpaceTimeField.from_raw_samples(f.grid, f.samples * w[:, None])
+    return SpaceTimeField.from_slices(f.grid, f.slices() * w[:, None])
 
 
 def free_evolution_field(f: Field, win: SpaceTimeGrid) -> SpaceTimeField:
@@ -212,8 +212,7 @@ def free_evolution_field(f: Field, win: SpaceTimeGrid) -> SpaceTimeField:
     xi = win.spatial.xi
     omega = np.abs(xi) * xi
     phases = np.exp(-1j * np.outer(win.times, omega))
-    samples = np.fft.ifft(phases * f.coefficients[None, :], axis=1) * win.spatial.n
-    return SpaceTimeField.from_windowed_samples(win, samples)
+    return SpaceTimeField.from_slices(win, phases * f.coefficients * win.window[:, None])
 
 
 def duhamel_field(g: SpaceTimeField, win: SpaceTimeGrid) -> SpaceTimeField:
@@ -237,8 +236,7 @@ def duhamel_field(g: SpaceTimeField, win: SpaceTimeGrid) -> SpaceTimeField:
     # sum over tau bins: coefficient c(xi,tau) times envelope, then mode phases
     hat_t = np.sum(g.coefficients[None, :, :] * env, axis=1)  # (time, xi)
     hat_t *= np.exp(-1j * np.outer(win.times, omega))
-    samples = np.fft.ifft(hat_t, axis=1) * win.spatial.n
-    return SpaceTimeField.from_windowed_samples(win, samples)
+    return SpaceTimeField.from_slices(win, hat_t * win.window[:, None])
 
 
 def random_spacetime_field(
@@ -400,8 +398,9 @@ def linear_probes(cfg: ProbeConfig) -> list[ProbeReport]:
 
         z0 = z_norm(u, cfg.s, 0.0)
         if z0 > 0:
+            slices = u.slices()
             sup_h = max(
-                sobolev_norm(ComplexField(win.spatial, u.time_slice(m)), cfg.s)
+                sobolev_norm(ComplexField(win.spatial, slices[m]), cfg.s)
                 for m in range(0, win.num_times, max(1, win.num_times // 16))
             )
             embedding.add(sample=i, sup_hs=sup_h, z=z0, ratio=sup_h / z0)

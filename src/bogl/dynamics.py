@@ -37,6 +37,7 @@ import numpy as np
 from .spectral import (
     RealField,
     SpatialGrid,
+    _analyze,
     fractional,
     hilbert,
     derivative,
@@ -236,8 +237,7 @@ def nonlinearity(u: RealField) -> RealField:
     """u * u_x dealiased by the 2/3 rule (the right-hand side of the evolution)."""
     grid = u.grid
     ux = derivative(u)
-    prod = np.asarray(u.samples) * np.asarray(ux.samples)
-    coeff = np.fft.fft(prod) / grid.n
+    coeff = _analyze(np.asarray(u.samples) * np.asarray(ux.samples))
     coeff[~_dealias_mask(grid.k, grid.n)] = 0.0
     return RealField(grid, coeff)
 

@@ -562,25 +562,22 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
         )
         direction = _high_frequency_direction(grid, rng, band)
         traj1 = simulate(phi1, sim_cfg)
+        w1 = [gauge.gauge_w(a) for a in traj1.states]
         ratios = []
         for delta in deltas:
             phi2 = phi1 + float(delta) * direction
             gauge.primitive_gap(phi1, phi2, require_same_low=True)
             traj2 = simulate(phi2, sim_cfg)
-            denom_l2 = lebesgue_norm(phi1 - phi2, 2)
-            denom_hs = sobolev_norm(phi1 - phi2, cfg["s"])
-            sup_l2 = max(
-                lebesgue_norm(a - b, 2)
-                for a, b in zip(traj1.states, traj2.states)
-            )
-            sup_hs = max(
-                sobolev_norm(a - b, cfg["s"])
-                for a, b in zip(traj1.states, traj2.states)
-            )
-            sup_z = max(
-                lebesgue_norm(gauge.gauge_w(a) - gauge.gauge_w(b), 2)
-                for a, b in zip(traj1.states, traj2.states)
-            )
+            gap = phi1 - phi2
+            denom_l2 = lebesgue_norm(gap, 2)
+            denom_hs = sobolev_norm(gap, cfg["s"])
+            gaps_l2, gaps_hs, gaps_z = [], [], []
+            for a, b, wa in zip(traj1.states, traj2.states, w1):
+                d = a - b
+                gaps_l2.append(lebesgue_norm(d, 2))
+                gaps_hs.append(sobolev_norm(d, cfg["s"]))
+                gaps_z.append(lebesgue_norm(wa - gauge.gauge_w(b), 2))
+            sup_l2, sup_hs, sup_z = max(gaps_l2), max(gaps_hs), max(gaps_z)
             # a subnormal delta underflows the L2 norm, an extreme s the H^s
             # norm, to 0: the ratio is NaN and _require_finite exits 3
             ratio_l2 = sup_l2 / denom_l2 if denom_l2 > 0 else np.nan
@@ -774,14 +771,8 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
     summary: dict = {}
     for rep in reports:
         files.update(rep.files())
-        summary[rep.name] = {
-            "inequality": rep.inequality,
-            "sup": rep.sup,
-            "mean": rep.mean,
-            "stddev": rep.stddev,
-            "samples": len(rep.rows),
-            "skipped": rep.skipped,
-        }
+        summary[rep.name] = {k: v for k, v in rep.summary().items()
+                             if k not in ("name", "environment")}
     files["probe_suite_summary.json"] = partial(
         write_json,
         payload={"probes": summary, "failures": failures, "seed": cfg["seed"]},

@@ -234,8 +234,8 @@ def gauge_residual(
     if len(traj.states) < 3:
         raise ValueError("need at least 3 snapshots for a centered difference")
     dts = np.diff(traj.times)
-    if np.max(np.abs(dts - dts[0])) > 1e-10 * dts[0]:
-        raise ValueError("snapshots are not uniformly spaced")
+    if not dts[0] > 0 or np.max(np.abs(dts - dts[0])) > 1e-10 * dts[0]:
+        raise ValueError("snapshots are not uniformly spaced at a positive step")
     grid = traj.grid
     for v in traj.states:
         if abs(v.mean.real) > 1e-10:

@@ -14,6 +14,10 @@ construction; the sign projections P_± exclude xi = 0 from both halves.
 The private array kernels (field storage, transforms, re-banding, band
 products) also take stacks of slices: leading axes are a batch and the last
 axis is x, and each row comes out as the one-slice call would give it.
+
+_samples/_analyze hold the DFT normalisation for every module; the stepper's
+half-spectrum pair and the padded tau convolutions of bilinear's region split
+are the only other transforms.
 """
 
 from __future__ import annotations
@@ -131,7 +135,8 @@ def _complex_coefficients(coeff: np.ndarray) -> np.ndarray:
 
 def _mirror(coeff: np.ndarray) -> np.ndarray:
     """conj(c[-k]) along the last axis: the coefficients of the conjugate."""
-    return np.conj(np.concatenate((coeff[..., :1], coeff[..., :0:-1]), axis=-1))
+    c = np.concatenate((coeff[..., :1], coeff[..., :0:-1]), axis=-1)
+    return np.conjugate(c, out=c)
 
 
 def _hermitian_gap(coeff: np.ndarray, mirror: np.ndarray):
@@ -196,7 +201,7 @@ class _FieldBase:
         samples = np.asarray(samples, dtype=cls._sample_dtype)
         if samples.shape != (grid.n,):
             raise ValueError("sample array does not match the grid")
-        return cls(grid, np.fft.fft(samples) / grid.n)
+        return cls(grid, _analyze(samples))
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -206,7 +211,7 @@ class _FieldBase:
         return self._coeff.copy()
 
     def _synthesize(self) -> np.ndarray:
-        return np.fft.ifft(self._coeff) * self.grid.n
+        return _samples(self._coeff)
 
     def __add__(self, other):
         self._check_grid(other)

@@ -22,7 +22,7 @@ from bogl.bourgain import (
 )
 from bogl.lp import dyadic_shells, eta, phi_shell
 from bogl.reporting import stream
-from bogl.spectral import ComplexField, lebesgue_norm, make_grid
+from bogl.spectral import ComplexField, lebesgue_norm, make_grid, random_field
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,84 @@ def test_round_trip(win):
     u = random_spacetime_field(win, stream(0, "rt"), real=True)
     again = SpaceTimeField.from_raw_samples(win, u.samples)
     assert np.max(np.abs(again.coefficients - u.coefficients)) < 1e-12
+
+
+# References: the sample-space forms of the lifts, which go to (t, x)
+# samples by a 2-D inverse transform, act there and transform back in 2-D,
+# and the per-slice coefficients as a direct sum over tau.
+
+
+def _ref_field(win, samples):
+    return SpaceTimeField(win, np.fft.fft2(samples) / samples.size)
+
+
+def _ref_samples(f):
+    return np.fft.ifft2(f.coefficients) * f.coefficients.size
+
+
+def _ref_free_evolution(f, win):
+    xi = win.spatial.xi
+    phases = np.exp(-1j * np.outer(win.times, np.abs(xi) * xi))
+    samples = np.fft.ifft(phases * f.coefficients[None, :], axis=1) * win.spatial.n
+    return _ref_field(win, samples * win.window[:, None])
+
+
+def _ref_duhamel(g, win):
+    xi = win.spatial.xi
+    t = win.times[:, None, None]
+    sig = win.sigma[None, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        env = np.where(
+            np.abs(sig) > 1e-14,
+            (np.exp(1j * sig * t) - 1.0) / (1j * sig),
+            t * np.ones_like(sig),
+        )
+    hat_t = np.sum(g.coefficients[None, :, :] * env, axis=1)
+    hat_t *= np.exp(-1j * np.outer(win.times, np.abs(xi) * xi))
+    samples = np.fft.ifft(hat_t, axis=1) * win.spatial.n
+    return _ref_field(win, samples * win.window[:, None])
+
+
+def _ref_localize(f, t_loc):
+    w = np.asarray(eta(4.0 * (f.grid.times - t_loc / 2.0) / t_loc))
+    return _ref_field(f.grid, _ref_samples(f) * w[:, None])
+
+
+def _ref_time_slice(f, index):
+    phase = np.exp(1j * f.grid.tau * f.grid.times[index])
+    return np.sum(f.coefficients * phase[:, None], axis=0)
+
+
+def _rel_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "n,num_times,t_span,lam",
+    [(16, 16, 2 * np.pi, 1.0), (32, 32, 2 * np.pi, 2.0), (64, 16, 3.0, 1.0)],
+)
+def test_t_only_forms_match_sample_space_references(n, num_times, t_span, lam):
+    win = SpaceTimeGrid(make_grid(n, lam), num_times, t_span)
+    rng = stream(n, "t-only", num_times)
+    f = random_field(win.spatial, rng, decay=0.5)
+    g = random_spacetime_field(win, rng, sigma_decay=1.0)
+    u = random_spacetime_field(win, rng, real=True)
+    pairs = [
+        (free_evolution_field(f, win), _ref_free_evolution(f, win)),
+        (duhamel_field(g, win), _ref_duhamel(g, win)),
+    ]
+    for t_loc in (t_span, t_span / 2, t_span / 8):
+        pairs.append((localize(u, t_loc), _ref_localize(u, t_loc)))
+    for got, ref in pairs:
+        assert _rel_gap(got.coefficients, ref.coefficients) <= 1e-14
+    slices = u.slices()
+    ref_slices = np.array([_ref_time_slice(u, m) for m in range(num_times)])
+    assert _rel_gap(slices, ref_slices) <= 1e-14
+    # row m holds the x-coefficients of the samples at times[m]
+    assert _rel_gap(slices, np.fft.fft(_ref_samples(u), axis=1) / n) <= 1e-14
+    for h in (g, u):
+        again = SpaceTimeField.from_slices(win, h.slices())
+        assert _rel_gap(again.coefficients, h.coefficients) <= 1e-14
 
 
 def test_free_evolution_resonant_line(win):
@@ -106,7 +184,7 @@ def test_x_norm_plancherel_and_monotonicity(win):
 
 def test_lp_norms_reject_unsupported_exponents(win):
     u = random_spacetime_field(win, stream(1, "pl"), real=True)
-    f = ComplexField(win.spatial, u.time_slice(0))
+    f = ComplexField(win.spatial, u.slices()[0])
     for p in (0, 3, "inf"):
         with pytest.raises(ValueError, match="supported exponents"):
             spacetime_lebesgue(u, p)

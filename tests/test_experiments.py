@@ -390,7 +390,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             assert key in capsys.readouterr().err, argv
 
     # trajectories gauge-check cannot difference: too few snapshots, mixed
-    # grids, uneven times, differing means
+    # grids, uneven times, differing means, three copies of one snapshot
     snaps = sorted(out.glob("snap_*.bin"))
     last_field, last_t = read_snapshot(snaps[-1])
     other_grid = random_field(make_grid(32, 1.0), stream(0, "other"), max_mode=4)
@@ -400,18 +400,22 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         "uneven": (snaps, (last_field, last_t + 0.005)),
         "means": (snaps, (RealField.from_samples(last_field.grid,
                                                  last_field.samples + 0.5), last_t)),
+        "same_time": ([snaps[0]] * 3, None),
     }
     for label, (kept, replacement) in bad_trajs.items():
         traj = tmp_path / f"traj_{label}"
         traj.mkdir()
-        for snap in kept:
-            (traj / snap.name).write_bytes(snap.read_bytes())
+        names = [f"snap_{j:06d}.bin" for j in range(len(kept))]
+        for name, snap in zip(names, kept):
+            (traj / name).write_bytes(snap.read_bytes())
         if replacement is not None:
-            write_snapshot(traj / kept[-1].name, replacement[0], time=replacement[1])
+            write_snapshot(traj / names[-1], replacement[0], time=replacement[1])
         for i, extra in enumerate(([], ["--assert"])):
             dest = tmp_path / f"g_{label}{i}"
-            assert main(["gauge-check", "--traj", str(traj), "--out", str(dest)]
-                        + extra) == 2, label
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["gauge-check", "--traj", str(traj), "--out", str(dest)]
+                            + extra) == 2, label
             assert not any(dest.glob("*.csv"))
     # a probe whose sup is not finite is a numeric failure, with or without
     # --assert, and no output directory is made

@@ -63,10 +63,10 @@ def _exp_lowband_loop(u):
     s_lo = projection_symbol("lo", xi)
     s_minus_dx = projection_symbol("minus", xi) * (1j * xi)
     s_outer = projection_symbol("plus", xi) * (1j * xi)
-    samples = u.samples.real
+    slices = u.slices()
     out = np.zeros((u.grid.num_times, grid.n), dtype=np.complex128)
     for mth in range(u.grid.num_times):
-        slice_u = RealField.from_samples(grid, samples[mth])
+        slice_u = RealField(grid, slices[mth])
         em = _gauge_exponential(slice_u, 4)
         e_lo = _truncate(em, grid) * s_lo
         ux_m = slice_u.coefficients * s_minus_dx

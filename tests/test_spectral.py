@@ -1,9 +1,13 @@
 """Grid, transform contract, multipliers and norms."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.signal import convolve
 
+import bogl
 from bogl.spectral import (
     _band_product,
     _reband,
@@ -299,3 +303,53 @@ def test_random_field_rejects_empty_band():
     for max_mode in (0, -3):
         with pytest.raises(ValueError, match="max_mode"):
             random_field(grid, np.random.default_rng(0), max_mode=max_mode)
+
+
+# The functions of the package that may call a numpy FFT transform: the pair
+# that holds the DFT normalisation for every module, the stepper's
+# half-spectrum pair and the padded, unnormalised tau convolutions of the
+# region split.  The frequency and shift helpers carry no transform.
+_TRANSFORM_SITES = {
+    ("spectral", "_samples"),
+    ("spectral", "_analyze"),
+    ("dynamics", "ETDRK4Stepper.nonlinear"),
+    ("bilinear", "_region_parts"),
+}
+_FFT_HELPERS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift"}
+
+
+def _fft_uses(tree: ast.AST) -> list:
+    """(enclosing function's qualified name, what) for every numpy FFT
+    transform named in tree and every import of an FFT module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            where = ".".join(scope)
+            if (isinstance(child, ast.Attribute) and child.attr not in _FFT_HELPERS
+                    and ast.unparse(child.value) in ("np.fft", "numpy.fft")):
+                found.append((where, child.attr))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [getattr(child, "module", None) or ""]
+                names += [a.name for a in child.names]
+                if any("fft" in name for name in names):
+                    found.append((where, ast.unparse(child)))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_fft_transforms_only_at_the_named_sites():
+    stray, seen = [], set()
+    for path in sorted(Path(bogl.__file__).parent.glob("*.py")):
+        for where, what in _fft_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.stem, where) in _TRANSFORM_SITES:
+                seen.add((path.stem, where))
+            else:
+                stray.append(f"{path.name}: {where or '<module>'} uses {what}")
+    assert not stray
+    assert seen == _TRANSFORM_SITES  # the scan reaches every named site

@@ -21,6 +21,11 @@ the sigma2 mask and phi_N2(|xi2|) on u.  region_pairing evaluates these
 with one tau-FFT per masked factor and lagged products along xi, without
 any (xi, tau, xi1, tau1) array, and checks their sum against the exact
 2-D convolution (spectral._band_product) that also evaluates trilinear_I.
+The tau transforms have 3M/2 points, the 3/2 rule of spectral's products:
+tau1 + tau2 lies in [-M, M-2] and the taus of h in [-M/2, M/2-1], so no
+alias tau1 + tau2 +- 3M/2 reaches h.  Each lag is one contraction over xi
+of the stacked A, B and C rows, and the masks, shell pairs and lags that
+depend on the grid alone are built once per grid (_region_plan).
 
 The bilinear operator d/dx P_+( dx^{-1} w P_- du/dx ) uses the sharp
 positive/negative projections: on the integer lattice the positive
@@ -33,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +60,7 @@ from .reporting import ProbeReport, stream
 from .spectral import (
     _band_product,
     _complex_coefficients,
+    _lp_sum,
     _real_coefficients,
     _wrapped_rows,
     derivative,
@@ -295,18 +302,28 @@ def _d_convolution(w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
     return _band_product([(wc, uc)])
 
 
-def _h_factor(h: SpaceTimeField, form: str) -> np.ndarray:
-    """The pairing's weighted h on the lattice, zero for xi < 1: form "I" is
-    xi <sigma>^{-1/2} h_hat, form "J" is xi <sigma>^{-1} (sum_N phi_N^2) h_hat."""
-    grid = h.grid
+@lru_cache(maxsize=32)
+def _h_weights(grid: SpaceTimeGrid, form: str) -> tuple[np.ndarray, np.ndarray]:
+    """The xi row and the sigma divisor of _h_factor's form, built once
+    (read-only)."""
     xi = grid.spatial.xi
     pos = xi >= 1.0 - 1e-12
     if form == "I":
-        return h.coefficients * (xi * pos)[None, :] / np.sqrt(_bracket(grid.sigma))
-    if form == "J":
+        row, div = xi * pos, np.sqrt(_bracket(grid.sigma))
+    elif form == "J":
         shell_sq = sum(shell_table(grid.spatial).phi ** 2)
-        return h.coefficients * (xi * pos * shell_sq)[None, :] / _bracket(grid.sigma)
-    raise ValueError("form must be 'I' or 'J'")
+        row, div = xi * pos * shell_sq, _bracket(grid.sigma)
+    else:
+        raise ValueError("form must be 'I' or 'J'")
+    row.flags.writeable = div.flags.writeable = False
+    return row, div
+
+
+def _h_factor(h: SpaceTimeField, form: str) -> np.ndarray:
+    """The pairing's weighted h on the lattice, zero for xi < 1: form "I" is
+    xi <sigma>^{-1/2} h_hat, form "J" is xi <sigma>^{-1} (sum_N phi_N^2) h_hat."""
+    row, div = _h_weights(h.grid, form)
+    return h.coefficients * row[None, :] / div
 
 
 def trilinear_I(h: SpaceTimeField, w: SpaceTimeField, u: SpaceTimeField) -> complex:
@@ -373,40 +390,37 @@ def duality_pair(h: SpaceTimeField, bfield: SpaceTimeField) -> complex:
 # ----------------------------------------------------------------------------
 
 
-def _tau_padded(rows: np.ndarray) -> np.ndarray:
-    """(xi, tau) rows in FFT order, zero-padded to 2M taus so that tau
-    convolutions of lattice data do not wrap."""
-    m = rows.shape[1]
-    out = np.zeros((rows.shape[0], 2 * m), dtype=np.complex128)
-    out[:, : m // 2] = rows[:, : m // 2]
-    out[:, 2 * m - m // 2 :] = rows[:, m // 2 :]
-    return out
+class _ShellPlan(NamedTuple):
+    """The pairs (N, N2) of one N2 shell: the rows of the N shells, their
+    threshold indices, the lags that phi_N2 reaches and phi_N2 there."""
+
+    phi: np.ndarray  # (P, k): phi_N(xi), xi = 1..k, of the shells paired with N2
+    t_idx: np.ndarray  # (P,): the index of N N2 among the thresholds
+    lags: np.ndarray  # (a,): the |xi2| with phi_N2(|xi2|) > 0
+    phi2: np.ndarray  # (a,): phi_N2 at those lags
 
 
-def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
-    """A, B, C parts of sum_D hf(xi,tau) xi1^{-1} w_hat(xi1,tau1) xi2 u_hat(xi2,tau2).
+class _RegionPlan(NamedTuple):
+    """Everything _region_parts needs that depends on the grid alone."""
 
-    Each region test reads one variable (|sigma| on h, |sigma1| on w,
-    |sigma2| on u) and the shell weights phi_N(xi), phi_N2(|xi2|) sit on h
-    and u, so every part is a sum of masked trilinear pairings.  One FFT
-    along tau (length 2M) turns the tau convolution into a product per
-    frequency omega, and xi1 = xi + |xi2| turns the xi sum into lagged
-    products: with H = ifft(h part), W = fft(w part), U = fft(u part),
+    length: int  # padded tau length, 3M/2
+    ks: np.ndarray  # xi = 1..k
+    lags: np.ndarray  # |xi2| = 0..k-1
+    ge: np.ndarray  # (T, k, length): 6|sigma| >= N N2 at each threshold
+    lt: np.ndarray  # its complement
+    ge2: np.ndarray  # (T, k, length): 6|sigma2| >= N N2, rows indexed by lag
+    by_shell: tuple[_ShellPlan, ...]
 
-        sum_D = sum_{lag >= 1} sum_omega U(lag, omega)
-                sum_xi H(xi, omega) W(xi + lag, omega).
 
-    Pairs are grouped by N2, whose weight selects the lags.
-    """
-    grid = w.grid
+@lru_cache(maxsize=32)
+def _region_plan(grid: SpaceTimeGrid) -> _RegionPlan:
+    """The grid's region plan, built once (read-only arrays)."""
     m, n = grid.num_times, grid.spatial.n
     k = n // 2 - 1
+    length = 3 * m // 2
     ks = np.arange(1, k + 1)
     lags = np.arange(k)  # |xi2| = xi1 - xi; lag 0 carries the factor xi2 = 0
-    hx = _tau_padded(hf[:, 1 : k + 1].T)
-    wx = _tau_padded((w.coefficients[:, 1 : k + 1] / ks).T)
-    ux = _tau_padded((u.coefficients[:, -lags % n] * -lags).T)
-    tau = np.r_[0:m, -m:0]  # the 2M padded taus in FFT order
+    tau = np.r_[0 : length // 2, -(length // 2) : 0]  # the padded taus in FFT order
     six_sigma = 6 * np.abs(tau + (ks * ks)[:, None])  # |sigma| on h, |sigma1| on w
     six_sigma2 = 6 * np.abs(tau - (lags * lags)[:, None])
 
@@ -423,30 +437,82 @@ def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.nd
     thresholds = sorted({shells[i] * shells[j] for i, j in pairs})
     thr = np.array(thresholds)[:, None, None]
     ge, ge2 = six_sigma >= thr, six_sigma2 >= thr
-    h_ge, h_lt = np.fft.ifft(hx * ge), np.fft.ifft(hx * ~ge)
-    w_ge, w_lt = np.fft.fft(wx * ge), np.fft.fft(wx * ~ge)
-    u_ge = np.fft.fft(ux * ge2)
+    by_shell = []
+    for j in sorted({j for _, j in pairs}):
+        i_idx = [i for i, jj in pairs if jj == j]
+        on = np.flatnonzero(phi2[j])
+        by_shell.append(_ShellPlan(
+            phi[i_idx],
+            np.array([thresholds.index(shells[i] * shells[j]) for i in i_idx]),
+            on,
+            phi2[j, on],
+        ))
+    plan = _RegionPlan(length, ks, lags, ge, ~ge, ge2, tuple(by_shell))
+    for arr in (ks, lags, ge, plan.lt, ge2, *(a for s in by_shell for a in s)):
+        arr.flags.writeable = False
+    return plan
+
+
+def _tau_padded(rows: np.ndarray, length: int) -> np.ndarray:
+    """(xi, tau) rows in FFT order, zero-padded to `length` taus."""
+    m = rows.shape[1]
+    out = np.zeros((rows.shape[0], length), dtype=np.complex128)
+    out[:, : m // 2] = rows[:, : m // 2]
+    out[:, length - m // 2 :] = rows[:, m // 2 :]
+    return out
+
+
+def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
+    """A, B, C parts of sum_D hf(xi,tau) xi1^{-1} w_hat(xi1,tau1) xi2 u_hat(xi2,tau2).
+
+    Each region test reads one variable (|sigma| on h, |sigma1| on w,
+    |sigma2| on u) and the shell weights phi_N(xi), phi_N2(|xi2|) sit on h
+    and u, so every part is a sum of masked trilinear pairings.  One FFT
+    along tau turns the tau convolution into a product per frequency omega,
+    and xi1 = xi + |xi2| turns the xi sum into lagged products: with
+    H = ifft(h part), W = fft(w part), U = fft(u part),
+
+        sum_D = sum_{lag >= 1} sum_omega U(lag, omega)
+                sum_xi H(xi, omega) W(xi + lag, omega).
+
+    The transforms have L = 3M/2 points: tau1 + tau2 lies in [-M, M-2] and
+    the taus of h in [-M/2, M/2-1], so an alias tau1 + tau2 +- L misses every
+    tau of h exactly when L >= 3M/2.  Pairs are grouped by N2, whose weight
+    selects the lags; the rows A (the phi_N-summed [6|sigma| >= N N2] h
+    against all of w), B (each [6|sigma| < N N2] h against
+    [6|sigma1| >= N N2] w) and C (the same h against [6|sigma1| < N N2] w)
+    are stacked, so each lag is one contraction over xi, and each N2 shell
+    three contractions with phi_N2(lag) and u (all of u for A and B,
+    [6|sigma2| >= N N2] u for C).  The grid-only masks and indices come
+    from _region_plan.
+    """
+    plan = _region_plan(w.grid)
+    n, k, length = w.grid.spatial.n, len(plan.ks), plan.length
+    hx = _tau_padded(hf[:, 1 : k + 1].T, length)
+    wx = _tau_padded((w.coefficients[:, 1 : k + 1] / plan.ks).T, length)
+    ux = _tau_padded((u.coefficients[:, -plan.lags % n] * -plan.lags).T, length)
+    h_ge, h_lt = np.fft.ifft(hx * plan.ge), np.fft.ifft(hx * plan.lt)
+    w_ge, w_lt = np.fft.fft(wx * plan.ge), np.fft.fft(wx * plan.lt)
+    u_ge = np.fft.fft(ux * plan.ge2)
     w_all, u_all = np.fft.fft(wx), np.fft.fft(ux)
 
     parts = np.zeros(3, dtype=np.complex128)  # A, B, C
-    for j in sorted({j for _, j in pairs}):
-        i_idx = np.array([i for i, jj in pairs if jj == j])
-        t_idx = np.array([thresholds.index(shells[i] * shells[j]) for i in i_idx])
-        # A: sum_N phi_N [6|sigma| >= N N2] h against the whole of w and u
-        h_a = np.einsum("px,pxl->xl", phi[i_idx], h_ge[t_idx])
-        # B: phi_N [6|sigma| < N N2] h, [6|sigma1| >= N N2] w, u;
-        # C: the same h, [6|sigma1| < N N2] w, [6|sigma2| >= N N2] u
-        h_bc = phi[i_idx][:, :, None] * h_lt[t_idx]
-        w_bc = np.stack([w_ge[t_idx], w_lt[t_idx]])
-        u_c = u_ge[t_idx]
-        for lag in np.flatnonzero(phi2[j]):
-            lo, hi = slice(0, k - lag), slice(lag, k)
-            b, c = np.einsum("pxl,cpxl->cpl", h_bc[:, lo], w_bc[:, :, hi])
-            parts += phi2[j, lag] * np.array([
-                np.einsum("xl,xl,l->", h_a[lo], w_all[hi], u_all[lag]),
-                np.einsum("pl,l->", b, u_all[lag]),
-                np.einsum("pl,pl->", c, u_c[:, lag]),
-            ])
+    for shell in plan.by_shell:
+        p, t_idx, lags = len(shell.phi), shell.t_idx, shell.lags
+        h_bc = shell.phi[:, :, None] * h_lt[t_idx]
+        h_rows = np.concatenate(
+            [np.einsum("px,pxl->xl", shell.phi, h_ge[t_idx])[None], h_bc, h_bc]
+        )
+        w_rows = np.concatenate([w_all[None], w_ge[t_idx], w_lt[t_idx]])
+        corr = np.empty((len(lags), 2 * p + 1, length), dtype=np.complex128)
+        for a, lag in enumerate(lags):
+            np.einsum("qxl,qxl->ql", h_rows[:, : k - lag], w_rows[:, lag:], out=corr[a])
+        parts += (
+            np.einsum("a,al,al->", shell.phi2, corr[:, 0], u_all[lags]),
+            np.einsum("a,apl,al->", shell.phi2, corr[:, 1 : p + 1], u_all[lags]),
+            np.einsum("a,apl,pal->", shell.phi2, corr[:, p + 1 :],
+                      u_ge[t_idx[:, None], lags]),
+        )
     return parts
 
 
@@ -519,6 +585,12 @@ _CRITICAL_FORMS = {
 }
 
 
+def _l2_plus_l4(f: SpaceTimeField) -> float:
+    """|f|_{L2} + |f|_{L4}, both from one synthesis of the samples."""
+    samples = f.samples
+    return _lp_sum(samples, f.grid.cell, 2) + _lp_sum(samples, f.grid.cell, 4)
+
+
 def _probe_bilinear_critical(name, cfg, win, env, form) -> ProbeReport:
     inequality, lhs_norm = _CRITICAL_FORMS[form]
     rep = ProbeReport(name, inequality, environment=env)
@@ -531,9 +603,7 @@ def _probe_bilinear_critical(name, cfg, win, env, form) -> ProbeReport:
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
                                    real=True)
         h = random_spacetime_field(win, rng, xi_decay=0.5, sigma_decay=0.75)
-        rhs = x_norm(w, s, 0.5) * (
-            spacetime_lebesgue(u, 2) + spacetime_lebesgue(u, 4) + x_norm(u, -1.0, 1.0)
-        )
+        rhs = x_norm(w, s, 0.5) * (_l2_plus_l4(u) + x_norm(u, -1.0, 1.0))
         if rhs == 0:
             rep.skip()
             continue
@@ -600,9 +670,7 @@ def _probe_bilinear_weighted(name, cfg, win, env, periodic) -> ProbeReport:
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
                                    real=True)
         js = SpaceTimeField(win, u.coefficients * bessel[None, :])
-        rhs = x_norm(bigw, *w_sb) * (
-            spacetime_lebesgue(js, 2) + spacetime_lebesgue(js, 4) + x_norm(u, *u_sb)
-        )
+        rhs = x_norm(bigw, *w_sb) * (_l2_plus_l4(js) + x_norm(u, *u_sb))
         if rhs == 0:
             rep.skip()
             continue

@@ -24,7 +24,7 @@ realizing the localized norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -162,16 +162,24 @@ class SpaceTimeField:
     __rmul__ = __mul__
 
 
+@lru_cache(maxsize=64)
+def _weight(grid: SpaceTimeGrid, b: float, s: float) -> np.ndarray:
+    """<sigma>^b <xi>^s on the grid, built once (read-only)."""
+    w = _bracket(grid.sigma) ** b * _bracket(grid.spatial.xi)[None, :] ** s
+    w.flags.writeable = False
+    return w
+
+
 def x_norm(f: SpaceTimeField, s: float, b: float) -> float:
     g = f.grid
-    w = _bracket(g.sigma) ** (2 * b) * _bracket(g.spatial.xi)[None, :] ** (2 * s)
+    w = _weight(g, 2 * b, 2 * s)
     total = np.sum(w * np.abs(f.coefficients) ** 2)
     return float(np.sqrt(g.spatial.length * g.t_span * total))
 
 
 def z_norm(f: SpaceTimeField, s: float, b: float) -> float:
     g = f.grid
-    w = _bracket(g.sigma) ** b * _bracket(g.spatial.xi)[None, :] ** s
+    w = _weight(g, b, s)
     dtau = 2.0 * np.pi / g.t_span
     inner = dtau * np.sum(w * np.abs(f.coefficients), axis=0)
     return float(np.sqrt(g.spatial.length * np.sum(inner**2)))
@@ -215,6 +223,22 @@ def free_evolution_field(f: Field, win: SpaceTimeGrid) -> SpaceTimeField:
     return SpaceTimeField.from_slices(win, phases * f.coefficients * win.window[:, None])
 
 
+@lru_cache(maxsize=4)
+def _duhamel_envelope(win: SpaceTimeGrid) -> np.ndarray:
+    """(e^{i sigma t}-1)/(i sigma), or t on the resonant line, on the
+    (time, tau, xi) lattice of the window, built once (read-only)."""
+    t = win.times[:, None, None]  # (time, tau, xi) broadcasting
+    sig = win.sigma[None, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        env = np.where(
+            np.abs(sig) > 1e-14,
+            (np.exp(1j * sig * t) - 1.0) / (1j * sig),
+            t * np.ones_like(sig),
+        )
+    env.flags.writeable = False
+    return env
+
+
 def duhamel_field(g: SpaceTimeField, win: SpaceTimeGrid) -> SpaceTimeField:
     """eta(t) int_0^t U(t-t') g(t') dt' with exact per-bin phase quadrature.
 
@@ -225,15 +249,8 @@ def duhamel_field(g: SpaceTimeField, win: SpaceTimeGrid) -> SpaceTimeField:
         raise ValueError("forcing must live on the target window grid")
     xi = win.spatial.xi
     omega = np.abs(xi) * xi
-    t = win.times[:, None, None]  # (time, tau, xi) broadcasting
-    sig = win.sigma[None, :, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        env = np.where(
-            np.abs(sig) > 1e-14,
-            (np.exp(1j * sig * t) - 1.0) / (1j * sig),
-            t * np.ones_like(sig),
-        )
     # sum over tau bins: coefficient c(xi,tau) times envelope, then mode phases
+    env = _duhamel_envelope(win)
     hat_t = np.sum(g.coefficients[None, :, :] * env, axis=1)  # (time, xi)
     hat_t *= np.exp(-1j * np.outer(win.times, omega))
     return SpaceTimeField.from_slices(win, hat_t * win.window[:, None])
@@ -253,8 +270,7 @@ def random_spacetime_field(
     m, n = win.num_times, win.spatial.n
     z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     xi = win.spatial.xi
-    shape = _bracket(xi)[None, :] ** (-xi_decay) * _bracket(win.sigma) ** (-sigma_decay)
-    coeff = z * shape
+    coeff = z * _weight(win, -sigma_decay, -xi_decay)
     if positive_xi_only:
         coeff[:, xi < 1.0] = 0.0
     if real:

@@ -127,7 +127,8 @@ def _fine_exponential_samples(
     """exp(-iF/2) sampled on the factor*n points of the fine lattice, for each
     row of the RealField coefficients coeff, F the primitive of the row."""
     prim = _real_coefficients(_primitive_coefficients(coeff, grid.xi))
-    phase = _samples(_embed(prim, factor), axes=(-1,)).real
+    # an owned copy, so the complex samples are freed before exp allocates
+    phase = _samples(_embed(prim, factor), axes=(-1,)).real.copy()
     return np.exp(-0.5j * phase)
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bogl
 from bogl.bilinear import (
@@ -15,6 +17,10 @@ from bogl.bilinear import (
     PROBE_NAMES,
     RegionTag,
     _g_dual_norm,
+    _h_factor,
+    _h_weights,
+    _region_parts,
+    _region_plan,
     bilinear_B,
     bilinear_core,
     bracket_convolution_integral,
@@ -353,6 +359,124 @@ def test_region_parts_match_tuple_oracle(win16, form, seed):
     assert abs(fast["total"] - total) <= 1e-12 * abs(total)
     for tag, slow in parts.items():
         assert abs(fast[tag.value] - slow) <= 1e-12 * abs(slow), tag
+
+
+def _tau_padded_2m(rows):
+    m = rows.shape[1]
+    out = np.zeros((rows.shape[0], 2 * m), dtype=np.complex128)
+    out[:, : m // 2] = rows[:, : m // 2]
+    out[:, 2 * m - m // 2 :] = rows[:, m // 2 :]
+    return out
+
+
+def _region_parts_2m(hf, w, u):
+    """The earlier _region_parts: tau transforms on 2M points, the plan built
+    on every call, and four einsums per lag."""
+    grid = w.grid
+    m, n = grid.num_times, grid.spatial.n
+    k = n // 2 - 1
+    ks = np.arange(1, k + 1)
+    lags = np.arange(k)
+    hx = _tau_padded_2m(hf[:, 1 : k + 1].T)
+    wx = _tau_padded_2m((w.coefficients[:, 1 : k + 1] / ks).T)
+    ux = _tau_padded_2m((u.coefficients[:, -lags % n] * -lags).T)
+    tau = np.r_[0:m, -m:0]
+    six_sigma = 6 * np.abs(tau + (ks * ks)[:, None])
+    six_sigma2 = 6 * np.abs(tau - (lags * lags)[:, None])
+
+    table = shell_table(grid.spatial)
+    shells = table.shells
+    phi, phi2 = table.phi[:, 1 : k + 1], table.phi[:, -lags % n]
+    pairs = [
+        (i, j)
+        for j, p2 in enumerate(phi2)
+        for i, p in enumerate(phi)
+        if p.any() and p2.any() and ks[p > 0][0] + lags[p2 > 0][0] <= k
+    ]
+    thresholds = sorted({shells[i] * shells[j] for i, j in pairs})
+    thr = np.array(thresholds)[:, None, None]
+    ge, ge2 = six_sigma >= thr, six_sigma2 >= thr
+    h_ge, h_lt = np.fft.ifft(hx * ge), np.fft.ifft(hx * ~ge)
+    w_ge, w_lt = np.fft.fft(wx * ge), np.fft.fft(wx * ~ge)
+    u_ge = np.fft.fft(ux * ge2)
+    w_all, u_all = np.fft.fft(wx), np.fft.fft(ux)
+
+    parts = np.zeros(3, dtype=np.complex128)
+    for j in sorted({j for _, j in pairs}):
+        i_idx = np.array([i for i, jj in pairs if jj == j])
+        t_idx = np.array([thresholds.index(shells[i] * shells[j]) for i in i_idx])
+        h_a = np.einsum("px,pxl->xl", phi[i_idx], h_ge[t_idx])
+        h_bc = phi[i_idx][:, :, None] * h_lt[t_idx]
+        w_bc = np.stack([w_ge[t_idx], w_lt[t_idx]])
+        u_c = u_ge[t_idx]
+        for lag in np.flatnonzero(phi2[j]):
+            lo, hi = slice(0, k - lag), slice(lag, k)
+            b, c = np.einsum("pxl,cpxl->cpl", h_bc[:, lo], w_bc[:, :, hi])
+            parts += phi2[j, lag] * np.array([
+                np.einsum("xl,xl,l->", h_a[lo], w_all[hi], u_all[lag]),
+                np.einsum("pl,l->", b, u_all[lag]),
+                np.einsum("pl,pl->", c, u_c[:, lag]),
+            ])
+    return parts
+
+
+def _h_factor_uncached(h, form):
+    """The earlier _h_factor, with its weights built on every call."""
+    xi = h.grid.spatial.xi
+    pos = xi >= 1.0 - 1e-12
+    bracket = 1.0 + np.abs(h.grid.sigma)
+    if form == "I":
+        return h.coefficients * (xi * pos)[None, :] / np.sqrt(bracket)
+    shell_sq = sum(shell_table(h.grid.spatial).phi ** 2)
+    return h.coefficients * (xi * pos * shell_sq)[None, :] / bracket
+
+
+@settings(max_examples=24, deadline=None, database=None)
+@given(n=st.sampled_from([16, 32, 64]), form=st.sampled_from("IJ"),
+       rough=st.sampled_from([0.5, 1.0, 2.0]), seed=st.integers(0, 2**31 - 1))
+def test_region_parts_match_the_2m_oracle(n, form, rough, seed):
+    win = SpaceTimeGrid(make_grid(n, 1.0), n, 2 * np.pi)
+    h, w, u = fields(win, seed, rough)
+    hf = _h_factor(h, form)
+    assert np.array_equal(hf, _h_factor_uncached(h, form))
+    oracle = _region_parts_2m(hf, w, u)
+    gap = np.max(np.abs(_region_parts(hf, w, u) - oracle))
+    assert gap <= 1e-13 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("n, num_times", [(32, 32), (16, 32), (32, 16)])
+def test_region_tau_lattice_is_three_halves(monkeypatch, n, num_times):
+    """Every transform of _region_parts runs along tau on 3M/2 points, the
+    shortest lattice on which the tau convolutions do not wrap; the earlier
+    2M padding fails this."""
+    win = SpaceTimeGrid(make_grid(n, 1.0), num_times, 2 * np.pi)
+    h, w, u = fields(win, 7)
+    hf = _h_factor(h, "I")
+    lengths = []
+
+    def recording(transform):
+        def call(a, *args, axis=-1, **kwargs):
+            lengths.append(np.asarray(a).shape[axis])
+            return transform(a, *args, axis=axis, **kwargs)
+        return call
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    _region_parts(hf, w, u)
+    assert lengths and set(lengths) == {3 * num_times // 2}
+
+
+def test_region_tables_are_shared_and_read_only():
+    a, b = (SpaceTimeGrid(make_grid(32, 1.0), 16, 2 * np.pi) for _ in range(2))
+    assert a is not b
+    plan = _region_plan(a)
+    assert plan is _region_plan(b)
+    arrays = [plan.ks, plan.lags, plan.ge, plan.lt, plan.ge2]
+    arrays += [arr for shell in plan.by_shell for arr in shell]
+    for form in "IJ":
+        assert _h_weights(a, form) is _h_weights(b, form)
+        arrays += _h_weights(a, form)
+    assert not any(arr.flags.writeable for arr in arrays)
 
 
 def test_estimate_probe_reports():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bogl import bourgain
 from bogl.bourgain import (
     ProbeConfig,
     SpaceTimeField,
@@ -252,6 +253,96 @@ def test_duhamel_single_mode_oracle(win):
     expected_tau[win.num_times // 2] = 0.0
     got_tau = out.coefficients[:, 3]
     assert np.max(np.abs(got_tau - expected_tau)) < 1e-12
+
+
+# The bodies of x_norm, z_norm, random_spacetime_field and duhamel_field
+# that built their grid-only weights on every call.  The cached weights are
+# computed the same way, so the results must agree bit for bit.
+
+
+def _bracket_powers(grid, b, s):
+    xi_bracket = (1.0 + np.abs(grid.spatial.xi))[None, :]
+    return (1.0 + np.abs(grid.sigma)) ** b * xi_bracket**s
+
+
+def _uncached_x_norm(f, s, b):
+    g = f.grid
+    total = np.sum(_bracket_powers(g, 2 * b, 2 * s) * np.abs(f.coefficients) ** 2)
+    return float(np.sqrt(g.spatial.length * g.t_span * total))
+
+
+def _uncached_z_norm(f, s, b):
+    g = f.grid
+    inner = 2.0 * np.pi / g.t_span * np.sum(
+        _bracket_powers(g, b, s) * np.abs(f.coefficients), axis=0
+    )
+    return float(np.sqrt(g.spatial.length * np.sum(inner**2)))
+
+
+def _uncached_random_spacetime_field(win, rng, xi_decay=1.0, sigma_decay=1.5,
+                                     real=False, positive_xi_only=False,
+                                     zero_mean_x=False):
+    m, n = win.num_times, win.spatial.n
+    z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    xi = win.spatial.xi
+    shape = (1.0 + np.abs(xi))[None, :] ** (-xi_decay) * (
+        1.0 + np.abs(win.sigma)
+    ) ** (-sigma_decay)
+    coeff = z * shape
+    if positive_xi_only:
+        coeff[:, xi < 1.0] = 0.0
+    if real:
+        ml, nk = (-np.arange(m)) % m, (-np.arange(n)) % n
+        coeff = 0.5 * (coeff + np.conj(coeff[np.ix_(ml, nk)]))
+    if zero_mean_x:
+        coeff[:, xi == 0] = 0.0
+    return SpaceTimeField(win, coeff)
+
+
+def _uncached_duhamel(g, win):
+    xi = win.spatial.xi
+    t = win.times[:, None, None]
+    sig = win.sigma[None, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        env = np.where(
+            np.abs(sig) > 1e-14,
+            (np.exp(1j * sig * t) - 1.0) / (1j * sig),
+            t * np.ones_like(sig),
+        )
+    hat_t = np.sum(g.coefficients[None, :, :] * env, axis=1)
+    hat_t *= np.exp(-1j * np.outer(win.times, np.abs(xi) * xi))
+    return SpaceTimeField.from_slices(win, hat_t * win.window[:, None])
+
+
+@pytest.mark.parametrize(
+    "n,num_times,t_span,lam",
+    [(16, 16, 2 * np.pi, 1.0), (32, 16, 3.0, 2.0), (64, 32, 2 * np.pi, 1.0)],
+)
+def test_cached_weights_match_uncached_bodies(n, num_times, t_span, lam):
+    win = SpaceTimeGrid(make_grid(n, lam), num_times, t_span)
+    draws = [
+        {},
+        {"xi_decay": 0.5, "sigma_decay": 1.25, "positive_xi_only": True},
+        {"xi_decay": 2.0, "sigma_decay": 1.25, "real": True},
+        {"xi_decay": 1.0, "sigma_decay": 1.5, "real": True, "zero_mean_x": True},
+    ]
+    for i, kwargs in enumerate(draws):
+        f = random_spacetime_field(win, stream(n, "cached", i), **kwargs)
+        ref = _uncached_random_spacetime_field(win, stream(n, "cached", i), **kwargs)
+        assert np.array_equal(f.coefficients, ref.coefficients)
+        for s, b in ((0.0, 0.5), (-1.0, 1.0), (0.3, -0.5), (0.25, 0.5125)):
+            assert np.array_equal(x_norm(f, s, b), _uncached_x_norm(f, s, b))
+            assert np.array_equal(z_norm(f, s, b), _uncached_z_norm(f, s, b))
+        duhamel = duhamel_field(f, win).coefficients
+        assert np.array_equal(duhamel, _uncached_duhamel(f, win).coefficients)
+
+
+def test_grid_weights_are_shared_and_read_only():
+    a, b = (SpaceTimeGrid(make_grid(32, 1.0), 16, 2 * np.pi) for _ in range(2))
+    assert a is not b
+    for table in (lambda g: bourgain._weight(g, 1.0, -0.5), bourgain._duhamel_envelope):
+        assert table(a) is table(b)
+        assert not table(a).flags.writeable
 
 
 def test_resonant_mode_l4_ratio_quadrature_oracle(win):

@@ -1,12 +1,20 @@
 """Property tests over random grids and seeds: the Galilean change of unknown,
-Plancherel through the shared L^p sum, and the batched (time slice, x)
-passes against per-slice loops."""
+Plancherel through the shared L^p sum, the batched (time slice, x) passes
+against per-slice loops, and the resonance identity and region split."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bogl.bilinear import _exp_lowband_operator
+from bogl.bilinear import (
+    FrequencyTuple,
+    RegionTag,
+    _exp_lowband_operator,
+    classify,
+    region_pairing,
+    resonance_defect,
+    trilinear_I_oracle,
+)
 from bogl.bourgain import (
     SpaceTimeGrid,
     random_spacetime_field,
@@ -101,3 +109,45 @@ def test_band_product_along_x_equals_rows(win, pairs, seed):
     batch = _band_product(stacks, axes=(-1,))
     rows = [_band_product([(a[m], b[m]) for a, b in stacks]) for m in range(shape[0])]
     assert np.array_equal(batch, np.array(rows))
+
+
+def _shells_holding(mag):
+    """The dyadic N with N/2 <= mag <= 2N."""
+    return [2**j for j in range(8) if 2**j <= 2 * mag <= 4 * 2**j]
+
+
+@PROPERTY
+@given(xi=st.integers(1, 64), gap=st.integers(1, 64), sigma=st.integers(-1000, 1000),
+       sigma1=st.integers(-1000, 1000), data=st.data())
+def test_resonance_identity_and_region_coverage(xi, gap, sigma, sigma1, data):
+    # xi1 = xi + gap puts the tuple in D with xi2 = -gap; the modulations
+    # sigma, sigma1 range near the resonant lines, where all three regions occur
+    t = FrequencyTuple(xi=xi, xi1=xi + gap, tau=sigma - xi * xi,
+                       tau1=sigma1 - (xi + gap) ** 2)
+    assert t.in_domain and (t.sigma, t.sigma1, t.xi2) == (sigma, sigma1, -gap)
+    assert resonance_defect(t) == 0
+    shell = data.draw(st.sampled_from(_shells_holding(xi)))
+    shell2 = data.draw(st.sampled_from(_shells_holding(gap)))
+    thr = shell * shell2
+    in_a = 6 * abs(t.sigma) >= thr
+    in_b = not in_a and 6 * abs(t.sigma1) >= thr
+    in_c = not in_a and not in_b and 6 * abs(t.sigma2) >= thr
+    assert [in_a, in_b, in_c].count(True) == 1
+    expected = RegionTag.A if in_a else RegionTag.B if in_b else RegionTag.C
+    assert classify(t, shell, shell2) is expected
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(n=st.sampled_from([16, 32]), num_times=st.sampled_from([16, 32]),
+       decay=st.sampled_from([0.5, 1.0, 2.0]), seed=seeds)
+def test_region_pairing_matches_the_tuple_sum(n, num_times, decay, seed):
+    win = SpaceTimeGrid(make_grid(n, 1.0), num_times, 2.0 * np.pi)
+    rng = stream(seed, "property")
+    h = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=0.75)
+    w = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.0,
+                               positive_xi_only=True)
+    u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.0, real=True)
+    oracle = trilinear_I_oracle(h, w, u)
+    parts = region_pairing(h, w, u)
+    for value in (parts["total"], parts["A"] + parts["B"] + parts["C"]):
+        assert abs(value - oracle) <= 1e-10 * abs(oracle)

@@ -49,6 +49,7 @@ from .bourgain import (
     SpaceTimeGrid,
     _bracket,
     _decay_schedule,
+    _l2_and_l4,
     spacetime_lebesgue,
     x_norm,
     z_tilde_norm,
@@ -60,7 +61,6 @@ from .reporting import ProbeReport, stream
 from .spectral import (
     _band_product,
     _complex_coefficients,
-    _lp_sum,
     _real_coefficients,
     _wrapped_rows,
     derivative,
@@ -585,12 +585,6 @@ _CRITICAL_FORMS = {
 }
 
 
-def _l2_plus_l4(f: SpaceTimeField) -> float:
-    """|f|_{L2} + |f|_{L4}, both from one synthesis of the samples."""
-    samples = f.samples
-    return _lp_sum(samples, f.grid.cell, 2) + _lp_sum(samples, f.grid.cell, 4)
-
-
 def _probe_bilinear_critical(name, cfg, win, env, form) -> ProbeReport:
     inequality, lhs_norm = _CRITICAL_FORMS[form]
     rep = ProbeReport(name, inequality, environment=env)
@@ -603,7 +597,7 @@ def _probe_bilinear_critical(name, cfg, win, env, form) -> ProbeReport:
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
                                    real=True)
         h = random_spacetime_field(win, rng, xi_decay=0.5, sigma_decay=0.75)
-        rhs = x_norm(w, s, 0.5) * (_l2_plus_l4(u) + x_norm(u, -1.0, 1.0))
+        rhs = x_norm(w, s, 0.5) * (sum(_l2_and_l4(u)) + x_norm(u, -1.0, 1.0))
         if rhs == 0:
             rep.skip()
             continue
@@ -670,7 +664,7 @@ def _probe_bilinear_weighted(name, cfg, win, env, periodic) -> ProbeReport:
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
                                    real=True)
         js = SpaceTimeField(win, u.coefficients * bessel[None, :])
-        rhs = x_norm(bigw, *w_sb) * (_l2_plus_l4(js) + x_norm(u, *u_sb))
+        rhs = x_norm(bigw, *w_sb) * (sum(_l2_and_l4(js)) + x_norm(u, *u_sb))
         if rhs == 0:
             rep.skip()
             continue

@@ -202,6 +202,12 @@ def spacetime_lebesgue(f: SpaceTimeField, p) -> float:
     return _lp_sum(f.samples, f.grid.cell, p)
 
 
+def _l2_and_l4(f: SpaceTimeField) -> tuple[float, float]:
+    """(|f|_{L2}, |f|_{L4}), both from one synthesis of the samples."""
+    samples = f.samples
+    return _lp_sum(samples, f.grid.cell, 2), _lp_sum(samples, f.grid.cell, 4)
+
+
 def spacetime_tilde_lebesgue(f: SpaceTimeField, p) -> float:
     """Shell-summed space-time L^p (spatial Littlewood-Paley blocks)."""
     return _shell_summed(f, lambda piece: spacetime_lebesgue(piece, p))
@@ -215,12 +221,21 @@ def localize(f: SpaceTimeField, t_loc: float) -> SpaceTimeField:
     return SpaceTimeField.from_slices(f.grid, f.slices() * w[:, None])
 
 
+@lru_cache(maxsize=4)
+def _phase_table(win: SpaceTimeGrid) -> np.ndarray:
+    """The free-group phases exp(-i t |xi| xi) on the (time, xi) lattice of
+    the window, built once (read-only)."""
+    xi = win.spatial.xi
+    table = np.exp(-1j * np.outer(win.times, np.abs(xi) * xi))
+    table.flags.writeable = False
+    return table
+
+
 def free_evolution_field(f: Field, win: SpaceTimeGrid) -> SpaceTimeField:
     """Windowed free evolution eta(t) U(t) f, exact mode-by-mode phases."""
-    xi = win.spatial.xi
-    omega = np.abs(xi) * xi
-    phases = np.exp(-1j * np.outer(win.times, omega))
-    return SpaceTimeField.from_slices(win, phases * f.coefficients * win.window[:, None])
+    return SpaceTimeField.from_slices(
+        win, _phase_table(win) * f.coefficients * win.window[:, None]
+    )
 
 
 @lru_cache(maxsize=4)
@@ -247,12 +262,10 @@ def duhamel_field(g: SpaceTimeField, win: SpaceTimeGrid) -> SpaceTimeField:
     """
     if g.grid != win:
         raise ValueError("forcing must live on the target window grid")
-    xi = win.spatial.xi
-    omega = np.abs(xi) * xi
     # sum over tau bins: coefficient c(xi,tau) times envelope, then mode phases
     env = _duhamel_envelope(win)
     hat_t = np.sum(g.coefficients[None, :, :] * env, axis=1)  # (time, xi)
-    hat_t *= np.exp(-1j * np.outer(win.times, omega))
+    hat_t *= _phase_table(win)
     return SpaceTimeField.from_slices(win, hat_t * win.window[:, None])
 
 

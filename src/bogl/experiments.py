@@ -23,7 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import bilinear, bourgain, gauge, lp
-from .dynamics import SimConfig, Trajectory, rescale, simulate, traveling_wave
+from .dynamics import (
+    LazyStates,
+    SimConfig,
+    Trajectory,
+    rescale,
+    simulate,
+    traveling_wave,
+)
 from .reporting import ProbeReport, sha256_file, stream, write_csv, write_json
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import (
@@ -255,9 +262,10 @@ def run_simulate(config: dict, out_dir) -> RunResult:
         snapshot_stride=cfg["snapshot_stride"],
     )
     traj = simulate(u0, sim_cfg)
+    # each writer builds its state when it writes, so none is kept
     files = {
-        f"snap_{idx:06d}.bin": partial(write_snapshot, field=state, time=float(t))
-        for idx, (t, state) in enumerate(zip(traj.times, traj.states))
+        f"snap_{idx:06d}.bin": partial(_write_state, traj, idx)
+        for idx in range(len(traj.times))
     }
     files["diagnostics.csv"] = partial(
         write_csv, rows=traj.diagnostics_rows(), columns=["t", "M", "E", "Linf"]
@@ -280,26 +288,34 @@ def run_simulate(config: dict, out_dir) -> RunResult:
     return _emit("simulate", out_dir, cfg, files, assertions)
 
 
+def _write_state(traj: Trajectory, idx: int, path) -> None:
+    write_snapshot(path, traj.states[idx], float(traj.times[idx]))
+
+
 def load_trajectory(traj_dir) -> Trajectory:
+    """The snapshots of traj_dir in time order.  Every file is read and checked
+    here (a bad one is a ConfigError), but only its path and time are kept:
+    the states are read again, one at a time, when the trajectory is read."""
     paths = sorted(Path(traj_dir).glob("snap_*.bin"))
     if not paths:
         raise ConfigError(f"no snapshots found in {traj_dir}")
-    states, times = [], []
+    times = []
     for p in paths:
         field, t = _read_snapshot(p)
         if not isinstance(field, RealField):
             raise ConfigError(f"{p}: trajectory snapshots must be real fields")
-        if states and field.grid != states[0].grid:
+        if not times:
+            grid, mean = field.grid, field.mean.real
+        if field.grid != grid:
             raise ConfigError(f"{p}: grid differs from that of {paths[0].name}")
         # the evolution conserves the mean; gauge_residual's tolerance
-        if states and abs(field.mean.real - states[0].mean.real) > 1e-10:
+        if abs(field.mean.real - mean) > 1e-10:
             raise ConfigError(f"{p}: mean differs from that of {paths[0].name}")
-        states.append(field)
         times.append(t)
     order = np.argsort(times)
-    states = [states[i] for i in order]
-    times = np.array([times[i] for i in order])
-    return Trajectory(times=times, states=states)
+    ordered = [str(paths[i]) for i in order]
+    states = LazyStates(lambda i: _read_snapshot(ordered[i])[0], len(ordered))
+    return Trajectory(times=np.array([times[i] for i in order]), states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +329,19 @@ def run_gauge_check(traj_dir, out_dir) -> RunResult:
     mean = float(traj.states[0].mean.real)
     if abs(mean) > 1e-12:
         # Galilean change of unknown: evolve in the mean-zero frame
-        reduced = []
-        for t, u in zip(traj.times, traj.states):
-            shifted = gauge.translate_to_zero_mean(u, mean, float(t))
-            reduced.append(shifted)
-        traj = Trajectory(times=traj.times, states=reduced)
+        times, loaded = traj.times, traj.states
+        reduced = LazyStates(
+            lambda i: gauge.translate_to_zero_mean(loaded[i], mean, float(times[i])),
+            len(loaded),
+        )
+        traj = Trajectory(times=times, states=reduced)
     # fewer than 3 or unevenly spaced snapshots
     rep = _validated("traj", gauge.gauge_residual, traj, oversample=oversample)
-    rec_rows = []
-    for t, state in zip(traj.times, traj.states):
-        rec = gauge.reconstruct_high(state, oversample=oversample)
-        rec_rows.append({"t": float(t), "rel_gap": rec.rel_gap})
+    gaps = [gauge.reconstruct_high(state, oversample=oversample).rel_gap
+            for state in traj.states]
+    rec_rows = [{"t": float(t), "rel_gap": gap} for t, gap in zip(traj.times, gaps)]
     # np.max, unlike max(), keeps a NaN gap
-    worst = float(np.max([row["rel_gap"] for row in rec_rows]))
+    worst = float(np.max(gaps))
     config = {"traj_dir": str(traj_dir), "oversample": oversample,
               "snapshots": len(traj.states), "mean_shift": mean}
     assertions = [
@@ -402,10 +418,9 @@ def run_norm_sweep(config: dict, out_dir) -> RunResult:
             real=True,
         )
         x00 = bourgain.x_norm(u, 0.0, 0.0)
-        l2 = bourgain.spacetime_lebesgue(u, 2)
+        l2, l4 = bourgain._l2_and_l4(u)
         plancherel_worst = max(plancherel_worst, abs(x00 - l2) / max(l2, 1e-300))
         x38 = bourgain.x_norm(u, 0.0, 0.375)
-        l4 = bourgain.spacetime_lebesgue(u, 4)
         rows.append(
             {
                 "sample_id": i,

@@ -127,9 +127,13 @@ def _fine_exponential_samples(
     """exp(-iF/2) sampled on the factor*n points of the fine lattice, for each
     row of the RealField coefficients coeff, F the primitive of the row."""
     prim = _real_coefficients(_primitive_coefficients(coeff, grid.xi))
+    fine = _embed(prim, factor)
     # an owned copy, so the complex samples are freed before exp allocates
-    phase = _samples(_embed(prim, factor), axes=(-1,)).real.copy()
-    return np.exp(-0.5j * phase)
+    phase = _samples(fine, axes=(-1,), out=fine).real.copy()
+    del fine
+    out = -0.5j * phase
+    del phase
+    return np.exp(out, out=out)
 
 
 def _fine_exponential(coeff: np.ndarray, grid: SpatialGrid, factor: int) -> np.ndarray:
@@ -202,16 +206,20 @@ def _residual_terms(v: RealField, oversample: int):
     coarse band."""
     grid = v.grid
     em_plus = _gauge_exponential(v, oversample) * _fine_mask(grid, oversample, "plus")
-    w = _truncate(_fdx(em_plus, _fine_xi(grid, oversample)), grid)
-    # the coarse lattice is the fine lattice of factor 1
-    ux_minus = derivative(v).coefficients * _fine_mask(grid, 1, "minus")
+    # cut to the coarse band first: the cut commutes with the multiplier
+    w = _fdx(_truncate(em_plus, grid), grid.xi)
     # bil keeps 0 < k < n/2 of P_+e^{-iF/2} P_-u_x.  With P_-u_x on
     # [-n/2, 0), only e^{-iF/2}'s modes 1..n-1 reach that band; they are
     # the first n fine coefficients (at oversample 1 P_+ has zeroed those
     # past n/2), stored at index j mod n.  The true product then carries
     # [1 - n/2, n - 2], and every alias k +- n of a kept k lies outside
     # it: the product is exact on n points.
-    prod = _analyze(_samples(em_plus[: grid.n]) * _samples(ux_minus))
+    em_head = _samples(em_plus[: grid.n])
+    del em_plus
+    # the coarse lattice is the fine lattice of factor 1
+    ux_minus = derivative(v).coefficients * _fine_mask(grid, 1, "minus")
+    em_head *= _samples(ux_minus)
+    prod = _analyze(em_head, out=em_head)
     bil = _fdx(prod * _fine_mask(grid, 1, "plus"), grid.xi)
     return w, bil, float(np.mean(np.asarray(v.samples) ** 2))
 
@@ -227,24 +235,23 @@ def gauge_residual(
     genuine test of the evolution identity, dominated by the O(dt_snap^2)
     differencing error.  include_mean_term=False ablates (i/4) P0(F_x^2) w.
 
-    The snapshots stream through a window of three: each holds its w, its
-    bilinear term and P0(u^2), and the residual of the middle one is formed
-    as soon as the next is in, so memory does not grow with the snapshot
-    count.
+    The states are read once each, in order, and only their terms are kept:
+    a window of three holds each one's w, bilinear term and P0(u^2), and the
+    residual of the middle one is formed as soon as the next is in, so
+    memory does not grow with the snapshot count.
     """
     if len(traj.states) < 3:
         raise ValueError("need at least 3 snapshots for a centered difference")
     dts = np.diff(traj.times)
     if not dts[0] > 0 or np.max(np.abs(dts - dts[0])) > 1e-10 * dts[0]:
         raise ValueError("snapshots are not uniformly spaced at a positive step")
-    grid = traj.grid
-    for v in traj.states:
-        if abs(v.mean.real) > 1e-10:
-            raise ValueError("gauge residual needs mean-zero states")
     dt = float(dts[0])
     window = deque(maxlen=3)
     times, residuals, magnitudes = [], [], []
     for k, v in enumerate(traj.states):
+        if abs(v.mean.real) > 1e-10:
+            raise ValueError("gauge residual needs mean-zero states")
+        grid = v.grid
         window.append(_residual_terms(v, oversample))
         if len(window) < 3:
             continue
@@ -259,6 +266,28 @@ def gauge_residual(
     return GaugeResidualReport(
         np.array(times), np.array(residuals), np.array(magnitudes)
     )
+
+
+def _dx_samples(em: np.ndarray, mask: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The samples of 2i d/dx (mask em), formed in one new nf-point array."""
+    a = np.multiply(em, mask)
+    np.multiply(a, 1j * xi, out=a)  # _fdx in place
+    np.multiply(2j, a, out=a)
+    return _samples(a, out=a)
+
+
+def _roll_sum(a: np.ndarray, shifts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_m weights[m] * np.roll(a, shifts[m]), summed in the order of m
+    from 0 + the first term, with one work array and no rolled copy."""
+    total = np.zeros_like(a)
+    term = np.empty_like(a)
+    n = a.shape[-1]
+    for shift, weight in zip(shifts, weights):
+        np.multiply(weight, a, out=term)
+        s = int(shift) % n
+        total[..., s:] += term[..., : n - s]
+        total[..., :s] += term[..., n - s :]
+    return total
 
 
 @dataclass(frozen=True)
@@ -295,9 +324,10 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
       - T2 = P_{+hi}e^{+iF/2} P_lo(...) is one shifted add per low mode m;
         a shift that carries a mode past nf/2 lands on P_{+hi}'s zeros.
 
-    Each nf-point array is released after its last use, so at most five are
-    alive at once.  Every product keeps the operand order of the formulas
-    above: with fused multiply-adds, a*b and b*a can round differently.
+    Each nf-point array is reused in place or released after its last use,
+    so at most four are alive at once.  Every product keeps the operand order
+    of the formulas above: with fused multiply-adds, a*b and b*a can round
+    differently.
     """
     grid = u.grid
     nf = grid.n * oversample
@@ -311,25 +341,26 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
     j = lo_modes[:, None] - grid.k[None, :]
     em_j = np.where((j >= -nf // 2) & (j < nf // 2), em[j % nf], 0.0)
     inner_lo = (em_j @ u.coefficients) * mask("lo")[lo]
-    del em_j
-    # T1 + T3, summed on the nf samples
-    t1 = _samples(2j * _fdx(em * mask("plus_hi"), xi))  # 2i w_hi
-    prod = np.conj(em_samples) * t1
-    del em_samples, t1
-    t3 = _samples(2j * _fdx(em * mask("minus_hi"), xi))
-    ep = _mirror(em)  # e^{+iF/2} is the conjugate of e^{-iF/2}
+    del j, em_j
+    # T1 + T3, summed on the nf samples; e^{+iF/2} is the conjugate of the
+    # samples of e^{-iF/2}
+    prod = np.conj(em_samples, out=em_samples)
+    del em_samples
+    prod *= _dx_samples(em, mask("plus_hi"), xi)  # 2i w_hi
+    t3 = _dx_samples(em, mask("minus_hi"), xi)
+    ep = _mirror(em)  # the coefficients of e^{+iF/2}
     del em
-    prod += _samples(ep * mask("plus_HI")) * t3
-    del t3
-    ep_hi = ep * mask("plus_hi")
+    hi = np.multiply(ep, mask("plus_HI"))
+    hi = _samples(hi, out=hi)
+    prod += np.multiply(hi, t3, out=hi)
+    del hi, t3
+    ep_hi = np.multiply(ep, mask("plus_hi"), out=ep)
     del ep
-    t2 = sum(c * np.roll(ep_hi, m) for m, c in zip(lo_modes, inner_lo))
-    del ep_hi
-    rhs_fine = _analyze(prod)
+    rhs_fine = _analyze(prod, out=prod)
     del prod
-    rhs_fine += t2
-    del t2
-    rhs_fine = mask("plus_HI") * rhs_fine
+    rhs_fine += _roll_sum(ep_hi, lo_modes, inner_lo)
+    del ep_hi
+    np.multiply(mask("plus_HI"), rhs_fine, out=rhs_fine)
     lhs_fine = _embed(u.coefficients, oversample) * mask("plus_HI")
 
     gap = float(np.sqrt(grid.length * np.sum(np.abs(rhs_fine - lhs_fine) ** 2)))

@@ -395,12 +395,18 @@ def _points(shape: tuple, axes) -> int:
     return math.prod(shape if axes is None else (shape[a] for a in axes))
 
 
-def _samples(coeff: np.ndarray, axes=None) -> np.ndarray:
-    return np.fft.ifftn(coeff, axes=axes) * _points(coeff.shape, axes)
+def _samples(coeff: np.ndarray, axes=None, out=None) -> np.ndarray:
+    """The samples of coeff along axes, written to out (a new array if None;
+    out may be coeff itself)."""
+    s = np.fft.ifftn(coeff, axes=axes, out=out)
+    return np.multiply(s, _points(coeff.shape, axes), out=s)
 
 
-def _analyze(samples: np.ndarray, axes=None) -> np.ndarray:
-    return np.fft.fftn(samples, axes=axes) / _points(samples.shape, axes)
+def _analyze(samples: np.ndarray, axes=None, out=None) -> np.ndarray:
+    """The coefficients of samples along axes, written to out (a new array if
+    None; out may be samples itself)."""
+    c = np.fft.fftn(samples, axes=axes, out=out)
+    return np.divide(c, _points(samples.shape, axes), out=c)
 
 
 def _reband(coeff: np.ndarray, shape: tuple) -> np.ndarray:

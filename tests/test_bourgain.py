@@ -314,6 +314,12 @@ def _uncached_duhamel(g, win):
     return SpaceTimeField.from_slices(win, hat_t * win.window[:, None])
 
 
+def _uncached_free_evolution(f, win):
+    xi = win.spatial.xi
+    phases = np.exp(-1j * np.outer(win.times, np.abs(xi) * xi))
+    return SpaceTimeField.from_slices(win, phases * f.coefficients * win.window[:, None])
+
+
 @pytest.mark.parametrize(
     "n,num_times,t_span,lam",
     [(16, 16, 2 * np.pi, 1.0), (32, 16, 3.0, 2.0), (64, 32, 2 * np.pi, 1.0)],
@@ -335,12 +341,21 @@ def test_cached_weights_match_uncached_bodies(n, num_times, t_span, lam):
             assert np.array_equal(z_norm(f, s, b), _uncached_z_norm(f, s, b))
         duhamel = duhamel_field(f, win).coefficients
         assert np.array_equal(duhamel, _uncached_duhamel(f, win).coefficients)
+        data = random_field(win.spatial, stream(n, "cached-data", i), max_mode=n // 4)
+        free = free_evolution_field(data, win).coefficients
+        assert np.array_equal(free, _uncached_free_evolution(data, win).coefficients)
+
+
+def test_l2_and_l4_are_the_two_lebesgue_norms(win):
+    f = random_spacetime_field(win, stream(0, "l2-l4"), real=True)
+    assert bourgain._l2_and_l4(f) == (spacetime_lebesgue(f, 2), spacetime_lebesgue(f, 4))
 
 
 def test_grid_weights_are_shared_and_read_only():
     a, b = (SpaceTimeGrid(make_grid(32, 1.0), 16, 2 * np.pi) for _ in range(2))
     assert a is not b
-    for table in (lambda g: bourgain._weight(g, 1.0, -0.5), bourgain._duhamel_envelope):
+    for table in (lambda g: bourgain._weight(g, 1.0, -0.5), bourgain._duhamel_envelope,
+                  bourgain._phase_table):
         assert table(a) is table(b)
         assert not table(a).flags.writeable
 

@@ -1,6 +1,7 @@
 """Snapshot IO, config handling, experiment drivers and the CLI contract."""
 
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -156,6 +157,61 @@ def test_run_gauge_check_handles_mean(tmp_path):
     res2 = run_gauge_check(out, tmp_path / "g2")
     assert res2.passed
     assert abs(res2.config["mean_shift"] - 0.7) < 1e-12
+
+
+def test_gauge_check_rejects_a_bad_snapshot_before_computing(sim_run, tmp_path,
+                                                            monkeypatch):
+    # every file is checked when the trajectory is loaded, so a bad last
+    # snapshot exits 2 before any gauge term is formed, and no directory is made
+    from bogl import gauge
+
+    def computed(*args, **kwargs):
+        raise AssertionError("a gauge term was formed before the check")
+
+    for name in ("gauge_residual", "reconstruct_high", "translate_to_zero_mean"):
+        monkeypatch.setattr(gauge, name, computed)
+    snaps = sorted(Path(sim_run.out_dir).glob("snap_*.bin"))
+    last, t = read_snapshot(snaps[-1])
+    other_grid = random_field(make_grid(32, 1.0), stream(0, "other"), max_mode=4)
+    replacements = {
+        "corrupt": lambda path: path.write_bytes(snaps[-1].read_bytes()[:-3]),
+        "complex": lambda path: write_snapshot(
+            path, ComplexField(last.grid, 1j * last.coefficients), time=t),
+        "grid": lambda path: write_snapshot(path, other_grid, time=t),
+        "mean": lambda path: write_snapshot(
+            path, RealField.from_samples(last.grid, last.samples + 0.5), time=t),
+    }
+    for label, replace_last in replacements.items():
+        traj = tmp_path / f"traj_{label}"
+        traj.mkdir()
+        for snap in snaps:
+            (traj / snap.name).write_bytes(snap.read_bytes())
+        replace_last(traj / snaps[-1].name)
+        dest = tmp_path / f"gauge_{label}"
+        assert main(["gauge-check", "--traj", str(traj), "--out", str(dest)]) == 2, label
+        assert not dest.exists(), label
+
+
+def test_gauge_check_peak_does_not_grow_with_the_snapshot_count(tmp_path):
+    # the states are read one at a time, so 41 snapshots peak within one
+    # snapshot's coefficients of 5
+    n = 1024
+    base = {"n": str(n), "dt": "1e-3", "t_end": "0.04", "init": "random"}
+    trajs = {
+        count: run_simulate({**base, "snapshot_stride": str(40 // (count - 1))},
+                            tmp_path / f"sim{count}").out_dir
+        for count in (5, 41)
+    }
+    run_gauge_check(trajs[5], tmp_path / "warm")  # builds the fine-lattice tables
+    peaks = {}
+    for count, traj in trajs.items():
+        tracemalloc.start()
+        try:
+            run_gauge_check(traj, tmp_path / f"gauge{count}")
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[41] - peaks[5]) < n * 16
 
 
 def test_run_lp_decompose(sim_run, tmp_path):

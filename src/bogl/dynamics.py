@@ -185,40 +185,21 @@ def _full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
 #   before), so each coefficient equals that of the one-shot (n/2+1) x 32 form
 #   bit for bit; blocks of 511 rows do not.
 # - 1024 and not 512: glibc's malloc trims its heap above twice the largest
-#   block it has freed, and 256 KiB blocks make the set-up trim and re-fault
-#   its own arrays (a CLI `simulate` at n = 16384: 15.1k against 13.9k minor
-#   faults, same peak RSS).  The march is not affected either way: it
-#   allocates its work buffers once (_StageBuffers) and nothing per step.
+#   block it has freed.  After 256 KiB blocks it trimmed and re-faulted the
+#   march's per-step temporaries (n = 16384: 91k against 14k minor faults in
+#   1000 steps; n = 65536: 674 against 4 per step), and a step took 10-25 %
+#   longer.
 _CONTOUR_ROWS = 1024
-
-
-class _StageBuffers:
-    """Work arrays of ETDRK4 steps for states of one shape (..., n/2+1); a
-    march makes one set and passes it to every step."""
-
-    def __init__(self, shape: tuple, n: int):
-        self.u = np.empty(shape[:-1] + (n,))  # the samples in `nonlinear`
-        self.spec, self.n0, self.na, self.nb, self.nc, self.ec, self.a, self.bc, self.t = (
-            np.empty(shape, dtype=np.complex128) for _ in range(9)
-        )
 
 
 class ETDRK4Stepper:
     """Precomputed exponential-RK4 coefficients for one (grid, dt) pair.
 
     State and coefficients live on the half spectrum k = 0..n/2 (rfft
-    layout); a state may also be a batch, shape (..., n/2+1).  The nonlinear
-    term is the dealiased conservative form (u^2/2)_x, with i xi/2 and the
-    dealias mask folded into one array; on 2/3-dealiased state it equals the
-    dealiased u u_x of `nonlinearity` (the aliases of u^2 fall outside the
-    kept band).
-
-    The stages are formed in work buffers (_StageBuffers) in a fixed operand
-    order, so a march that passes one set of buffers to every step allocates
-    nothing per step.  Up to n = 16384 each step is bit for bit that of the
-    formulas written as plain numpy expressions; for larger n numpy elides
-    temporaries of 256 KiB or more into such an expression and may swap the
-    operands of a product there, which can move its last bit.
+    layout).  The nonlinear term is the dealiased conservative form
+    (u^2/2)_x, with i xi/2 and the dealias mask folded into one array; on
+    2/3-dealiased state it equals the dealiased u u_x of `nonlinearity`
+    (the aliases of u^2 fall outside the kept band).
     """
 
     def __init__(self, grid: SpatialGrid, dt: float):
@@ -247,49 +228,28 @@ class ETDRK4Stepper:
             self.f3[rows] = dt * np.mean(
                 (-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1
             )
-        self._f2_twice = self.f2 * 2.0  # exact
         self.mask = _dealias_mask(k, grid.n)
         self._half_ddx = np.where(self.mask, 0.5j * xi, 0.0)
 
-    def nonlinear(self, coeff: np.ndarray, out=None, work=None) -> np.ndarray:
-        """The dealiased (u^2/2)_x of the state coeff, into out (a new array
-        if None), using the buffers work (new ones if None)."""
-        w = work if work is not None else _StageBuffers(coeff.shape, self.grid.n)
-        u = np.fft.irfft(coeff, self.grid.n, norm="forward", out=w.u)
-        np.multiply(u, u, out=u)
-        np.fft.rfft(u, norm="forward", out=w.spec)
-        return np.multiply(self._half_ddx, w.spec, out=out)
+    def nonlinear(self, coeff: np.ndarray) -> np.ndarray:
+        u = np.fft.irfft(coeff, self.grid.n, norm="forward")
+        return self._half_ddx * np.fft.rfft(u * u, norm="forward")
 
-    def advance(self, coeff: np.ndarray, out=None, work=None) -> np.ndarray:
-        """One step from the state coeff into out (a new array if None), using
-        the buffers work (new ones if None); out must not share memory with
-        coeff or work.  The stages are
-
-            a = e coeff + q N(coeff),  b = e coeff + q N(a),
-            c = e a + q (2 N(b) - N(coeff)),
-            out = E coeff + f1 N(coeff) + 2 f2 (N(a) + N(b)) + f3 N(c),
-
-        with e = exp_half and E = exp_full."""
-        w = work if work is not None else _StageBuffers(coeff.shape, self.grid.n)
-        if out is None:
-            out = np.empty_like(w.t)
-        mul, add = np.multiply, np.add
-        self.nonlinear(coeff, w.n0, w)
-        mul(self.exp_half, coeff, out=w.ec)
-        add(w.ec, mul(self.q, w.n0, out=w.t), out=w.a)
-        self.nonlinear(w.a, w.na, w)
-        add(w.ec, mul(self.q, w.na, out=w.t), out=w.bc)  # b
-        self.nonlinear(w.bc, w.nb, w)
-        np.subtract(mul(2.0, w.nb, out=w.t), w.n0, out=w.t)
-        mul(self.q, w.t, out=w.bc)
-        add(mul(self.exp_half, w.a, out=w.t), w.bc, out=w.bc)  # c
-        self.nonlinear(w.bc, w.nc, w)
-        mul(self.exp_full, coeff, out=out)
-        add(out, mul(self.f1, w.n0, out=w.t), out=out)
-        add(w.na, w.nb, out=w.bc)
-        add(out, mul(self._f2_twice, w.bc, out=w.t), out=out)
-        add(out, mul(self.f3, w.nc, out=w.t), out=out)
-        return out
+    def advance(self, coeff: np.ndarray) -> np.ndarray:
+        n0 = self.nonlinear(coeff)
+        e_coeff = self.exp_half * coeff
+        a = e_coeff + self.q * n0
+        na = self.nonlinear(a)
+        b = e_coeff + self.q * na
+        nb = self.nonlinear(b)
+        c = self.exp_half * a + self.q * (2.0 * nb - n0)
+        nc = self.nonlinear(c)
+        return (
+            self.exp_full * coeff
+            + self.f1 * n0
+            + self.f2 * 2.0 * (na + nb)
+            + self.f3 * nc
+        )
 
 
 _STEPPER_CACHE: dict = {}
@@ -357,18 +317,15 @@ def simulate(u0: RealField, cfg: SimConfig) -> Trajectory:
     stepper = _stepper(grid, cfg.dt)
     marks = np.arange(0, cfg.n_steps + 1, stride)
     halves = np.empty((len(marks), n // 2 + 1), dtype=np.complex128)
-    halves[0] = u0.coefficients[: n // 2 + 1]
-    # a step writes to the next snapshot row, or else to the spare row
-    # that the step before did not write
-    spare = np.empty((2, n // 2 + 1), dtype=np.complex128)
-    coeff, work = halves[0], _StageBuffers(halves[0].shape, n)
+    coeff = halves[0] = u0.coefficients[: n // 2 + 1]
     # overflow is reported by the finiteness check, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.n_steps + 1):
-            snap, rest = divmod(k, stride)
-            coeff = stepper.advance(coeff, spare[k % 2] if rest else halves[snap], work)
+            coeff = stepper.advance(coeff)
             if not np.all(np.isfinite(coeff)):
                 raise IntegrationError(time=k * cfg.dt)
+            if k % stride == 0:
+                halves[k // stride] = coeff
     states = LazyStates(lambda i: RealField(grid, _full_spectrum(halves[i], n)), len(marks))
     return Trajectory(marks * cfg.dt, states)
 

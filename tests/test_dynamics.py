@@ -11,7 +11,6 @@ from bogl.dynamics import (
     IntegrationError,
     LazyStates,
     SimConfig,
-    _StageBuffers,
     energy,
     momentum,
     nonlinearity,
@@ -150,50 +149,6 @@ def test_march_matches_complex_oracle(grid):
     for _ in range(200):
         stepped = step(stepped, dt)
     assert _rel(stepped.coefficients, expected) < 1e-12
-
-
-def _allocating_advance(stepper, coeff):
-    """ETDRK4Stepper.advance as plain numpy expressions, one new array per
-    operation: the form the buffered march replaced."""
-
-    def nonlinear(c):
-        u = np.fft.irfft(c, stepper.grid.n, norm="forward")
-        return stepper._half_ddx * np.fft.rfft(u * u, norm="forward")
-
-    n0 = nonlinear(coeff)
-    e_coeff = stepper.exp_half * coeff
-    a = e_coeff + stepper.q * n0
-    na = nonlinear(a)
-    b = e_coeff + stepper.q * na
-    nb = nonlinear(b)
-    c = stepper.exp_half * a + stepper.q * (2.0 * nb - n0)
-    nc = nonlinear(c)
-    return (stepper.exp_full * coeff + stepper.f1 * n0
-            + stepper.f2 * 2.0 * (na + nb) + stepper.f3 * nc)
-
-
-@pytest.mark.parametrize("batch", [(), (3,)])
-@pytest.mark.parametrize("n", [64, 256, 4096, 16384])
-def test_buffered_march_equals_allocating_form(n, batch):
-    # bit for bit, for one state and for a batch, with one set of buffers
-    # reused across the steps.  numpy elides a temporary of 256 KiB or more
-    # into the result of an expression and may then swap the operands of a
-    # product, which can move its last bit; up to n = 16384 the expression
-    # form makes no temporary that large.
-    g = make_grid(n, 1.0)
-    stepper = ETDRK4Stepper(g, 5e-4)
-    rng = np.random.default_rng(n)
-    rows = [random_field(g, rng, decay=1.0, max_mode=n // 3).coefficients[: n // 2 + 1]
-            for _ in range(batch[0] if batch else 1)]
-    start = np.stack(rows).reshape(batch + (n // 2 + 1,))
-    work = _StageBuffers(start.shape, n)
-    expected, got = start, start.copy()
-    for _ in range(4):
-        expected = _allocating_advance(stepper, expected)
-        got = stepper.advance(got, np.empty_like(got), work)
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    one = stepper.advance(start)  # the allocating call form
-    assert np.array_equal(one.view(np.int64), _allocating_advance(stepper, start).view(np.int64))
 
 
 def test_lazy_states_build_each_state_when_read():

@@ -292,30 +292,34 @@ def _write_state(traj: Trajectory, idx: int, path) -> None:
     write_snapshot(path, traj.states[idx], float(traj.times[idx]))
 
 
-def load_trajectory(traj_dir) -> Trajectory:
-    """The snapshots of traj_dir in time order.  Every file is read and checked
-    here (a bad one is a ConfigError), but only its path and time are kept:
-    the states are read again, one at a time, when the trajectory is read."""
+def load_trajectory(traj_dir) -> tuple[Trajectory, float]:
+    """The snapshots of traj_dir in time order, and the mean of the first.  Every
+    file is read and checked here (a bad one is a ConfigError), but only its
+    path and time are kept: the states are read again, one at a time, when
+    the trajectory is read."""
     paths = sorted(Path(traj_dir).glob("snap_*.bin"))
     if not paths:
         raise ConfigError(f"no snapshots found in {traj_dir}")
-    times = []
+    times, means = [], []
     for p in paths:
         field, t = _read_snapshot(p)
         if not isinstance(field, RealField):
             raise ConfigError(f"{p}: trajectory snapshots must be real fields")
+        mean = field.mean.real
         if not times:
-            grid, mean = field.grid, field.mean.real
+            grid, first_mean = field.grid, mean
         if field.grid != grid:
             raise ConfigError(f"{p}: grid differs from that of {paths[0].name}")
         # the evolution conserves the mean; gauge_residual's tolerance
-        if abs(field.mean.real - mean) > 1e-10:
+        if abs(mean - first_mean) > 1e-10:
             raise ConfigError(f"{p}: mean differs from that of {paths[0].name}")
         times.append(t)
+        means.append(mean)
     order = np.argsort(times)
     ordered = [str(paths[i]) for i in order]
     states = LazyStates(lambda i: _read_snapshot(ordered[i])[0], len(ordered))
-    return Trajectory(times=np.array([times[i] for i in order]), states=states)
+    traj = Trajectory(times=np.array([times[i] for i in order]), states=states)
+    return traj, float(means[order[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +329,33 @@ def load_trajectory(traj_dir) -> Trajectory:
 
 def run_gauge_check(traj_dir, out_dir) -> RunResult:
     oversample = 4  # fine-lattice factor of the gauge exponentials
-    traj = load_trajectory(traj_dir)
-    mean = float(traj.states[0].mean.real)
+    traj, mean = load_trajectory(traj_dir)
+    states = traj.states
     if abs(mean) > 1e-12:
         # Galilean change of unknown: evolve in the mean-zero frame
-        times, loaded = traj.times, traj.states
-        reduced = LazyStates(
+        loaded, times = states, traj.times
+        states = LazyStates(
             lambda i: gauge.translate_to_zero_mean(loaded[i], mean, float(times[i])),
             len(loaded),
         )
-        traj = Trajectory(times=times, states=reduced)
     # fewer than 3 or unevenly spaced snapshots
-    rep = _validated("traj", gauge.gauge_residual, traj, oversample=oversample)
-    gaps = [gauge.reconstruct_high(state, oversample=oversample).rel_gap
-            for state in traj.states]
+    window = _validated("traj", gauge.ResidualWindow, traj.times, oversample)
+    # one pass: each state is read once, and its e^{-iF/2} is formed once for
+    # both the residual and the reconstruction
+    gaps = []
+    for state in states:
+        exponential = gauge.exponential_pair(state, oversample)
+        _validated("traj", window.add, state, exponential[1])
+        rec = gauge.reconstruct_high(state, oversample=oversample, exponential=exponential)
+        gaps.append(rec.rel_gap)
+        # released before the next state's exponential is formed
+        del exponential, rec
+    rep = window.report()
     rec_rows = [{"t": float(t), "rel_gap": gap} for t, gap in zip(traj.times, gaps)]
     # np.max, unlike max(), keeps a NaN gap
     worst = float(np.max(gaps))
     config = {"traj_dir": str(traj_dir), "oversample": oversample,
-              "snapshots": len(traj.states), "mean_shift": mean}
+              "snapshots": len(states), "mean_shift": mean}
     assertions = [
         Assertion("reconstruction_gap", worst <= 1e-10, f"max rel gap {worst:.3e}"),
         Assertion(

@@ -29,13 +29,21 @@ The only approximation left is the spectral tail of the exponential itself.
 The fine-lattice kernels take coefficient arrays whose leading axes are a
 batch and whose last axis is x, so one call forms e^{-iF/2} for a stack of
 time slices; _gauge_exponential is the one-field entry point.
+
+Projections are index bands (_band), not nf-point tables: a sign or HI
+projection is one run of ones in FFT order, the smooth hi cutoff adds its
+few fractional eta entries at lambda < |k| < 2 lambda, and "lo" is an index
+list with its values.  A check over a trajectory forms each snapshot's
+exponential once (exponential_pair) and gives it to both ResidualWindow.add
+and reconstruct_high, in one pass over the states.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +56,6 @@ from .spectral import (
     _analyze,
     _band_product,
     _lp_sum,
-    _mirror,
     _real_coefficients,
     _reband,
     _samples,
@@ -66,7 +73,9 @@ __all__ = [
     "gauge_W",
     "gauge_w",
     "gauge_w_product_form",
+    "exponential_pair",
     "GaugeResidualReport",
+    "ResidualWindow",
     "gauge_residual",
     "ReconstructionReport",
     "reconstruct_high",
@@ -92,17 +101,89 @@ def _truncate(fine: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _fine_xi(grid: SpatialGrid, factor: int) -> np.ndarray:
+    """The fine frequencies (read-only), for exp_multiplication_probe's
+    Bessel weights on the whole lattice; the gauge check uses bands."""
     xi = fine_frequencies(grid, factor)
     xi.flags.writeable = False
     return xi
 
 
+@dataclass(frozen=True)
+class _Band:
+    """The symbol of a projection on a lattice, in FFT order: 1 on the run
+    `ones` of consecutive indices, values[i] at index[i] (ascending, outside
+    the run) and 0 elsewhere."""
+
+    ones: slice
+    index: np.ndarray
+    values: np.ndarray
+
+
+def _fine_xi_at(grid: SpatialGrid, factor: int, index) -> np.ndarray:
+    """fine_frequencies(grid, factor)[index] for a slice or an index array,
+    formed without the nf-point table: fftfreq's k * (1/(nf*d)), d = 1/nf,
+    over the period scale."""
+    nf = grid.n * factor
+    j = np.arange(*index.indices(nf)) if isinstance(index, slice) else index
+    k = np.where(j < nf // 2, j, j - nf)
+    return k * (1.0 / (nf * (1.0 / nf))) / grid.period_scale
+
+
 @lru_cache(maxsize=64)
-def _fine_mask(grid: SpatialGrid, factor: int, which: str) -> np.ndarray:
-    """Symbol of a named projection on the fine lattice, built once (read-only)."""
-    mask = projection_symbol(which, _fine_xi(grid, factor))
-    mask.flags.writeable = False
-    return mask
+def _band(grid: SpatialGrid, factor: int, which: str) -> _Band:
+    """projection_symbol's `which` on the lattice of factor*n points.
+
+    Every symbol used here is 0 or 1 at each |xi| >= 8 (the HI edge; eta
+    is constant past 2), so it is evaluated only at the modes |k| <= 8 lambda
+    + 1 and continued from there to each end.  A side that continues with
+    ones ends the run; every other nonzero entry goes to the index list,
+    which is all of "lo"."""
+    nf = grid.n * factor
+    h = min(nf // 2, math.ceil(8 * grid.period_scale) + 2)
+    j = np.r_[0:h, nf - h : nf]
+    sym = projection_symbol(which, _fine_xi_at(grid, factor, j))
+    ones = slice(0, 0)
+    if h < nf // 2:
+        if sym[h - 1] == 1.0 and sym[h] == 1.0:
+            raise ValueError(f"{which!r} is not one run of ones")
+        if sym[h - 1] == 1.0:  # the run ends at the last mode k = nf/2 - 1
+            start = h
+            while start > 0 and sym[start - 1] == 1.0:
+                start -= 1
+            ones = slice(start, nf // 2)
+        elif sym[h] == 1.0:  # the run starts at the first mode k = -nf/2
+            stop = h
+            while stop < 2 * h and sym[stop] == 1.0:
+                stop += 1
+            ones = slice(nf // 2, j[stop - 1] + 1)
+    inside = (j >= ones.start) & (j < ones.stop)
+    rest = (sym != 0.0) & ~inside
+    index, values = j[rest], sym[rest]
+    for a in (index, values):
+        a.flags.writeable = False
+    return _Band(ones, index, values)
+
+
+def _project(a: np.ndarray, band: _Band, inplace: bool = False) -> np.ndarray:
+    """a times the band's symbol along the last axis, in a new array (or in
+    a itself).  The products are those of multiplying by the symbol, except
+    that a cut entry is +0.0 where that gives a zero of either sign."""
+    kept = a[..., band.index] * band.values
+    if inplace:
+        out = a
+        out[..., : band.ones.start] = 0.0
+        out[..., band.ones.stop :] = 0.0
+    else:
+        out = np.zeros_like(a)
+        out[..., band.ones] = a[..., band.ones]
+    out[..., band.index] = kept
+    return out
+
+
+def _dx_band(a: np.ndarray, band: _Band, grid: SpatialGrid, factor: int) -> None:
+    """d/dx in place on the band's entries of a, which is 0 elsewhere."""
+    for part in (band.ones, band.index):
+        a[..., part] *= 1j * _fine_xi_at(grid, factor, part)
 
 
 def _fdx(a: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -169,8 +250,9 @@ def primitive(u: RealField) -> RealField:
 
 def gauge_W(u: RealField, oversample: int = 4) -> ComplexField:
     """W = P_+(e^{-iF/2}), the positive-frequency part of the gauge factor."""
-    w = _gauge_exponential(u, oversample) * _fine_mask(u.grid, oversample, "plus")
-    return ComplexField(u.grid, _truncate(w, u.grid))
+    # cut to the coarse band first: the cut commutes with P_+
+    w = _truncate(_gauge_exponential(u, oversample), u.grid)
+    return ComplexField(u.grid, _project(w, _band(u.grid, 1, "plus"), inplace=True))
 
 
 def gauge_w(u: RealField, oversample: int = 4) -> ComplexField:
@@ -183,8 +265,16 @@ def gauge_w_product_form(u: RealField, oversample: int = 4) -> ComplexField:
     """w computed as -(i/2) P_+(e^{-iF/2} u); equals gauge_w up to aliasing."""
     em = _gauge_exponential(u, oversample)
     prod = _band_product([(em, _embed(u.coefficients, oversample))])
-    w = -0.5j * (prod * _fine_mask(u.grid, oversample, "plus"))
-    return ComplexField(u.grid, _truncate(w, u.grid))
+    w = -0.5j * _truncate(prod, u.grid)
+    return ComplexField(u.grid, _project(w, _band(u.grid, 1, "plus"), inplace=True))
+
+
+def exponential_pair(u: RealField, oversample: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """(samples, coefficients) of e^{-iF/2}, F = primitive(u), on the fine
+    lattice of oversample*n points: what ResidualWindow.add and
+    reconstruct_high take, so one snapshot's exponential is formed once."""
+    samples = _fine_exponential_samples(u.coefficients, u.grid, oversample)
+    return samples, _analyze(samples)
 
 
 @dataclass(frozen=True)
@@ -200,12 +290,12 @@ class GaugeResidualReport:
         ]
 
 
-def _residual_terms(v: RealField, oversample: int):
-    """(w, bil, P0(u^2)) of one snapshot for gauge_residual: w = d/dx
-    P_+(e^{-iF/2}) and bil = d/dx P_+(P_+e^{-iF/2} P_-u_x), both cut to the
-    coarse band."""
+def _residual_terms(v: RealField, em: np.ndarray, oversample: int):
+    """(w, bil, P0(u^2)) of one snapshot, em the fine coefficients of its
+    e^{-iF/2}: w = d/dx P_+(e^{-iF/2}) and bil = d/dx P_+(P_+e^{-iF/2}
+    P_-u_x), both cut to the coarse band."""
     grid = v.grid
-    em_plus = _gauge_exponential(v, oversample) * _fine_mask(grid, oversample, "plus")
+    em_plus = _project(em, _band(grid, oversample, "plus"))
     # cut to the coarse band first: the cut commutes with the multiplier
     w = _fdx(_truncate(em_plus, grid), grid.xi)
     # bil keeps 0 < k < n/2 of P_+e^{-iF/2} P_-u_x.  With P_-u_x on
@@ -217,11 +307,64 @@ def _residual_terms(v: RealField, oversample: int):
     em_head = _samples(em_plus[: grid.n])
     del em_plus
     # the coarse lattice is the fine lattice of factor 1
-    ux_minus = derivative(v).coefficients * _fine_mask(grid, 1, "minus")
+    ux_minus = _project(derivative(v).coefficients, _band(grid, 1, "minus"))
     em_head *= _samples(ux_minus)
     prod = _analyze(em_head, out=em_head)
-    bil = _fdx(prod * _fine_mask(grid, 1, "plus"), grid.xi)
+    bil = _fdx(_project(prod, _band(grid, 1, "plus"), inplace=True), grid.xi)
     return w, bil, float(np.mean(np.asarray(v.samples) ** 2))
+
+
+class ResidualWindow:
+    """gauge_residual one snapshot at a time.
+
+    add() takes the states in time order, each with the fine coefficients of
+    its e^{-iF/2}; the residual of a state is formed as soon as the next one
+    is in.  Between states only what a later residual needs is kept: the w
+    of the last two states and the bilinear term and P0(u^2) of the last,
+    so memory does not grow with the snapshot count.  report() gives the
+    rows of the states added so far.
+    """
+
+    def __init__(self, times, oversample: int = 4, include_mean_term: bool = True):
+        times = np.asarray(times, dtype=np.float64)
+        if len(times) < 3:
+            raise ValueError("need at least 3 snapshots for a centered difference")
+        dts = np.diff(times)
+        if not dts[0] > 0 or np.max(np.abs(dts - dts[0])) > 1e-10 * dts[0]:
+            raise ValueError("snapshots are not uniformly spaced at a positive step")
+        self._dt = float(dts[0])
+        self._times = times
+        self._oversample = oversample
+        self._include_mean_term = include_mean_term
+        self._window = deque()
+        self._added = 0
+        self._rows = ([], [], [])
+
+    def add(self, v: RealField, em: np.ndarray) -> None:
+        if abs(v.mean.real) > 1e-10:
+            raise ValueError("gauge residual needs mean-zero states")
+        window = self._window
+        window.append(_residual_terms(v, em, self._oversample))
+        self._added += 1
+        if len(window) < 3:
+            return
+        grid = v.grid
+        (w_prev, _, _), (w, bil, p0), (w_next, _, _) = window
+        mean_term = 0.25j * p0 * w
+        rhs = -bil + (mean_term if self._include_mean_term else 0.0)
+        wt = (w_next - w_prev) / (2.0 * self._dt)
+        lhs = wt - 1j * (1j * grid.xi) ** 2 * w  # w_t - i w_xx
+        times, residuals, magnitudes = self._rows
+        times.append(float(self._times[self._added - 2]))
+        residuals.append(lebesgue_norm(ComplexField(grid, lhs - rhs), 2))
+        magnitudes.append(lebesgue_norm(ComplexField(grid, mean_term), 2))
+        # the oldest state is done, and the middle one is needed only as the
+        # next residual's w_prev
+        window.popleft()
+        window[0] = (w, None, None)
+
+    def report(self) -> GaugeResidualReport:
+        return GaugeResidualReport(*(np.array(column) for column in self._rows))
 
 
 def gauge_residual(
@@ -235,59 +378,61 @@ def gauge_residual(
     genuine test of the evolution identity, dominated by the O(dt_snap^2)
     differencing error.  include_mean_term=False ablates (i/4) P0(F_x^2) w.
 
-    The states are read once each, in order, and only their terms are kept:
-    a window of three holds each one's w, bilinear term and P0(u^2), and the
-    residual of the middle one is formed as soon as the next is in, so
-    memory does not grow with the snapshot count.
+    The states are read once each, in order, through a ResidualWindow.
     """
-    if len(traj.states) < 3:
-        raise ValueError("need at least 3 snapshots for a centered difference")
-    dts = np.diff(traj.times)
-    if not dts[0] > 0 or np.max(np.abs(dts - dts[0])) > 1e-10 * dts[0]:
-        raise ValueError("snapshots are not uniformly spaced at a positive step")
-    dt = float(dts[0])
-    window = deque(maxlen=3)
-    times, residuals, magnitudes = [], [], []
-    for k, v in enumerate(traj.states):
-        if abs(v.mean.real) > 1e-10:
-            raise ValueError("gauge residual needs mean-zero states")
-        grid = v.grid
-        window.append(_residual_terms(v, oversample))
-        if len(window) < 3:
-            continue
-        (w_prev, _, _), (w, bil, p0), (w_next, _, _) = window
-        mean_term = 0.25j * p0 * w
-        rhs = -bil + (mean_term if include_mean_term else 0.0)
-        wt = (w_next - w_prev) / (2.0 * dt)
-        lhs = wt - 1j * (1j * grid.xi) ** 2 * w  # w_t - i w_xx
-        times.append(float(traj.times[k - 1]))
-        residuals.append(lebesgue_norm(ComplexField(grid, lhs - rhs), 2))
-        magnitudes.append(lebesgue_norm(ComplexField(grid, mean_term), 2))
-    return GaugeResidualReport(
-        np.array(times), np.array(residuals), np.array(magnitudes)
-    )
+    window = ResidualWindow(traj.times, oversample, include_mean_term)
+    for v in traj.states:
+        window.add(v, _gauge_exponential(v, oversample))
+    return window.report()
 
 
-def _dx_samples(em: np.ndarray, mask: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """The samples of 2i d/dx (mask em), formed in one new nf-point array."""
-    a = np.multiply(em, mask)
-    np.multiply(a, 1j * xi, out=a)  # _fdx in place
+def _dx_samples(
+    em: np.ndarray, band: _Band, grid: SpatialGrid, factor: int, inplace: bool = False
+) -> np.ndarray:
+    """The samples of 2i d/dx (band em), formed in one new nf-point array (or
+    in em itself)."""
+    a = _project(em, band, inplace)
+    _dx_band(a, band, grid, factor)
     np.multiply(2j, a, out=a)
     return _samples(a, out=a)
 
 
-def _roll_sum(a: np.ndarray, shifts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_m weights[m] * np.roll(a, shifts[m]), summed in the order of m
-    from 0 + the first term, with one work array and no rolled copy."""
-    total = np.zeros_like(a)
-    term = np.empty_like(a)
-    n = a.shape[-1]
+def _mirror_band(em: np.ndarray, band: _Band) -> np.ndarray:
+    """The band's part of _mirror(em), the coefficients of the conjugate,
+    formed at the band's entries only.  The run must not hold index 0."""
+    nf = em.shape[-1]
+    out = np.zeros_like(em)
+    start, stop = band.ones.start, band.ones.stop
+    np.conjugate(em[..., nf - stop + 1 : nf - start + 1][..., ::-1],
+                 out=out[..., start:stop])
+    out[..., band.index] = np.conjugate(em[..., -band.index % nf]) * band.values
+    return out
+
+
+def _span(band: _Band) -> slice:
+    """The shortest slice of indices that holds every nonzero entry of band."""
+    ends = [band.ones.start, band.ones.stop] if band.ones.stop > band.ones.start else []
+    if band.index.size:
+        ends += [int(band.index[0]), int(band.index[-1]) + 1]
+    return slice(min(ends), max(ends)) if ends else slice(0, 0)
+
+
+def _roll_sum(
+    a: np.ndarray, shifts: np.ndarray, weights: np.ndarray, span: slice
+) -> np.ndarray:
+    """sum_m weights[m] * np.roll(a, shifts[m]) at the indices of span only,
+    summed in the order of m from 0 + the first term, with no rolled copy."""
+    total = np.zeros(a.shape[:-1] + (span.stop - span.start,), dtype=a.dtype)
     for shift, weight in zip(shifts, weights):
-        np.multiply(weight, a, out=term)
-        s = int(shift) % n
-        total[..., s:] += term[..., : n - s]
-        total[..., :s] += term[..., n - s :]
+        term = np.take(a, np.arange(span.start, span.stop) - shift, axis=-1, mode="wrap")
+        total += np.multiply(weight, term, out=term)
     return total
+
+
+def _fine_l2(a: np.ndarray, grid: SpatialGrid) -> float:
+    """sqrt(L sum |a_k|^2) of fine coefficients, with one real work array."""
+    s = np.abs(a)
+    return float(np.sqrt(grid.length * np.sum(np.square(s, out=s))))
 
 
 @dataclass(frozen=True)
@@ -300,7 +445,11 @@ class ReconstructionReport:
     rel_gap: float
 
 
-def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
+def reconstruct_high(
+    u: RealField,
+    oversample: int = 4,
+    exponential: tuple[np.ndarray, np.ndarray] | None = None,
+) -> ReconstructionReport:
     """High-frequency inversion of the gauge: P_{+HI} u from gauge data.
 
     Evaluates P_{+HI}u = 2i P_{+HI}(e^{iF/2} w_hi)
@@ -309,6 +458,10 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
     with w_hi = d/dx P_{+hi}(e^{-iF/2}).  With the sharp |xi|>=8 split the
     inner projector insertions are lossless, so the relative gap measures
     only aliasing of the oversampled exponentials.
+
+    exponential, if given, is exponential_pair(u, oversample), formed once
+    for this and the residual: its two arrays are the work arrays here, and
+    are overwritten.
 
     The exponentials carry the fine band [-nf/2, nf/2), nf = oversample*n,
     and P_{+HI} keeps 8 lambda <= k < nf/2.  Each term has one factor of one
@@ -324,54 +477,58 @@ def reconstruct_high(u: RealField, oversample: int = 4) -> ReconstructionReport:
       - T2 = P_{+hi}e^{+iF/2} P_lo(...) is one shifted add per low mode m;
         a shift that carries a mode past nf/2 lands on P_{+hi}'s zeros.
 
-    Each nf-point array is reused in place or released after its last use,
-    so at most four are alive at once.  Every product keeps the operand order
-    of the formulas above: with fused multiply-adds, a*b and b*a can round
-    differently.
+    The mirror e^{+iF/2} is formed only on P_{+hi}'s entries, T2 only on
+    P_{+HI}'s, and the two exponential arrays are reused in place, so at
+    most three nf-point arrays are alive at once (with T2 on less than half
+    of one).  Every product keeps the operand order of the formulas above:
+    with fused multiply-adds, a*b and b*a can round differently.
     """
     grid = u.grid
     nf = grid.n * oversample
-    xi = _fine_xi(grid, oversample)
-    mask = partial(_fine_mask, grid, oversample)
-    em_samples = _fine_exponential_samples(u.coefficients, grid, oversample)
-    em = _analyze(em_samples)
+    lo, plus_hi, minus_hi, plus_HI = (
+        _band(grid, oversample, which) for which in ("lo", "plus_hi", "minus_hi", "plus_HI")
+    )
+    em_samples, em = exponential_pair(u, oversample) if exponential is None else exponential
+    del exponential
     # the low band: inner_lo[m] = eta(xi_m) sum_k em[m - k] u[k]
-    lo = np.flatnonzero(mask("lo"))
-    lo_modes = np.where(lo < nf // 2, lo, lo - nf)
+    lo_modes = np.where(lo.index < nf // 2, lo.index, lo.index - nf)
     j = lo_modes[:, None] - grid.k[None, :]
     em_j = np.where((j >= -nf // 2) & (j < nf // 2), em[j % nf], 0.0)
-    inner_lo = (em_j @ u.coefficients) * mask("lo")[lo]
+    inner_lo = (em_j @ u.coefficients) * lo.values
     del j, em_j
     # T1 + T3, summed on the nf samples; e^{+iF/2} is the conjugate of the
     # samples of e^{-iF/2}
     prod = np.conj(em_samples, out=em_samples)
     del em_samples
-    prod *= _dx_samples(em, mask("plus_hi"), xi)  # 2i w_hi
-    t3 = _dx_samples(em, mask("minus_hi"), xi)
-    ep = _mirror(em)  # the coefficients of e^{+iF/2}
+    prod *= _dx_samples(em, plus_hi, grid, oversample)  # 2i w_hi
+    # T2 is formed first, on P_{+HI}'s span only, so that P_{+hi}e^{+iF/2}
+    # can turn into T3's P_{+HI}e^{+iF/2} in place
+    span = _span(plus_HI)
+    ep_hi = _mirror_band(em, plus_hi)
+    t2 = _roll_sum(ep_hi, lo_modes, inner_lo, span)
+    hi = _samples(_project(ep_hi, plus_HI, inplace=True), out=ep_hi)
+    del ep_hi
+    # em's last use: T3's factor is formed in its place
+    t3 = _dx_samples(em, minus_hi, grid, oversample, inplace=True)
     del em
-    hi = np.multiply(ep, mask("plus_HI"))
-    hi = _samples(hi, out=hi)
     prod += np.multiply(hi, t3, out=hi)
     del hi, t3
-    ep_hi = np.multiply(ep, mask("plus_hi"), out=ep)
-    del ep
     rhs_fine = _analyze(prod, out=prod)
     del prod
-    rhs_fine += _roll_sum(ep_hi, lo_modes, inner_lo)
-    del ep_hi
-    np.multiply(mask("plus_HI"), rhs_fine, out=rhs_fine)
-    lhs_fine = _embed(u.coefficients, oversample) * mask("plus_HI")
+    rhs_fine[..., span] += t2
+    _project(rhs_fine, plus_HI, inplace=True)
+    lhs_fine = _project(_embed(u.coefficients, oversample), plus_HI, inplace=True)
 
-    gap = float(np.sqrt(grid.length * np.sum(np.abs(rhs_fine - lhs_fine) ** 2)))
-    lhs_norm = float(np.sqrt(grid.length * np.sum(np.abs(lhs_fine) ** 2)))
-    rhs_norm = float(np.sqrt(grid.length * np.sum(np.abs(rhs_fine) ** 2)))
+    lhs_norm = _fine_l2(lhs_fine, grid)
+    rhs_norm = _fine_l2(rhs_fine, grid)
+    lhs, rhs = _truncate(lhs_fine, grid), _truncate(rhs_fine, grid)
+    gap = _fine_l2(np.subtract(rhs_fine, lhs_fine, out=rhs_fine), grid)
     # normalize against the data size as well: for low-band u both sides
     # vanish and the meaningful scale of the identity is |u| itself
     denom = max(lhs_norm, lebesgue_norm(u, 2), 1e-300)
     return ReconstructionReport(
-        lhs=ComplexField(grid, _truncate(lhs_fine, grid)),
-        rhs=ComplexField(grid, _truncate(rhs_fine, grid)),
+        lhs=ComplexField(grid, lhs),
+        rhs=ComplexField(grid, rhs),
         lhs_norm=lhs_norm,
         rhs_norm=rhs_norm,
         gap_abs=gap,

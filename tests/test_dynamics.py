@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bogl.dynamics import (
     ETDRK4Stepper,
@@ -149,6 +151,27 @@ def test_march_matches_complex_oracle(grid):
     for _ in range(200):
         stepped = step(stepped, dt)
     assert _rel(stepped.coefficients, expected) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    log2n=st.integers(4, 10),
+    period_scale=st.sampled_from([1.0, 2.0]),
+    dt=st.floats(1e-4, 2e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rfft_stepper_matches_complex_oracle_on_dealiased_data(log2n, period_scale, dt, seed):
+    # data on the modes the 2/3 rule keeps: the half-spectrum conservative
+    # form and the full-spectrum u*u_x oracle take the same steps
+    n = 2**log2n
+    g = make_grid(n, period_scale)
+    u = random_field(g, np.random.default_rng(seed), decay=1.0, amplitude=0.5,
+                     max_mode=n // 3)
+    stepper, oracle = ETDRK4Stepper(g, dt), ComplexStepperOracle(g, dt)
+    half, full = u.coefficients[: n // 2 + 1], u.copy_coefficients()
+    for _ in range(3):
+        half, full = stepper.advance(half), oracle.advance(full)
+    assert _rel(half, full[: n // 2 + 1]) <= 1e-12
 
 
 def test_lazy_states_build_each_state_when_read():

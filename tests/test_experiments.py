@@ -130,8 +130,8 @@ def test_run_gauge_check_keeps_nan_gap(sim_run, tmp_path, monkeypatch):
     real = gauge.reconstruct_high
     calls = []
 
-    def nan_on_second(state, oversample=4):
-        rec = real(state, oversample=oversample)
+    def nan_on_second(state, oversample=4, **kwargs):
+        rec = real(state, oversample=oversample, **kwargs)
         calls.append(rec)
         return replace(rec, rel_gap=float("nan")) if len(calls) == 2 else rec
 
@@ -168,7 +168,8 @@ def test_gauge_check_rejects_a_bad_snapshot_before_computing(sim_run, tmp_path,
     def computed(*args, **kwargs):
         raise AssertionError("a gauge term was formed before the check")
 
-    for name in ("gauge_residual", "reconstruct_high", "translate_to_zero_mean"):
+    for name in ("gauge_residual", "exponential_pair", "reconstruct_high",
+                 "translate_to_zero_mean"):
         monkeypatch.setattr(gauge, name, computed)
     snaps = sorted(Path(sim_run.out_dir).glob("snap_*.bin"))
     last, t = read_snapshot(snaps[-1])
@@ -202,7 +203,7 @@ def test_gauge_check_peak_does_not_grow_with_the_snapshot_count(tmp_path):
                             tmp_path / f"sim{count}").out_dir
         for count in (5, 41)
     }
-    run_gauge_check(trajs[5], tmp_path / "warm")  # builds the fine-lattice tables
+    run_gauge_check(trajs[5], tmp_path / "warm")  # fills the band caches
     peaks = {}
     for count, traj in trajs.items():
         tracemalloc.start()
@@ -212,6 +213,53 @@ def test_gauge_check_peak_does_not_grow_with_the_snapshot_count(tmp_path):
         finally:
             tracemalloc.stop()
     assert abs(peaks[41] - peaks[5]) < n * 16
+
+
+def test_gauge_check_reads_each_file_twice_and_forms_each_exponential_once(
+        tmp_path, monkeypatch):
+    # the up-front check reads every file, then one pass reads each again
+    # and forms its e^{-iF/2} once for the residual and the reconstruction
+    from bogl import gauge
+
+    cfg = {"n": "64", "dt": "1e-3", "t_end": "0.004", "snapshot_stride": "1",
+           "init": "random"}
+    sim = run_simulate(cfg, tmp_path / "sim").out_dir
+    reads, formed = {}, []
+    read, form = experiments.read_snapshot, gauge._fine_exponential_samples
+
+    def counted_read(path):
+        reads[Path(path).name] = reads.get(Path(path).name, 0) + 1
+        return read(path)
+
+    def counted_form(*args, **kwargs):
+        formed.append(args)
+        return form(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "read_snapshot", counted_read)
+    monkeypatch.setattr(gauge, "_fine_exponential_samples", counted_form)
+    assert run_gauge_check(sim, tmp_path / "g").passed
+    assert reads == {f"snap_{i:06d}.bin": 2 for i in range(5)}
+    assert len(formed) == 5
+
+
+def test_gauge_check_holds_no_fine_lattice_table(tmp_path):
+    # the projections are index bands: what the check leaves held is less
+    # than one nf-point complex array
+    from bogl import gauge
+
+    n, oversample = 1024, 4
+    cfg = {"n": str(n), "dt": "1e-3", "t_end": "0.004", "snapshot_stride": "1",
+           "init": "random"}
+    sim = run_simulate(cfg, tmp_path / "sim").out_dir
+    gauge._band.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run_gauge_check(sim, tmp_path / "g").passed
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < n * oversample * 16
 
 
 def test_run_lp_decompose(sim_run, tmp_path):

@@ -22,6 +22,7 @@ from bogl.gauge import (
 from bogl.spectral import (
     ComplexField,
     RealField,
+    _mirror,
     derivative,
     fine_frequencies,
     lebesgue_norm,
@@ -162,7 +163,7 @@ def test_gauge_residual_memory_does_not_grow_with_snapshots():
     peaks = []
     for count in (5, 21):
         part = Trajectory(traj.times[:count], traj.states[:count])
-        gauge_residual(part)  # fills the mask and sample caches
+        gauge_residual(part)  # fills the band caches
         tracemalloc.start()
         try:
             gauge_residual(part)
@@ -172,6 +173,40 @@ def test_gauge_residual_memory_does_not_grow_with_snapshots():
     # less than one more coarse complex array (keeping every snapshot's
     # three arrays grows the peak by about 50 of them)
     assert peaks[1] - peaks[0] < 1024 * 16
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("period_scale", [1.0, 2.0])
+@pytest.mark.parametrize("oversample", [1, 4])
+def test_bands_multiply_as_the_projection_masks(n, period_scale, oversample):
+    # each band gives the products of projection_symbol's mask bit for bit,
+    # apart from the sign of zeros (a cut entry is +0.0); n = 8 takes the
+    # path where the evaluated modes cover the whole lattice
+    g = make_grid(n, period_scale)
+    xi = fine_frequencies(g, oversample)
+    nf = len(xi)
+    rng = np.random.default_rng(n * oversample)
+    a = rng.standard_normal(nf) + 1j * rng.standard_normal(nf)
+    assert np.array_equal(gauge._fine_xi_at(g, oversample, slice(0, nf)), xi)
+    assert np.array_equal(gauge._fine_xi_at(g, oversample, np.arange(nf)), xi)
+    for which in ("plus", "minus", "plus_hi", "minus_hi", "plus_HI", "lo"):
+        band = gauge._band(g, oversample, which)
+        masked = a * projection_symbol(which, xi)
+        assert np.array_equal(gauge._project(a, band), masked), which
+        b = a.copy()
+        assert gauge._project(b, band, inplace=True) is b
+        assert np.array_equal(b, masked), which
+        gauge._dx_band(b, band, g, oversample)
+        assert np.array_equal(b, masked * (1j * xi)), which
+        if which.startswith("plus"):
+            mirrored = _mirror(a) * projection_symbol(which, xi)
+            assert np.array_equal(gauge._mirror_band(a, band), mirrored), which
+        if 2 * (8 * period_scale + 2) < nf:
+            # the sign and HI projections are one run, "lo" an index list
+            if which in ("plus", "minus", "plus_HI"):
+                assert band.index.size == 0 and band.ones.stop > band.ones.start
+            if which == "lo":
+                assert band.ones.stop == band.ones.start
 
 
 def test_gauge_residual_refinement_and_ablation(grid):
@@ -381,7 +416,7 @@ def test_gauge_products_match_padded_reference(n, period_scale, oversample):
         assert abs(rec.gap_abs - ref_gap) < 1e-15 * lebesgue_norm(u, 2)
     em, ep = _ref_exponential_pair(u0, oversample)
     assert np.array_equal(gauge._gauge_exponential(u0, oversample), em)
-    assert _rel(gauge._mirror(em), ep) < 1e-14
+    assert _rel(_mirror(em), ep) < 1e-14
 
 
 @pytest.mark.parametrize("oversample", [1, 4])

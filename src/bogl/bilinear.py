@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -145,19 +144,20 @@ def _in_shell(mag, shell: int):
 
 
 def classify(t: FrequencyTuple, shell: int, shell2: int) -> RegionTag:
-    """Region of the tuple for the shell pair (N, N2); exact rational thresholds."""
+    """Region of the tuple for the shell pair (N, N2); exact integer thresholds
+    (|sigma| >= N N2 / 6 as 6 |sigma| >= N N2)."""
     if not t.in_domain:
         raise ValueError("tuple lies outside the domain D")
     if not _in_shell(abs(t.xi), shell):
         raise ValueError(f"|xi| = {abs(t.xi)} is not in shell {shell}")
     if not _in_shell(abs(t.xi2), shell2):
         raise ValueError(f"|xi2| = {abs(t.xi2)} is not in shell {shell2}")
-    threshold = Fraction(shell * shell2, 6)
-    if abs(t.sigma) >= threshold:
+    threshold = shell * shell2
+    if 6 * abs(t.sigma) >= threshold:
         return RegionTag.A
-    if abs(t.sigma1) >= threshold:
+    if 6 * abs(t.sigma1) >= threshold:
         return RegionTag.B
-    if abs(t.sigma2) >= threshold:
+    if 6 * abs(t.sigma2) >= threshold:
         return RegionTag.C
     raise AssertionError("uncovered tuple: contradicts the resonance identity")
 
@@ -300,6 +300,13 @@ def _d_convolution(w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
     wc[:, pos] = wc[:, pos] / xi[pos]
     uc = u.coefficients * ((xi <= 0) * xi)[None, :]
     return _band_product([(wc, uc)])
+
+
+def _dx_plus(grid: SpaceTimeGrid, coeff: np.ndarray) -> SpaceTimeField:
+    """d/dx P_+ of coeff: bilinear_B(w, u) is _dx_plus(grid, _d_convolution(w, u))
+    to rounding."""
+    xi = grid.spatial.xi
+    return SpaceTimeField(grid, coeff * ((xi > 0) * (1j * xi))[None, :])
 
 
 @lru_cache(maxsize=32)
@@ -521,6 +528,7 @@ def region_pairing(
     w: SpaceTimeField,
     u: SpaceTimeField,
     form: str = "I",
+    convolution: np.ndarray | None = None,
 ) -> dict:
     """Total pairing over D plus its A/B/C region parts.
 
@@ -532,10 +540,13 @@ def region_pairing(
     h weight; the parts come from masked tau-FFT convolutions summed over
     shell pairs (_region_parts).  The two are independent evaluations, so
     closure_gap = |A + B + C - total| checks one against the other.
+    convolution, if given, is _d_convolution(w, u), formed by the caller.
     """
     _require_integer_lattice(h.grid)
     hf = _h_factor(h, form)
-    total = complex(np.sum(hf * _d_convolution(w, u)))
+    if convolution is None:
+        convolution = _d_convolution(w, u)
+    total = complex(np.sum(hf * convolution))
     part_a, part_b, part_c = (complex(p) for p in _region_parts(hf, w, u))
     return {
         "total": total,
@@ -601,8 +612,10 @@ def _probe_bilinear_critical(name, cfg, win, env, form) -> ProbeReport:
         if rhs == 0:
             rep.skip()
             continue
-        lhs = lhs_norm(bilinear_B(w, u), s)
-        parts = region_pairing(h, w, u, form=form)
+        # one band product for B(w, u) and the pairing's total
+        d = _d_convolution(w, u)
+        lhs = lhs_norm(_dx_plus(win, d), s)
+        parts = region_pairing(h, w, u, form=form, convolution=d)
         denom = max(abs(parts["total"]), 1e-300)
         row = dict(
             sample=i,

@@ -11,6 +11,11 @@ resolved configuration and a sha256 per output file, so a run that fails
 leaves no directory behind.  Paths inside the manifest are relative to the
 run directory and the manifest never records the directory itself, so a
 fixed seed reproduces every byte regardless of where the run lands.
+
+Each driver imports the layers it runs (gauge, lp, bourgain, bilinear) at
+its own top, so a command loads only those: simulate never loads the probe
+layers.  The drivers look layer functions up on the module at call time, so
+a function rebound there after import is the one called.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bilinear, bourgain, gauge, lp
 from .dynamics import (
     LazyStates,
     SimConfig,
@@ -32,7 +36,7 @@ from .dynamics import (
     traveling_wave,
 )
 from .reporting import ProbeReport, sha256_file, stream, write_csv, write_json
-from .snapshots import read_snapshot, write_snapshot
+from .snapshots import read_samples, read_snapshot, write_snapshot
 from .spectral import (
     RealField,
     lebesgue_norm,
@@ -184,13 +188,19 @@ def _validated(keys: str, build, *args, **kwargs):
         raise ConfigError(f"{keys}: {exc}") from None
 
 
+def _read_input(read, path):
+    """read(path) with an unreadable or malformed file reported as an input
+    error."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _read_snapshot(path):
     """read_snapshot with unreadable, malformed or non-finite files reported
     as input errors."""
-    try:
-        field, t = read_snapshot(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    field, t = _read_input(read_snapshot, path)
     # a NaN or inf sample spreads to every coefficient
     if not np.all(np.isfinite(field.coefficients)):
         raise ConfigError(f"{path}: non-finite samples")
@@ -294,32 +304,38 @@ def _write_state(traj: Trajectory, idx: int, path) -> None:
 
 def load_trajectory(traj_dir) -> tuple[Trajectory, float]:
     """The snapshots of traj_dir in time order, and the mean of the first.  Every
-    file is read and checked here (a bad one is a ConfigError), but only its
-    path and time are kept: the states are read again, one at a time, when
-    the trajectory is read."""
+    file is read and checked here on its samples, untransformed (a bad one is
+    a ConfigError), but only its path and time are kept: the states are read
+    again, one at a time, when the trajectory is read."""
     paths = sorted(Path(traj_dir).glob("snap_*.bin"))
     if not paths:
         raise ConfigError(f"no snapshots found in {traj_dir}")
-    times, means = [], []
+    times = []
     for p in paths:
-        field, t = _read_snapshot(p)
-        if not isinstance(field, RealField):
+        grid, samples, t = _read_input(read_samples, p)
+        if np.iscomplexobj(samples):
             raise ConfigError(f"{p}: trajectory snapshots must be real fields")
-        mean = field.mean.real
+        if not np.all(np.isfinite(samples)):
+            raise ConfigError(f"{p}: non-finite samples")
+        mean = float(np.mean(samples))
         if not times:
-            grid, first_mean = field.grid, mean
-        if field.grid != grid:
+            first_grid, first_mean = grid, mean
+        if grid != first_grid:
             raise ConfigError(f"{p}: grid differs from that of {paths[0].name}")
         # the evolution conserves the mean; gauge_residual's tolerance
         if abs(mean - first_mean) > 1e-10:
             raise ConfigError(f"{p}: mean differs from that of {paths[0].name}")
+        if not times or t < earliest_t:
+            # the Galilean shift takes the earliest state's mean from its
+            # coefficients
+            earliest_t = t
+            earliest_mean = RealField.from_samples(grid, samples).mean.real
         times.append(t)
-        means.append(mean)
     order = np.argsort(times)
     ordered = [str(paths[i]) for i in order]
     states = LazyStates(lambda i: _read_snapshot(ordered[i])[0], len(ordered))
     traj = Trajectory(times=np.array([times[i] for i in order]), states=states)
-    return traj, float(means[order[0]])
+    return traj, earliest_mean
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +344,8 @@ def load_trajectory(traj_dir) -> tuple[Trajectory, float]:
 
 
 def run_gauge_check(traj_dir, out_dir) -> RunResult:
+    from . import gauge
+
     oversample = 4  # fine-lattice factor of the gauge exponentials
     traj, mean = load_trajectory(traj_dir)
     states = traj.states
@@ -380,6 +398,8 @@ def run_gauge_check(traj_dir, out_dir) -> RunResult:
 
 
 def run_lp_decompose(input_path, out_dir) -> RunResult:
+    from . import lp
+
     field, t = _read_snapshot(input_path)
     dec = lp.decompose(field)
     rows = [{"shell": n, "mass": m} for n, m in dec.shell_masses()]
@@ -413,6 +433,8 @@ NORM_SWEEP_SCHEMA = {
 
 @np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
 def run_norm_sweep(config: dict, out_dir) -> RunResult:
+    from . import bourgain
+
     cfg = resolve_config(config, NORM_SWEEP_SCHEMA)
     win = _validated(
         "num_times, t_span_pi",
@@ -477,6 +499,8 @@ BILINEAR_SCHEMA = {
 def _estimate_probe(which: str, cfg: dict, period_scale: float) -> ProbeReport:
     """bilinear.estimate_probe on the grid, samples, seed and s of a resolved
     bilinear-probe or probe-suite config."""
+    from . import bilinear, bourgain
+
     probe_cfg = bourgain.ProbeConfig(
         n=cfg["n"], num_times=cfg["num_times"], samples=cfg["samples"],
         seed=cfg["seed"], s=cfg["s"], period_scale=period_scale,
@@ -494,6 +518,8 @@ def _worst_closure(reports) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
 def run_bilinear_probe(config: dict, out_dir) -> RunResult:
+    from . import bilinear
+
     cfg = resolve_config(config, BILINEAR_SCHEMA)
     which = cfg["which"]
     period_scale = bilinear.default_period_scale(which, cfg["lambda"])
@@ -556,6 +582,8 @@ def _high_frequency_direction(grid, rng, band: range) -> RealField:
 
 @np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
 def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
+    from . import gauge
+
     cfg = resolve_config(config, LIPSCHITZ_SCHEMA)
     deltas = tuple(d for d in cfg["deltas"] if d > 0)
     skipped_deltas = len(cfg["deltas"]) - len(deltas)  # ratio undefined at 0
@@ -738,15 +766,10 @@ PROBE_SUITE_SCHEMA = {
     "bracket_mu_max": (float, 1e4, FINITE),
 }
 
-SUITE_PROBES = (
-    "linear",
-    *bilinear.PROBE_NAMES,
-    "exp_multiplication",
-    "bracket_convolution",
-)
-
 
 def _suite_exp_multiplication(cfg) -> ProbeReport:
+    from . import gauge
+
     grid = make_grid(cfg["exp_n"], 1.0)
     rep = ProbeReport(
         "exp_multiplication",
@@ -767,13 +790,17 @@ def _suite_exp_multiplication(cfg) -> ProbeReport:
 
 @np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
 def run_probe_suite(config: dict, out_dir) -> RunResult:
+    from . import bilinear, bourgain
+
     cfg = resolve_config(config, PROBE_SUITE_SCHEMA)
+    probes = ("linear", *bilinear.PROBE_NAMES, "exp_multiplication",
+              "bracket_convolution")
     selected = (
-        list(SUITE_PROBES)
+        list(probes)
         if cfg["select"] == "all"
         else [s.strip() for s in cfg["select"].split(",") if s.strip()]
     )
-    unknown = set(selected) - set(SUITE_PROBES)
+    unknown = set(selected) - set(probes)
     if unknown:
         raise ConfigError(f"unknown probes: {sorted(unknown)}")
     # validated up front: inside the probe loop a bad grid would be recorded
@@ -816,6 +843,8 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
 
 
 def _run_one_suite_probe(name: str, cfg: dict) -> list[ProbeReport]:
+    from . import bilinear, bourgain
+
     if name == "linear":
         probe_cfg = bourgain.ProbeConfig(
             n=cfg["n"], num_times=cfg["num_times"],

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import ComplexField, Field, RealField, make_grid
+from .spectral import ComplexField, Field, RealField, SpatialGrid, make_grid
 
 MAGIC = b"BOGL"
 VERSION = 1
@@ -20,7 +20,7 @@ KIND_REAL = 0
 KIND_COMPLEX = 1
 _HEADER = struct.Struct("<4sIIddB")
 
-__all__ = ["write_snapshot", "read_snapshot", "MAGIC", "VERSION"]
+__all__ = ["write_snapshot", "read_snapshot", "read_samples", "MAGIC", "VERSION"]
 
 
 def write_snapshot(path, field: Field, time: float = 0.0) -> None:
@@ -40,7 +40,9 @@ def write_snapshot(path, field: Field, time: float = 0.0) -> None:
     path.write_bytes(header + payload)
 
 
-def read_snapshot(path) -> tuple[Field, float]:
+def read_samples(path) -> tuple[SpatialGrid, np.ndarray, float]:
+    """The grid, samples and time of a snapshot, untransformed: float64
+    samples for a real field, complex128 for a complex one."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated snapshot header")
@@ -56,12 +58,15 @@ def read_snapshot(path) -> tuple[Field, float]:
     if kind == KIND_REAL:
         if body.size != n:
             raise ValueError(f"{path}: expected {n} samples, got {body.size}")
-        return RealField.from_samples(grid, np.asarray(body, dtype=np.float64)), time
+        return grid, np.asarray(body, dtype=np.float64), time
     if kind == KIND_COMPLEX:
         if body.size != 2 * n:
             raise ValueError(f"{path}: expected {2*n} floats, got {body.size}")
-        return (
-            ComplexField.from_samples(grid, body[0::2] + 1j * body[1::2]),
-            time,
-        )
+        return grid, body[0::2] + 1j * body[1::2], time
     raise ValueError(f"{path}: unknown field kind {kind}")
+
+
+def read_snapshot(path) -> tuple[Field, float]:
+    grid, samples, time = read_samples(path)
+    cls = ComplexField if np.iscomplexobj(samples) else RealField
+    return cls.from_samples(grid, samples), time

@@ -16,6 +16,8 @@ from bogl.bilinear import (
     GridTooLargeError,
     PROBE_NAMES,
     RegionTag,
+    _d_convolution,
+    _dx_plus,
     _g_dual_norm,
     _h_factor,
     _h_weights,
@@ -300,6 +302,19 @@ def test_duality_consistency(win16, seed):
     assert abs(pair - 1j * i_val) <= 1e-10 * abs(i_val)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_bilinear_B_from_the_pairing_convolution(win16, seed):
+    # the critical probes form one band product for B(w, u) and the pairing
+    h, w, u = fields(win16, seed + 40)
+    d = _d_convolution(w, u)
+    want = bilinear_B(w, u).coefficients
+    got = _dx_plus(win16, d).coefficients
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    for form in ("I", "J"):
+        assert region_pairing(h, w, u, form=form, convolution=d) == region_pairing(
+            h, w, u, form=form)
+
+
 @pytest.mark.parametrize("form", ["I", "J"])
 def test_region_parts_sum_to_total(win16, form):
     h, w, u = fields(win16, 30)
@@ -315,7 +330,7 @@ SHELLS = (1, 2, 4, 8, 16)
 
 def _region_oracle(h, w, u, form):
     """Direct sum over the tuples of D, each weighted by phi_N(xi) phi_N2(|xi2|)
-    and put in its region by the exact-Fraction classify."""
+    and put in its region by the exact integer classify."""
     m, n = h.grid.num_times, h.grid.spatial.n
     hc, wc, uc = h.coefficients, w.coefficients, u.coefficients
     taus = range(-m // 2, m // 2)

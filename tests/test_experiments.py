@@ -1,6 +1,9 @@
 """Snapshot IO, config handling, experiment drivers and the CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bogl
 from bogl import experiments
 from bogl.bilinear import PROBE_NAMES
 from bogl.cli import main
@@ -217,28 +221,34 @@ def test_gauge_check_peak_does_not_grow_with_the_snapshot_count(tmp_path):
 
 def test_gauge_check_reads_each_file_twice_and_forms_each_exponential_once(
         tmp_path, monkeypatch):
-    # the up-front check reads every file, then one pass reads each again
-    # and forms its e^{-iF/2} once for the residual and the reconstruction
+    # the up-front check reads every file's samples, then one pass reads
+    # each again as a field and forms its e^{-iF/2} once for the residual
+    # and the reconstruction
     from bogl import gauge
 
     cfg = {"n": "64", "dt": "1e-3", "t_end": "0.004", "snapshot_stride": "1",
            "init": "random"}
     sim = run_simulate(cfg, tmp_path / "sim").out_dir
     reads, formed = {}, []
-    read, form = experiments.read_snapshot, gauge._fine_exponential_samples
+    form = gauge._fine_exponential_samples
 
-    def counted_read(path):
-        reads[Path(path).name] = reads.get(Path(path).name, 0) + 1
-        return read(path)
+    def counted(reader):
+        def read(path):
+            key = (reader.__name__, Path(path).name)
+            reads[key] = reads.get(key, 0) + 1
+            return reader(path)
+        return read
 
     def counted_form(*args, **kwargs):
         formed.append(args)
         return form(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "read_snapshot", counted_read)
+    for name in ("read_samples", "read_snapshot"):
+        monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
     monkeypatch.setattr(gauge, "_fine_exponential_samples", counted_form)
     assert run_gauge_check(sim, tmp_path / "g").passed
-    assert reads == {f"snap_{i:06d}.bin": 2 for i in range(5)}
+    assert reads == {(reader, f"snap_{i:06d}.bin"): 1 for i in range(5)
+                     for reader in ("read_samples", "read_snapshot")}
     assert len(formed) == 5
 
 
@@ -361,6 +371,45 @@ def test_probe_suite_empty_selection(tmp_path):
     assert res.passed
     summary = json.loads((tmp_path / "empty" / "probe_suite_summary.json").read_text())
     assert summary["probes"] == {}
+
+
+def test_probe_suite_runs_every_probe_in_order(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(experiments, "_run_one_suite_probe",
+                        lambda name, cfg: ran.append(name) or [])
+    assert run_probe_suite({"select": "all"}, tmp_path / "all").passed
+    assert ran == ["linear", *PROBE_NAMES, "exp_multiplication",
+                   "bracket_convolution"]
+
+
+def test_commands_load_only_the_layers_they_run(tmp_path):
+    # simulate loads none of the probe layers, gauge-check only gauge, and
+    # the probes never load fractions (and with it decimal)
+    (tmp_path / "sim.cfg").write_text(
+        "n = 64\ndt = 1e-3\nt_end = 0.004\nsnapshot_stride = 1\n")
+    (tmp_path / "suite.cfg").write_text(
+        "n = 16\nnum_times = 16\nsamples = 1\nselect = bilinear_critical_x\n")
+    code = (
+        "import json, sys, bogl.cli\n"
+        "assert bogl.cli.main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(list(sys.modules)))\n"
+    )
+    src = str(Path(bogl.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = {}
+    for argv in (["simulate", "--config", "sim.cfg", "--out", "sim"],
+                 ["gauge-check", "--traj", "sim", "--out", "gauge"],
+                 ["probe-suite", "--config", "suite.cfg", "--out", "suite"]):
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, check=True, cwd=tmp_path, env=env)
+        loaded[argv[0]] = set(json.loads(out.stdout.strip().splitlines()[-1]))
+    for command in ("simulate", "gauge-check"):
+        assert not loaded[command] & {"bogl.bilinear", "bogl.bourgain"}, command
+    assert "bogl.gauge" not in loaded["simulate"]
+    assert "bogl.gauge" in loaded["gauge-check"]
+    assert "bogl.bilinear" in loaded["probe-suite"]
+    assert "fractions" not in loaded["probe-suite"]
 
 
 def test_probe_suite_summary_lists_inequalities(tmp_path):

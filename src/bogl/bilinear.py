@@ -763,8 +763,15 @@ PROBE_NAMES = tuple(_PROBES)
 
 def default_period_scale(which: str, requested: float = 0.0) -> float:
     """The period scale of a probe run: `requested` when positive, else the
-    probe's default."""
+    probe's default.  The critical probes pair on the integer lattice
+    (region_pairing), so any other scale is a ValueError for them."""
     if requested > 0:
+        critical = which in ("bilinear_critical_x", "bilinear_critical_shell")
+        if critical and requested != 1.0:
+            raise ValueError(
+                f"{which} runs only at period scale 1 (the integer lattice), "
+                f"got {requested}"
+            )
         return requested
     # the low-frequency operator of exp_lowband vanishes identically on the
     # unit lattice (its content sits at fractional frequencies), so that

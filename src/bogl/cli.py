@@ -2,13 +2,13 @@
 
     bogl <subcommand> [--config FILE] [--assert] [--seed K] [--out DIR] ...
 
-Subcommands: simulate, gauge-check, lp-decompose, norm-sweep, bilinear-probe,
-lipschitz-pairs, scaling-check, probe-suite.  Config files are "key = value"
-lines with # comments; --seed overrides the config seed and --out picks the
-run directory (gauge-check and lp-decompose take no config: they accept
---seed and ignore it).  Exit codes: 0 success, 2 config error, 3 numeric
-failure, 4 acceptance-threshold violation in --assert mode; exits 2 and 3
-make no run directory.
+Subcommands: simulate, gauge-check, lp-decompose, norm-sweep, lipschitz-pairs,
+scaling-check, probe-suite (every probe, or those named by its select key).
+Config files are "key = value" lines with # comments; --seed overrides the
+config seed and --out picks the run directory (gauge-check and lp-decompose
+take no config: they accept --seed and ignore it).  Exit codes: 0 success,
+2 config error, 3 numeric failure, 4 acceptance-threshold violation in
+--assert mode; exits 2 and 3 make no run directory.
 """
 
 from __future__ import annotations
@@ -28,14 +28,15 @@ CSV schemas
   lp-decompose    lp_masses.csv: shell (0 = low part), mass (squared L2)
   norm-sweep      norm_sweep.csv: sample_id, s, b, x_norm, x_regroup, z_norm,
                   z_tilde, y_norm, l4, ratio_l4_x38
-  bilinear-probe  <which>.csv: sample, lhs, rhs, ratio [, region_A, region_B,
-                  region_C, pairing_total, closure_rel, g_dual_norm]
-                  <which>.json: name, inequality, samples, skipped, sup,
-                  mean, stddev, environment
   lipschitz-pairs lipschitz.csv: sample, delta, ratio_l2, ratio_hs,
                   ratio_gauge_z; truncation.csv: sample, cutoff, err_l2
   scaling-check   scaling.csv: check, value, expected, rel_err
-  probe-suite     one CSV/JSON pair per probe plus probe_suite_summary.json
+  probe-suite     one CSV/JSON pair per probe plus probe_suite_summary.json;
+                  an estimate probe's <which>.csv: sample, lhs, rhs, ratio
+                  [, region_A, region_B, region_C, pairing_total,
+                  closure_rel, g_dual_norm]
+                  <which>.json: name, inequality, samples, skipped, sup,
+                  mean, stddev, environment
 Every run writes manifest.json (resolved config + sha256 of each output).
 """
 
@@ -73,14 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="snapshot file")
     common(p, needs_config=False)
     common(sub.add_parser("norm-sweep", help="space-time norm ensemble"))
-    p = sub.add_parser("bilinear-probe", help="one bilinear/Leibniz estimate probe")
-    p.add_argument("--which", default=None, help="probe name")
-    p.add_argument("--s", type=float, default=None, help="Sobolev index")
-    p.add_argument("--samples", type=int, default=None)
-    common(p)
     common(sub.add_parser("lipschitz-pairs", help="same-low-frequency pairs"))
     common(sub.add_parser("scaling-check", help="dilation symmetry check"))
-    common(sub.add_parser("probe-suite", help="run every probe"))
+    common(sub.add_parser("probe-suite",
+                          help="run every probe, or those named by select"))
     return parser
 
 
@@ -113,7 +110,6 @@ _COMMANDS = {
     "gauge-check": ("run_gauge_check", "gauge_out", "traj"),
     "lp-decompose": ("run_lp_decompose", "lp_out", "input"),
     "norm-sweep": ("run_norm_sweep", "norm_out", None),
-    "bilinear-probe": ("run_bilinear_probe", "bilinear_out", None),
     "lipschitz-pairs": ("run_lipschitz_pairs", "lipschitz_out", None),
     "scaling-check": ("run_scaling_check", "scaling_out", None),
     "probe-suite": ("run_probe_suite", "suite_out", None),
@@ -125,9 +121,8 @@ def _dispatch(args) -> experiments.RunResult:
     raw = {}
     if getattr(args, "config", None):
         raw = experiments.parse_config_file(args.config)
-    for key in ("seed", "which", "s", "samples"):
-        if getattr(args, key, None) is not None:
-            raw[key] = str(getattr(args, key))
+    if args.seed is not None:
+        raw["seed"] = str(args.seed)
     config_out = raw.pop("out_dir", None)  # never echoed into manifests
     out_dir = args.out or config_out or default_out
     source = raw if input_arg is None else getattr(args, input_arg)

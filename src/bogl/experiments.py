@@ -55,7 +55,6 @@ __all__ = [
     "run_gauge_check",
     "run_lp_decompose",
     "run_norm_sweep",
-    "run_bilinear_probe",
     "run_lipschitz_pairs",
     "run_scaling_check",
     "run_probe_suite",
@@ -108,6 +107,7 @@ def _convert(key: str, raw: str, kind):
 ANY = (lambda v: True, "anything")
 FINITE = (math.isfinite, "finite")
 POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 COUNT = (lambda v: v >= 1, ">= 1")
 NATURAL = (lambda v: v >= 0, ">= 0")
 DYADIC = (lambda v: v >= 1 and v & (v - 1) == 0, "a power of two >= 1")
@@ -482,64 +482,6 @@ def run_norm_sweep(config: dict, out_dir) -> RunResult:
 
 
 # ---------------------------------------------------------------------------
-# bilinear probe
-# ---------------------------------------------------------------------------
-
-BILINEAR_SCHEMA = {
-    "which": (str, "bilinear_critical_x", ANY),
-    "s": (float, 0.0, FINITE),
-    "samples": (int, 100, COUNT),
-    "seed": (int, 0, ANY),
-    "n": (int, 32, ANY),
-    "num_times": (int, 32, ANY),
-    "lambda": (float, 0.0, FINITE),  # 0 means: probe-specific default
-}
-
-
-def _estimate_probe(which: str, cfg: dict, period_scale: float) -> ProbeReport:
-    """bilinear.estimate_probe on the grid, samples, seed and s of a resolved
-    bilinear-probe or probe-suite config."""
-    from . import bilinear, bourgain
-
-    probe_cfg = bourgain.ProbeConfig(
-        n=cfg["n"], num_times=cfg["num_times"], samples=cfg["samples"],
-        seed=cfg["seed"], s=cfg["s"], period_scale=period_scale,
-    )
-    return bilinear.estimate_probe(which, probe_cfg)
-
-
-def _worst_closure(reports) -> float:
-    """Largest region closure_rel over the rows of the reports (0 if none)."""
-    return max(
-        (row.get("closure_rel", 0.0) for rep in reports for row in rep.rows),
-        default=0.0,
-    )
-
-
-@np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
-def run_bilinear_probe(config: dict, out_dir) -> RunResult:
-    from . import bilinear
-
-    cfg = resolve_config(config, BILINEAR_SCHEMA)
-    which = cfg["which"]
-    period_scale = bilinear.default_period_scale(which, cfg["lambda"])
-    rep = _validated(
-        "which, n, num_times, lambda", _estimate_probe, which, cfg, period_scale
-    )
-    # the sup is NaN when no sample was kept
-    _require_finite({rep.name: np.append(rep.ratios, rep.sup)})
-    worst_closure = _worst_closure([rep])
-    assertions = [
-        Assertion(
-            "region_closure", worst_closure <= 1e-10,
-            f"max |A+B+C-total|/|total| = {worst_closure:.3e}",
-        ),
-    ]
-    resolved = {**cfg, "lambda": period_scale}
-    return _emit("bilinear-probe", out_dir, resolved, rep.files(), assertions)
-
-
-# ---------------------------------------------------------------------------
 # lipschitz pairs
 # ---------------------------------------------------------------------------
 
@@ -764,6 +706,7 @@ PROBE_SUITE_SCHEMA = {
     "exp_samples": (int, 40, COUNT),
     "exp_n": (int, 64, ANY),
     "bracket_mu_max": (float, 1e4, FINITE),
+    "lambda": (float, 0.0, NONNEGATIVE),  # 0: each estimate probe's default
 }
 
 
@@ -800,15 +743,23 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
         if cfg["select"] == "all"
         else [s.strip() for s in cfg["select"].split(",") if s.strip()]
     )
-    unknown = set(selected) - set(probes)
-    if unknown:
-        raise ConfigError(f"unknown probes: {sorted(unknown)}")
-    # validated up front: inside the probe loop a bad grid would be recorded
-    # as a probe failure instead of a config error
+    if (not selected or not set(selected) <= set(probes)
+            or len(set(selected)) < len(selected)):
+        raise ConfigError(
+            f"select must be all or distinct names of {', '.join(probes)}; "
+            f"got {cfg['select']!r}"
+        )
+    # validated up front: inside the probe loop a bad grid or period would be
+    # recorded as a probe failure instead of a config error
     _validated(
         "n, num_times",
         bourgain.ProbeConfig(n=cfg["n"], num_times=cfg["num_times"]).window,
     )
+    if cfg["lambda"]:
+        _validated("lambda", make_grid, cfg["n"], cfg["lambda"])
+    for name in selected:
+        if name in bilinear.PROBE_NAMES:
+            _validated("lambda", bilinear.default_period_scale, name, cfg["lambda"])
     _validated("exp_n", make_grid, cfg["exp_n"], 1.0)
     failures: list = []
     reports: list[ProbeReport] = []
@@ -831,7 +782,10 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
         write_json,
         payload={"probes": summary, "failures": failures, "seed": cfg["seed"]},
     )
-    worst_closure = _worst_closure(reports)
+    worst_closure = max(
+        (row.get("closure_rel", 0.0) for rep in reports for row in rep.rows),
+        default=0.0,
+    )
     assertions = [
         Assertion("no_probe_failures", not failures, str(failures)),
         Assertion(
@@ -856,4 +810,9 @@ def _run_one_suite_probe(name: str, cfg: dict) -> list[ProbeReport]:
     if name == "bracket_convolution":
         mus = [0.0, 1.0, 10.0, 100.0, 1000.0, cfg["bracket_mu_max"]]
         return [bilinear.bracket_convolution_check(1.0, 1.0, mus)]
-    return [_estimate_probe(name, cfg, bilinear.default_period_scale(name))]
+    probe_cfg = bourgain.ProbeConfig(
+        n=cfg["n"], num_times=cfg["num_times"], samples=cfg["samples"],
+        seed=cfg["seed"], s=cfg["s"],
+        period_scale=bilinear.default_period_scale(name, cfg["lambda"]),
+    )
+    return [bilinear.estimate_probe(name, probe_cfg)]

@@ -23,7 +23,6 @@ from bogl.experiments import (
     ConfigError,
     parse_config_file,
     resolve_config,
-    run_bilinear_probe,
     run_gauge_check,
     run_lipschitz_pairs,
     run_lp_decompose,
@@ -286,15 +285,22 @@ def test_run_norm_sweep(tmp_path):
     assert res.passed
 
 
+def _environment(out_dir, which):
+    return json.loads((out_dir / f"{which}.json").read_text())["environment"]
+
+
 def test_run_bilinear_probe_and_lambda_default(tmp_path):
-    res = run_bilinear_probe(
-        {"which": "exp_lowband", "samples": "3", "n": "16", "num_times": "16"},
+    # one estimate probe through probe-suite; lambda = 0 is each probe's default
+    res = run_probe_suite(
+        {"select": "exp_lowband", "samples": "3", "n": "16", "num_times": "16"},
         tmp_path / "bp",
     )
     assert res.passed
-    assert res.config["lambda"] == 2.0  # exp_lowband defaults off the unit lattice
-    with pytest.raises(ConfigError):
-        run_bilinear_probe({"which": "nope"}, tmp_path / "bp2")
+    assert res.config["lambda"] == 0.0
+    # exp_lowband defaults off the unit lattice
+    assert _environment(res.out_dir, "exp_lowband")["period_scale"] == 2.0
+    with pytest.raises(ConfigError, match="select"):
+        run_probe_suite({"select": "nope"}, tmp_path / "bp2")
 
 
 _RATIO_COLUMNS = ["sample", "lhs", "rhs", "ratio"]
@@ -305,18 +311,43 @@ _REGION_COLUMNS = [
 
 @pytest.mark.parametrize("which", PROBE_NAMES)
 def test_run_bilinear_probe_every_probe(tmp_path, which):
-    res = run_bilinear_probe(
-        {"which": which, "samples": "2", "n": "16", "num_times": "16"}, tmp_path
-    )
+    cfg = {"select": which, "samples": "2", "n": "16", "num_times": "16"}
+    res = run_probe_suite(cfg, tmp_path / "default")
     assert res.passed
-    header = (tmp_path / f"{which}.csv").read_text().splitlines()[0].split(",")
+    header = (res.out_dir / f"{which}.csv").read_text().splitlines()[0].split(",")
     columns = {
         "bilinear_critical_x": _RATIO_COLUMNS + _REGION_COLUMNS,
         "bilinear_critical_shell": _RATIO_COLUMNS + _REGION_COLUMNS + ["g_dual_norm"],
     }.get(which, _RATIO_COLUMNS)
     assert header == columns
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["config"]["lambda"] == (2.0 if which == "exp_lowband" else 1.0)
+    default = 2.0 if which == "exp_lowband" else 1.0
+    assert _environment(res.out_dir, which)["period_scale"] == default
+    # the critical probes pair on the integer lattice: another scale is a
+    # config error, found before any probe runs
+    if which.startswith("bilinear_critical"):
+        with pytest.raises(ConfigError, match="lambda"):
+            run_probe_suite({**cfg, "lambda": "3"}, tmp_path / "lambda")
+        assert not (tmp_path / "lambda").exists()
+        return
+    res = run_probe_suite({**cfg, "lambda": "3"}, tmp_path / "lambda")
+    assert res.passed
+    assert _environment(res.out_dir, which)["period_scale"] == 3.0
+
+
+def test_probe_suite_passes_estimate_probes_through(tmp_path):
+    # probe-suite select=X writes the bytes of bilinear.estimate_probe(X)
+    from bogl import bilinear, bourgain
+
+    which = "bilinear_half_weight"
+    run_probe_suite({"select": which, "samples": "3", "n": "16", "num_times": "16",
+                     "seed": "3", "s": "0.25", "lambda": "2"}, tmp_path / "suite")
+    rep = bilinear.estimate_probe(which, bourgain.ProbeConfig(
+        n=16, num_times=16, samples=3, seed=3, s=0.25, period_scale=2.0))
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    for name, write in rep.files().items():
+        write(direct / name)
+        assert (direct / name).read_bytes() == (tmp_path / "suite" / name).read_bytes()
 
 
 def test_run_scaling_check(tmp_path):
@@ -367,10 +398,11 @@ def test_probe_suite_determinism(tmp_path):
 
 
 def test_probe_suite_empty_selection(tmp_path):
-    res = run_probe_suite({"select": ""}, tmp_path / "empty")
-    assert res.passed
-    summary = json.loads((tmp_path / "empty" / "probe_suite_summary.json").read_text())
-    assert summary["probes"] == {}
+    # a selection that names no probe is a config error, not an empty run
+    for select in ("", ",", " , "):
+        with pytest.raises(ConfigError, match="select"):
+            run_probe_suite({"select": select}, tmp_path / "empty")
+        assert not (tmp_path / "empty").exists()
 
 
 def test_probe_suite_runs_every_probe_in_order(tmp_path, monkeypatch):
@@ -523,11 +555,14 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             "samples = 1\ndeltas = inf\n", "samples = 1\ns = nan\n")]
         + ["samples = 1\n" + body for body in infinite],
         "norm-sweep": ["samples = 0\n", "n = 100\n"],
-        "bilinear-probe": ["samples = 0\n", "n = 100\n", "which = nope\n"],
-        "probe-suite": ["samples = 0\n", "samples = -5\n", "exp_samples = 0\n"],
+        "probe-suite": ["samples = 0\n", "samples = -5\n", "exp_samples = 0\n",
+                        "select = bilinear_critical_x\nsamples = 0\n", "n = 100\n",
+                        "select = nope\n", "select = ,\n",
+                        "select = leibniz_split,leibniz_split\n",
+                        "lambda = -3\n", "lambda = 0.5\n",
+                        "select = bilinear_critical_x\nlambda = 2\n"],
     }
-    runs = [(["lp-decompose", "--input", str(tmp_path / "missing.bin")], "missing.bin"),
-            (["bilinear-probe", "--samples", "0"], "samples")]
+    runs = [(["lp-decompose", "--input", str(tmp_path / "missing.bin")], "missing.bin")]
     for cmd, bodies in bad_configs.items():
         for j, body in enumerate(bodies):
             bad_cfg = tmp_path / f"{cmd}_{j}.cfg"
@@ -571,13 +606,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                             + extra) == 2, label
             assert not any(dest.glob("*.csv"))
     # a probe whose sup is not finite is a numeric failure, with or without
-    # --assert, and no output directory is made
-    huge_s = tmp_path / "huge_s.cfg"
-    huge_s.write_text("s = 1000\nselect = bilinear_periodic\nsamples = 3\n")
-    # the same for a NaN sup of bilinear-probe, also one with no kept sample,
-    # NaN norms of norm-sweep and NaN H^s ratios of lipschitz-pairs, whose
-    # H^s norms overflow at s = 1000 and underflow to 0 at s = -1000; numpy
-    # warns of none of the overflows
+    # --assert, and no output directory is made; the same for a probe with no
+    # kept sample (bilinear_critical_x at s = -1000), NaN norms of norm-sweep
+    # and NaN H^s ratios of lipschitz-pairs, whose H^s norms overflow at
+    # s = 1000 and underflow to 0 at s = -1000; numpy warns of none of the
+    # overflows
+    huge_s = []
+    for which, s in (("bilinear_periodic", "1000"), ("bilinear_critical_x", "-1000")):
+        huge_s.append(tmp_path / f"{which}_s{s}.cfg")
+        huge_s[-1].write_text(f"s = {s}\nselect = {which}\nsamples = 3\n")
     huge_ns = tmp_path / "huge_ns.cfg"
     huge_ns.write_text("s = 1000\nsamples = 3\n")
     extreme_s = []
@@ -588,16 +625,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for i, extra in enumerate(([], ["--assert"])):
-            ps = tmp_path / f"pn{i}"
-            assert main(["probe-suite", "--config", str(huge_s), "--out", str(ps)]
-                        + extra) == 3
-            assert not ps.exists()
-            for which, s in (("bilinear_periodic", "1000"),
-                             ("bilinear_critical_x", "-1000")):
-                bp = tmp_path / f"bn{i}"
-                assert main(["bilinear-probe", "--which", which, "--s", s,
-                             "--samples", "3", "--out", str(bp)] + extra) == 3
-                assert not bp.exists()
+            for ps_cfg in huge_s:
+                ps = tmp_path / f"pn{i}"
+                assert main(["probe-suite", "--config", str(ps_cfg), "--out", str(ps)]
+                            + extra) == 3
+                assert not ps.exists()
             ns = tmp_path / f"nn{i}"
             assert main(["norm-sweep", "--config", str(huge_ns), "--out", str(ns)]
                         + extra) == 3
@@ -608,7 +640,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                              str(lip)] + extra) == 3
                 assert not lip.exists()
     err = capsys.readouterr().err
-    assert err.count("bilinear_periodic") == 4
+    assert err.count("bilinear_periodic") == 2
     assert err.count("bilinear_critical_x") == 2
     assert err.count("x_norm") == 2
     assert err.count("ratio_hs") == 4
@@ -634,8 +666,6 @@ _CONTRACT_BASES = {
         "max_mode": "4"}),
     "norm-sweep": ("NORM_SWEEP_SCHEMA", {"n": "16", "num_times": "16",
                                          "samples": "1"}),
-    "bilinear-probe": ("BILINEAR_SCHEMA", {"n": "16", "num_times": "16",
-                                           "samples": "1"}),
     "lipschitz-pairs": ("LIPSCHITZ_SCHEMA", {
         "n": "32", "dt": "0.01", "t_end": "0.02", "snapshot_stride": "1",
         "samples": "1", "deltas": "1e-2", "cutoffs": "4", "max_mode": "4",

@@ -54,19 +54,16 @@ from .bourgain import (
     z_tilde_norm,
     random_spacetime_field,
 )
-from .gauge import _fine_exponential, _truncate
+from .gauge import _exponential, _truncate
 from .lp import dyadic_shells, shell_l2, shell_table
 from .reporting import ProbeReport, stream
 from .spectral import (
+    ComplexField,
     _band_product,
-    _complex_coefficients,
     _real_coefficients,
     _wrapped_rows,
-    derivative,
     fractional,
     lebesgue_norm,
-    pointwise_product,
-    project,
     projection_symbol,
     random_field,
 )
@@ -262,6 +259,14 @@ def _check_positive_support(w: SpaceTimeField) -> None:
         raise ValueError("w must be supported on frequencies xi >= 1")
 
 
+def _minus_dx_product(a: np.ndarray, u: np.ndarray, xi: np.ndarray,
+                      axes=None) -> np.ndarray:
+    """a P_-(du/dx), exact on the band along axes (as _band_product), for
+    coefficient arrays a, u whose last axis has the frequencies xi: the one
+    product of every probe of dx P_+(W P_- dx u).  Callers apply P_+."""
+    return _band_product([(a, u * ((xi < 0) * (1j * xi)))], axes)
+
+
 def bilinear_core(w: SpaceTimeField, u: SpaceTimeField) -> SpaceTimeField:
     """P_+( w P_- du/dx ), sharp sign projections (the half-weight/periodic
     form; bilinear_B wraps it in dx^{-1} and d/dx)."""
@@ -272,8 +277,7 @@ def bilinear_core(w: SpaceTimeField, u: SpaceTimeField) -> SpaceTimeField:
     xi = grid.spatial.xi
     wc = w.coefficients.copy()
     wc[:, xi < 1.0 - 1e-12] = 0.0
-    uc = u.coefficients * ((xi < 0) * (1j * xi))[None, :]
-    prod = _band_product([(wc, uc)])
+    prod = _minus_dx_product(wc, u.coefficients, xi)
     prod *= (xi > 0)[None, :]
     return SpaceTimeField(grid, prod)
 
@@ -298,8 +302,9 @@ def _d_convolution(w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
     wc[:, xi < 1.0 - 1e-12] = 0.0
     pos = xi >= 1.0 - 1e-12
     wc[:, pos] = wc[:, pos] / xi[pos]
-    uc = u.coefficients * ((xi <= 0) * xi)[None, :]
-    return _band_product([(wc, uc)])
+    # xi1^{-1} w times i xi2 u is i times the convolution; -1j takes the i
+    # out exactly
+    return -1j * _minus_dx_product(wc, u.coefficients, xi)
 
 
 def _dx_plus(grid: SpaceTimeGrid, coeff: np.ndarray) -> SpaceTimeField:
@@ -691,16 +696,12 @@ def _exp_lowband_operator(u: SpaceTimeField) -> np.ndarray:
     """dx P_+(P_lo e^{-iF/2} P_- dx u) on each time slice of the real field u,
     F the primitive of the slice: the (M, n) array of spatial coefficients,
     formed in one pass over all slices.  Each row is stored, checked and
-    rounded as a RealField, _gauge_exponential and pointwise_product of that
-    slice alone would give it."""
+    rounded before P_+ as pointwise_product of that slice alone would."""
     grid = u.grid.spatial
     xi = grid.xi
     coeff = _real_coefficients(u.slices())
-    e_lo = _truncate(_fine_exponential(coeff, grid, 4), grid) * projection_symbol("lo", xi)
-    ux_m = coeff * (projection_symbol("minus", xi) * (1j * xi))
-    prod = _band_product(
-        [(_complex_coefficients(e_lo), _complex_coefficients(ux_m))], axes=(-1,)
-    )
+    e_lo = _truncate(_exponential(coeff, grid, 4)[1], grid) * projection_symbol("lo", xi)
+    prod = _minus_dx_product(e_lo, coeff, xi, axes=(-1,))
     return _wrapped_rows(prod) * (projection_symbol("plus", xi) * (1j * xi))
 
 
@@ -738,8 +739,9 @@ def _probe_leibniz(name, cfg, win, env) -> ProbeReport:
         decay = _decay_schedule(i)
         f = random_field(grid, rng, decay=decay, amplitude=1.0)
         g = random_field(grid, rng, decay=decay, amplitude=1.0)
-        inner = pointwise_product(f, project(derivative(g), "minus"))
-        lhs = lebesgue_norm(fractional(project(inner, "plus"), "riesz", 0.5), 2)
+        inner = _minus_dx_product(f.coefficients, g.coefficients, grid.xi)
+        plus = ComplexField(grid, inner * (grid.xi > 0))
+        lhs = lebesgue_norm(fractional(plus, "riesz", 0.5), 2)
         rhs = lebesgue_norm(fractional(f, "riesz", 0.75), 4) * lebesgue_norm(
             fractional(g, "riesz", 0.75), 4
         )

@@ -93,6 +93,8 @@ class SimConfig:
             raise ValueError("dt and t_end must be positive")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        if not np.isfinite(self.t_end / self.dt):  # a subnormal dt, a huge t_end
+            raise ValueError(f"t_end/dt = {self.t_end / self.dt} is not a step count")
         n = round(self.t_end / self.dt)
         if abs(n * self.dt - self.t_end) > 1e-12 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")

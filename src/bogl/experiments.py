@@ -303,39 +303,50 @@ def _write_state(traj: Trajectory, idx: int, path) -> None:
 
 
 def load_trajectory(traj_dir) -> tuple[Trajectory, float]:
-    """The snapshots of traj_dir in time order, and the mean of the first.  Every
-    file is read and checked here on its samples, untransformed (a bad one is
-    a ConfigError), but only its path and time are kept: the states are read
-    again, one at a time, when the trajectory is read."""
+    """The snapshots of traj_dir in time order, in the gauge's mean-zero
+    frame, and the mean of the earliest.  Every file is read and checked here
+    (a bad one is a ConfigError), down to its mean in that frame, but only
+    its path, time, mean and peak are kept: the states are read again, one
+    at a time, when the trajectory is read."""
+    from . import gauge
+
     paths = sorted(Path(traj_dir).glob("snap_*.bin"))
     if not paths:
         raise ConfigError(f"no snapshots found in {traj_dir}")
-    times = []
+    times, means, peaks = [], [], []
     for p in paths:
         grid, samples, t = _read_input(read_samples, p)
         if np.iscomplexobj(samples):
             raise ConfigError(f"{p}: trajectory snapshots must be real fields")
         if not np.all(np.isfinite(samples)):
             raise ConfigError(f"{p}: non-finite samples")
-        mean = float(np.mean(samples))
         if not times:
-            first_grid, first_mean = grid, mean
+            first_grid = grid
         if grid != first_grid:
             raise ConfigError(f"{p}: grid differs from that of {paths[0].name}")
-        # the evolution conserves the mean; gauge_residual's tolerance
-        if abs(mean - first_mean) > 1e-10:
-            raise ConfigError(f"{p}: mean differs from that of {paths[0].name}")
-        if not times or t < earliest_t:
-            # the Galilean shift takes the earliest state's mean from its
-            # coefficients
-            earliest_t = t
-            earliest_mean = RealField.from_samples(grid, samples).mean.real
+        coeff = RealField.from_samples(grid, samples).coefficients
+        means.append(coeff[0].real)
+        peaks.append(float(np.max(np.abs(coeff[1:]))))
         times.append(t)
     order = np.argsort(times)
+    mean = means[order[0]]
+    # the Galilean change of unknown takes the earliest state's mean out of
+    # every state, and the gauge must take what is left as zero
+    shift = mean if abs(mean) > gauge.MEAN_TOL else 0.0
+    for i in order:
+        # the primitive's scale also takes |offset|, which decides nothing:
+        # an offset above max(peak, 1) fails either way
+        if gauge._nonzero_mean(means[i] - shift, peaks[i]):
+            raise ConfigError(f"{paths[i]}: mean differs from that of "
+                              f"{paths[order[0]].name}")
     ordered = [str(paths[i]) for i in order]
-    states = LazyStates(lambda i: _read_snapshot(ordered[i])[0], len(ordered))
-    traj = Trajectory(times=np.array([times[i] for i in order]), states=states)
-    return traj, earliest_mean
+    times = np.array([times[i] for i in order])
+
+    def state(i):
+        u = _read_snapshot(ordered[i])[0]
+        return gauge.translate_to_zero_mean(u, mean, float(times[i])) if shift else u
+
+    return Trajectory(times=times, states=LazyStates(state, len(ordered))), mean
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +360,8 @@ def run_gauge_check(traj_dir, out_dir) -> RunResult:
     oversample = 4  # fine-lattice factor of the gauge exponentials
     traj, mean = load_trajectory(traj_dir)
     states = traj.states
-    if abs(mean) > 1e-12:
-        # Galilean change of unknown: evolve in the mean-zero frame
-        loaded, times = states, traj.times
-        states = LazyStates(
-            lambda i: gauge.translate_to_zero_mean(loaded[i], mean, float(times[i])),
-            len(loaded),
-        )
     # fewer than 3 or unevenly spaced snapshots
-    window = _validated("traj", gauge.ResidualWindow, traj.times, oversample)
+    window = _validated("traj", gauge.ResidualWindow, traj.times)
     # one pass: each state is read once, and its e^{-iF/2} is formed once for
     # both the residual and the reconstruction
     gaps = []
@@ -536,15 +540,15 @@ def run_lipschitz_pairs(config: dict, out_dir) -> RunResult:
         "dt, t_end, snapshot_stride", SimConfig, grid, dt=cfg["dt"],
         t_end=cfg["t_end"], snapshot_stride=cfg["snapshot_stride"],
     )
-    band = range(
-        int(np.ceil(cfg["perturb_min_freq"] * grid.period_scale)),
-        min(cfg["perturb_max_mode"], grid.n // 2 - 1) + 1,
-    )
-    if not band:
+    # the lowest mode may overflow to inf at a lambda near the float range
+    lowest = cfg["perturb_min_freq"] * grid.period_scale
+    highest = min(cfg["perturb_max_mode"], grid.n // 2 - 1)
+    if not lowest <= highest:
         raise ConfigError(
             f"perturb_min_freq, perturb_max_mode: the perturbation band "
-            f"[{band.start}, {band.stop - 1}] is empty"
+            f"[{lowest:g}, {highest}] is empty"
         )
+    band = range(math.ceil(lowest), highest + 1)
     # frequency-truncated data use a rough-tailed datum, so the truncation
     # actually removes mass
     rough_max = cfg["trunc_max_mode"] or int(grid.n // 3) - 1
@@ -648,6 +652,13 @@ SCALING_SCHEMA = {
 }
 
 
+def _final_only(grid, dt: float, t_end: float) -> SimConfig:
+    """The march from 0 to t_end in steps of dt that keeps its last state."""
+    steps = SimConfig(grid, dt=dt, t_end=t_end).n_steps
+    return SimConfig(grid, dt=dt, t_end=t_end, snapshot_stride=steps)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _require_finite reports NaN and inf
 def run_scaling_check(config: dict, out_dir) -> RunResult:
     cfg = resolve_config(config, SCALING_SCHEMA)
     lam = cfg["scale"]
@@ -670,18 +681,16 @@ def run_scaling_check(config: dict, out_dir) -> RunResult:
         rows.append({"check": f"norm_scale_{factor}", "value": got,
                      "expected": want, "rel_err": err})
     t_scaled = cfg["t_scaled"]
-    steps_base = round(lam**2 * t_scaled / cfg["dt"])
-    base_cfg = _validated("dt, t_scaled, scale", SimConfig, grid, dt=cfg["dt"],
-                          t_end=lam**2 * t_scaled, snapshot_stride=steps_base)
+    base_cfg = _validated("dt, t_scaled, scale", _final_only, grid, cfg["dt"],
+                          lam**2 * t_scaled)
     base_final = simulate(u0, base_cfg).states[-1]
-    steps_scaled = round(t_scaled / cfg["dt"])
-    scaled_cfg = _validated("dt, t_scaled", SimConfig, v0.grid, dt=cfg["dt"],
-                            t_end=t_scaled, snapshot_stride=steps_scaled)
+    scaled_cfg = _validated("dt, t_scaled", _final_only, v0.grid, cfg["dt"], t_scaled)
     scaled_final = simulate(v0, scaled_cfg).states[-1]
     expected = rescale(base_final, lam)
     corr = lebesgue_norm(scaled_final - expected, 2)
     rows.append({"check": "solution_correspondence", "value": corr,
                  "expected": 0.0, "rel_err": corr})
+    _require_finite({key: [r[key] for r in rows] for key in ("value", "expected", "rel_err")})
     assertions = [
         Assertion("norm_relation", norm_worst <= 1e-12, f"rel err {norm_worst:.3e}"),
         Assertion("correspondence", corr <= 1e-6, f"L2 error {corr:.3e}"),

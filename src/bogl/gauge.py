@@ -26,9 +26,9 @@ modes its result keeps, and none needs more than nf points:
     band and go through spectral._band_product on 3nf/2 points.
 The only approximation left is the spectral tail of the exponential itself.
 
-The fine-lattice kernels take coefficient arrays whose leading axes are a
-batch and whose last axis is x, so one call forms e^{-iF/2} for a stack of
-time slices; _gauge_exponential is the one-field entry point.
+e^{-iF/2} is formed in one place, _exponential, which takes coefficient
+arrays whose leading axes are a batch and whose last axis is x, so one call
+forms it for a stack of time slices; exponential_pair is its one-field form.
 
 Projections are index bands (_band), not nf-point tables: a sign or HI
 projection is one run of ones in FFT order, the smooth hi cutoff adds its
@@ -83,6 +83,10 @@ __all__ = [
     "exp_multiplication_probe",
 ]
 
+# the gauge's mean-zero tolerance: primitive, and everything built on it,
+# takes a field as mean zero when |u_hat(0)| <= MEAN_TOL * max(max |u_hat|, 1)
+MEAN_TOL = 1e-12
+
 
 # ----------------------------------------------------------------------------
 # fine-lattice helpers: coefficient arrays of length factor*n in FFT order
@@ -99,15 +103,6 @@ def _truncate(fine: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _fine_xi(grid: SpatialGrid, factor: int) -> np.ndarray:
-    """The fine frequencies (read-only), for exp_multiplication_probe's
-    Bessel weights on the whole lattice; the gauge check uses bands."""
-    xi = fine_frequencies(grid, factor)
-    xi.flags.writeable = False
-    return xi
-
-
 @dataclass(frozen=True)
 class _Band:
     """The symbol of a projection on a lattice, in FFT order: 1 on the run
@@ -117,16 +112,6 @@ class _Band:
     ones: slice
     index: np.ndarray
     values: np.ndarray
-
-
-def _fine_xi_at(grid: SpatialGrid, factor: int, index) -> np.ndarray:
-    """fine_frequencies(grid, factor)[index] for a slice or an index array,
-    formed without the nf-point table: fftfreq's k * (1/(nf*d)), d = 1/nf,
-    over the period scale."""
-    nf = grid.n * factor
-    j = np.arange(*index.indices(nf)) if isinstance(index, slice) else index
-    k = np.where(j < nf // 2, j, j - nf)
-    return k * (1.0 / (nf * (1.0 / nf))) / grid.period_scale
 
 
 @lru_cache(maxsize=64)
@@ -141,7 +126,7 @@ def _band(grid: SpatialGrid, factor: int, which: str) -> _Band:
     nf = grid.n * factor
     h = min(nf // 2, math.ceil(8 * grid.period_scale) + 2)
     j = np.r_[0:h, nf - h : nf]
-    sym = projection_symbol(which, _fine_xi_at(grid, factor, j))
+    sym = projection_symbol(which, fine_frequencies(grid, factor, j))
     ones = slice(0, 0)
     if h < nf // 2:
         if sym[h - 1] == 1.0 and sym[h] == 1.0:
@@ -180,21 +165,27 @@ def _project(a: np.ndarray, band: _Band, inplace: bool = False) -> np.ndarray:
     return out
 
 
+def _coarse_plus(fine: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """P_+ of fine coefficients, cut to the coarse band: the cut commutes with
+    P_+, so it is made first, in a new n-point array."""
+    return _project(_truncate(fine, grid), _band(grid, 1, "plus"), inplace=True)
+
+
 def _dx_band(a: np.ndarray, band: _Band, grid: SpatialGrid, factor: int) -> None:
     """d/dx in place on the band's entries of a, which is 0 elsewhere."""
     for part in (band.ones, band.index):
-        a[..., part] *= 1j * _fine_xi_at(grid, factor, part)
+        a[..., part] *= 1j * fine_frequencies(grid, factor, part)
 
 
-def _fdx(a: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    return a * (1j * xi)
+def _nonzero_mean(mean, peak) -> np.ndarray:
+    """|mean| > MEAN_TOL * max(peak, 1), peak the largest |u_hat|."""
+    return np.abs(mean) > MEAN_TOL * np.maximum(peak, 1.0)
 
 
 def _primitive_coefficients(coeff: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Coefficients u_hat(xi)/(i xi) of the zero-mean primitive of each row,
     before RealField symmetrizes them; every row must have mean zero."""
-    scale = np.maximum(np.max(np.abs(coeff), axis=-1), 1.0)
-    if np.any(np.abs(coeff[..., 0]) > 1e-12 * scale):
+    if np.any(_nonzero_mean(coeff[..., 0], np.max(np.abs(coeff), axis=-1))):
         raise ValueError("primitive needs a mean-zero field")
     out = np.zeros_like(coeff)
     nz = xi != 0
@@ -202,11 +193,13 @@ def _primitive_coefficients(coeff: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fine_exponential_samples(
+def _exponential(
     coeff: np.ndarray, grid: SpatialGrid, factor: int
-) -> np.ndarray:
-    """exp(-iF/2) sampled on the factor*n points of the fine lattice, for each
-    row of the RealField coefficients coeff, F the primitive of the row."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(samples, coefficients) of e^{-iF/2} on the fine lattice of factor*n
+    points, for each row of the RealField coefficients coeff, F the
+    primitive of the row.  A caller that needs only the coefficients takes
+    [1], and the samples are freed with the tuple."""
     prim = _real_coefficients(_primitive_coefficients(coeff, grid.xi))
     fine = _embed(prim, factor)
     # an owned copy, so the complex samples are freed before exp allocates
@@ -214,18 +207,8 @@ def _fine_exponential_samples(
     del fine
     out = -0.5j * phase
     del phase
-    return np.exp(out, out=out)
-
-
-def _fine_exponential(coeff: np.ndarray, grid: SpatialGrid, factor: int) -> np.ndarray:
-    """Fine-lattice coefficients of e^{-iF/2} for each row of coeff (see
-    _fine_exponential_samples)."""
-    return _analyze(_fine_exponential_samples(coeff, grid, factor), axes=(-1,))
-
-
-def _gauge_exponential(u: RealField, factor: int) -> np.ndarray:
-    """Fine-lattice coefficients of e^{-iF/2} for F = primitive(u)."""
-    return _fine_exponential(u.coefficients, u.grid, factor)
+    samples = np.exp(out, out=out)
+    return samples, _analyze(samples, axes=(-1,))
 
 
 # ----------------------------------------------------------------------------
@@ -250,9 +233,7 @@ def primitive(u: RealField) -> RealField:
 
 def gauge_W(u: RealField, oversample: int = 4) -> ComplexField:
     """W = P_+(e^{-iF/2}), the positive-frequency part of the gauge factor."""
-    # cut to the coarse band first: the cut commutes with P_+
-    w = _truncate(_gauge_exponential(u, oversample), u.grid)
-    return ComplexField(u.grid, _project(w, _band(u.grid, 1, "plus"), inplace=True))
+    return ComplexField(u.grid, _coarse_plus(exponential_pair(u, oversample)[1], u.grid))
 
 
 def gauge_w(u: RealField, oversample: int = 4) -> ComplexField:
@@ -263,18 +244,16 @@ def gauge_w(u: RealField, oversample: int = 4) -> ComplexField:
 
 def gauge_w_product_form(u: RealField, oversample: int = 4) -> ComplexField:
     """w computed as -(i/2) P_+(e^{-iF/2} u); equals gauge_w up to aliasing."""
-    em = _gauge_exponential(u, oversample)
+    em = exponential_pair(u, oversample)[1]
     prod = _band_product([(em, _embed(u.coefficients, oversample))])
-    w = -0.5j * _truncate(prod, u.grid)
-    return ComplexField(u.grid, _project(w, _band(u.grid, 1, "plus"), inplace=True))
+    return ComplexField(u.grid, -0.5j * _coarse_plus(prod, u.grid))
 
 
 def exponential_pair(u: RealField, oversample: int = 4) -> tuple[np.ndarray, np.ndarray]:
     """(samples, coefficients) of e^{-iF/2}, F = primitive(u), on the fine
     lattice of oversample*n points: what ResidualWindow.add and
     reconstruct_high take, so one snapshot's exponential is formed once."""
-    samples = _fine_exponential_samples(u.coefficients, u.grid, oversample)
-    return samples, _analyze(samples)
+    return _exponential(u.coefficients, u.grid, oversample)
 
 
 @dataclass(frozen=True)
@@ -290,27 +269,28 @@ class GaugeResidualReport:
         ]
 
 
-def _residual_terms(v: RealField, em: np.ndarray, oversample: int):
-    """(w, bil, P0(u^2)) of one snapshot, em the fine coefficients of its
-    e^{-iF/2}: w = d/dx P_+(e^{-iF/2}) and bil = d/dx P_+(P_+e^{-iF/2}
-    P_-u_x), both cut to the coarse band."""
-    grid = v.grid
-    em_plus = _project(em, _band(grid, oversample, "plus"))
-    # cut to the coarse band first: the cut commutes with the multiplier
-    w = _fdx(_truncate(em_plus, grid), grid.xi)
+def _residual_terms(v: RealField, em: np.ndarray):
+    """(w, bil, P0(u^2)) of one snapshot, em the coefficients of its e^{-iF/2}
+    on nf >= n points: w = d/dx P_+(e^{-iF/2}) and bil = d/dx
+    P_+(P_+e^{-iF/2} P_-u_x), both cut to the coarse band, with no nf-point
+    copy of em."""
+    grid, n = v.grid, v.grid.n
+    w = _coarse_plus(em, grid) * (1j * grid.xi)
     # bil keeps 0 < k < n/2 of P_+e^{-iF/2} P_-u_x.  With P_-u_x on
-    # [-n/2, 0), only e^{-iF/2}'s modes 1..n-1 reach that band; they are
-    # the first n fine coefficients (at oversample 1 P_+ has zeroed those
-    # past n/2), stored at index j mod n.  The true product then carries
-    # [1 - n/2, n - 2], and every alias k +- n of a kept k lies outside
-    # it: the product is exact on n points.
-    em_head = _samples(em_plus[: grid.n])
-    del em_plus
+    # [-n/2, 0), only e^{-iF/2}'s modes 1..n-1 reach that band; P_+ keeps
+    # those below nf/2, the fine coefficients 1..min(n, nf/2) - 1, stored at
+    # index j mod n.  The true product then carries [1 - n/2, n - 2], and
+    # every alias k +- n of a kept k lies outside it: the product is exact
+    # on n points.
+    head = min(n, em.shape[-1] // 2)
+    em_head = np.zeros(n, dtype=np.complex128)
+    em_head[1:head] = em[1:head]
+    em_head = _samples(em_head, out=em_head)
     # the coarse lattice is the fine lattice of factor 1
     ux_minus = _project(derivative(v).coefficients, _band(grid, 1, "minus"))
     em_head *= _samples(ux_minus)
     prod = _analyze(em_head, out=em_head)
-    bil = _fdx(_project(prod, _band(grid, 1, "plus"), inplace=True), grid.xi)
+    bil = _project(prod, _band(grid, 1, "plus"), inplace=True) * (1j * grid.xi)
     return w, bil, float(np.mean(np.asarray(v.samples) ** 2))
 
 
@@ -318,14 +298,15 @@ class ResidualWindow:
     """gauge_residual one snapshot at a time.
 
     add() takes the states in time order, each with the fine coefficients of
-    its e^{-iF/2}; the residual of a state is formed as soon as the next one
-    is in.  Between states only what a later residual needs is kept: the w
-    of the last two states and the bilinear term and P0(u^2) of the last,
-    so memory does not grow with the snapshot count.  report() gives the
-    rows of the states added so far.
+    its e^{-iF/2} (on any lattice of nf >= n points, read from their
+    length); the residual of a state is formed as soon as the next one is
+    in.  Between states only what a later residual needs is kept: the w of
+    the last two states and the bilinear term and P0(u^2) of the last, so
+    memory does not grow with the snapshot count.  report() gives the rows
+    of the states added so far.
     """
 
-    def __init__(self, times, oversample: int = 4, include_mean_term: bool = True):
+    def __init__(self, times, include_mean_term: bool = True):
         times = np.asarray(times, dtype=np.float64)
         if len(times) < 3:
             raise ValueError("need at least 3 snapshots for a centered difference")
@@ -334,17 +315,16 @@ class ResidualWindow:
             raise ValueError("snapshots are not uniformly spaced at a positive step")
         self._dt = float(dts[0])
         self._times = times
-        self._oversample = oversample
         self._include_mean_term = include_mean_term
         self._window = deque()
         self._added = 0
         self._rows = ([], [], [])
 
     def add(self, v: RealField, em: np.ndarray) -> None:
-        if abs(v.mean.real) > 1e-10:
+        if _nonzero_mean(v.mean, np.max(np.abs(v.coefficients))):
             raise ValueError("gauge residual needs mean-zero states")
         window = self._window
-        window.append(_residual_terms(v, em, self._oversample))
+        window.append(_residual_terms(v, em))
         self._added += 1
         if len(window) < 3:
             return
@@ -380,9 +360,9 @@ def gauge_residual(
 
     The states are read once each, in order, through a ResidualWindow.
     """
-    window = ResidualWindow(traj.times, oversample, include_mean_term)
+    window = ResidualWindow(traj.times, include_mean_term)
     for v in traj.states:
-        window.add(v, _gauge_exponential(v, oversample))
+        window.add(v, exponential_pair(v, oversample)[1])
     return window.report()
 
 
@@ -574,8 +554,8 @@ def exp_multiplication_probe(
     if not (0 <= alpha <= 1.0 / q):
         raise ValueError("alpha must lie in [0, 1/q]")
     grid = f_source.grid
-    xi = _fine_xi(grid, oversample)
-    em = _gauge_exponential(f_source, oversample)
+    xi = fine_frequencies(grid, oversample, slice(None))
+    em = exponential_pair(f_source, oversample)[1]
     gfine = _embed(g.coefficients, oversample)
     prod = _band_product([(em, gfine)])
     bessel = (1.0 + xi**2) ** (alpha / 2.0)

@@ -70,10 +70,9 @@ class SpatialGrid:
     def __post_init__(self):
         if not _is_power_of_two(self.n) or self.n < 8:
             raise ValueError(f"grid size must be a power of two >= 8, got {self.n}")
-        if self.period_scale < 1:
-            raise ValueError(
-                f"period scale must be >= 1, got {self.period_scale}"
-            )
+        if not (self.period_scale >= 1 and math.isfinite(self.length)):
+            raise ValueError("period scale must be >= 1 with a finite period "
+                             f"2*pi*lambda, got {self.period_scale}")
 
     @property
     def length(self) -> float:
@@ -385,9 +384,13 @@ def sobolev_norm(f: Field, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def fine_frequencies(grid: SpatialGrid, factor: int) -> np.ndarray:
+def fine_frequencies(grid: SpatialGrid, factor: int, index) -> np.ndarray:
+    """k/lambda on the lattice of nf = factor*n points, in FFT order, at index
+    (a slice or an index array); for a power-of-two nf, fftfreq(nf, 1/nf)/lambda
+    bit for bit."""
     nf = grid.n * factor
-    return np.fft.fftfreq(nf, d=1.0 / nf) / grid.period_scale
+    j = np.arange(*index.indices(nf)) if isinstance(index, slice) else index
+    return np.where(j < nf // 2, j, j - nf) / grid.period_scale
 
 
 def _points(shape: tuple, axes) -> int:

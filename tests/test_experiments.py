@@ -184,6 +184,10 @@ def test_gauge_check_rejects_a_bad_snapshot_before_computing(sim_run, tmp_path,
         "grid": lambda path: write_snapshot(path, other_grid, time=t),
         "mean": lambda path: write_snapshot(
             path, RealField.from_samples(last.grid, last.samples + 0.5), time=t),
+        # a mean offset of 5e-11: small, but not mean zero to the gauge,
+        # whose primitive would reject it
+        "offset": lambda path: write_snapshot(
+            path, RealField.from_samples(last.grid, last.samples + 5e-11), time=t),
     }
     for label, replace_last in replacements.items():
         traj = tmp_path / f"traj_{label}"
@@ -229,7 +233,7 @@ def test_gauge_check_reads_each_file_twice_and_forms_each_exponential_once(
            "init": "random"}
     sim = run_simulate(cfg, tmp_path / "sim").out_dir
     reads, formed = {}, []
-    form = gauge._fine_exponential_samples
+    form = gauge._exponential
 
     def counted(reader):
         def read(path):
@@ -244,7 +248,7 @@ def test_gauge_check_reads_each_file_twice_and_forms_each_exponential_once(
 
     for name in ("read_samples", "read_snapshot"):
         monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
-    monkeypatch.setattr(gauge, "_fine_exponential_samples", counted_form)
+    monkeypatch.setattr(gauge, "_exponential", counted_form)
     assert run_gauge_check(sim, tmp_path / "g").passed
     assert reads == {(reader, f"snap_{i:06d}.bin"): 1 for i in range(5)
                      for reader in ("read_samples", "read_snapshot")}
@@ -541,19 +545,23 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # duplicate-key error)
     infinite = ["n = 64\nt_end = 0.02\nsnapshot_stride = 10\ndt = inf\n",
                 "n = 64\ndt = 1e-3\nsnapshot_stride = 10\nt_end = inf\n"]
+    # a subnormal dt or a t_end near the float range: t_end/dt overflows
+    extreme = ["n = 64\nt_end = 0.02\nsnapshot_stride = 10\ndt = 5e-324\n",
+               "n = 64\ndt = 1e-3\nsnapshot_stride = 10\nt_end = 1e308\n"]
     bad_configs = {
         "simulate": [quick + body for body in (
             "init = wave\nlambda = 2\n", "init = wave\nrho = 1.5\n",
-            "max_mode = 0\n", "max_mode = -3\n")] + infinite,
+            "max_mode = 0\n", "max_mode = -3\n")] + infinite + extreme,
         "scaling-check": ["n = 64\nmax_mode = 0\n", "n = 64\ndt = 0.3\n",
                           "n = 64\ndt = 0\n", "n = 64\nt_scaled = nan\n",
+                          "n = 64\ndt = 5e-324\n", "n = 64\nt_scaled = 1e308\n",
                           # beyond lambda_base: found before the base march
                           "n = 64\nscale = 4\n"],
         "lipschitz-pairs": [quick + body for body in (
             "samples = 1\nmax_mode = 0\n", "samples = 1\ntrunc_max_mode = -2\n",
             "samples = 1\nperturb_max_mode = 4\n", "samples = 0\n",
             "samples = 1\ndeltas = inf\n", "samples = 1\ns = nan\n")]
-        + ["samples = 1\n" + body for body in infinite],
+        + ["samples = 1\n" + body for body in infinite + extreme],
         "norm-sweep": ["samples = 0\n", "n = 100\n"],
         "probe-suite": ["samples = 0\n", "samples = -5\n", "exp_samples = 0\n",
                         "select = bilinear_critical_x\nsamples = 0\n", "n = 100\n",
@@ -688,7 +696,8 @@ def test_cli_contract_from_schemas(tmp_path):
     # with finite data and strict JSON, never with a traceback
     schemas = {name for name in dir(experiments) if name.endswith("_SCHEMA")}
     assert schemas == {schema for schema, _ in _CONTRACT_BASES.values()}
-    floats = ("nan", "inf", "-inf", "0", "-1")
+    # the finite extremes too; no large integer, which would start a long run
+    floats = ("nan", "inf", "-inf", "0", "-1", "1e308", "5e-324")
     values = {float: floats, "floats": floats, int: ("0", "-1"), "ints": ("0", "-1"),
               str: ()}
     runs = 0

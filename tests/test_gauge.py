@@ -1,11 +1,14 @@
 """Gauge transform: primitive, W/w, evolution residual, reconstruction,
 Lipschitz gap and the exponential multiplication bound."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bogl
 from bogl import gauge
 from bogl.dynamics import SimConfig, Trajectory, simulate
 from bogl.gauge import (
@@ -183,12 +186,14 @@ def test_bands_multiply_as_the_projection_masks(n, period_scale, oversample):
     # apart from the sign of zeros (a cut entry is +0.0); n = 8 takes the
     # path where the evaluated modes cover the whole lattice
     g = make_grid(n, period_scale)
-    xi = fine_frequencies(g, oversample)
+    xi = _ref_xi(g, oversample)
     nf = len(xi)
     rng = np.random.default_rng(n * oversample)
     a = rng.standard_normal(nf) + 1j * rng.standard_normal(nf)
-    assert np.array_equal(gauge._fine_xi_at(g, oversample, slice(0, nf)), xi)
-    assert np.array_equal(gauge._fine_xi_at(g, oversample, np.arange(nf)), xi)
+    assert np.array_equal(fine_frequencies(g, oversample, slice(None)), xi)
+    assert np.array_equal(fine_frequencies(g, oversample, np.arange(nf)), xi)
+    assert np.array_equal(fine_frequencies(g, oversample, slice(3, nf, 5)), xi[3::5])
+    assert np.array_equal(fine_frequencies(g, 1, slice(None)), g.xi)
     for which in ("plus", "minus", "plus_hi", "minus_hi", "plus_HI", "lo"):
         band = gauge._band(g, oversample, which)
         masked = a * projection_symbol(which, xi)
@@ -336,6 +341,11 @@ def _ref_fmul(a, b):
     return _ref_band(np.fft.fft(pa * pb) / length, len(a))
 
 
+def _ref_xi(grid, factor):
+    nf = grid.n * factor
+    return np.fft.fftfreq(nf, d=1.0 / nf) / grid.period_scale
+
+
 def _ref_truncate(fine, grid):
     out = _ref_band(fine, grid.n)
     out[grid.n // 2] = 0.0
@@ -350,7 +360,7 @@ def _ref_exponential_pair(u, factor):
 
 def _ref_gauge_residual(traj, oversample):
     grid = traj.grid
-    xi = fine_frequencies(grid, oversample)
+    xi = _ref_xi(grid, oversample)
     plus, minus = projection_symbol("plus", xi), projection_symbol("minus", xi)
     ws, rhss, mean_terms = [], [], []
     for v in traj.states:
@@ -374,7 +384,7 @@ def _ref_gauge_residual(traj, oversample):
 def _ref_reconstruct_high(u, oversample):
     """(rhs coefficients on the coarse band, gap_abs) of reconstruct_high."""
     grid = u.grid
-    xi = fine_frequencies(grid, oversample)
+    xi = _ref_xi(grid, oversample)
     mask = {w: projection_symbol(w, xi)
             for w in ("lo", "plus_hi", "plus_HI", "minus_hi")}
     em, ep = _ref_exponential_pair(u, oversample)
@@ -415,7 +425,7 @@ def test_gauge_products_match_padded_reference(n, period_scale, oversample):
         assert _rel(rec.rhs.coefficients, ref_rhs) < 1e-12
         assert abs(rec.gap_abs - ref_gap) < 1e-15 * lebesgue_norm(u, 2)
     em, ep = _ref_exponential_pair(u0, oversample)
-    assert np.array_equal(gauge._gauge_exponential(u0, oversample), em)
+    assert np.array_equal(gauge.exponential_pair(u0, oversample)[1], em)
     assert _rel(_mirror(em), ep) < 1e-14
 
 
@@ -442,3 +452,41 @@ def test_gauge_products_need_no_padding(monkeypatch, oversample):
     reconstruct_high(u0, oversample=oversample)
     nf = g.n * oversample
     assert lengths and max(lengths) == nf
+
+
+def _call_sites(callee: str) -> list:
+    """(module, enclosing function's qualified name) of every call of callee
+    (a name, or an attribute such as np.exp) in the package."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == callee:
+                found.append((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for path in sorted(Path(bogl.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return found
+
+
+def test_gauge_formulas_are_formed_in_one_place():
+    # e^{-iF/2}: the gauge's one exp, of its one primitive that is not
+    # returned as a field; every other user takes the pair it returns
+    assert [s for s in _call_sites("np.exp") if s[0] == "gauge"] == [
+        ("gauge", "_exponential")]
+    assert sorted(_call_sites("_primitive_coefficients")) == [
+        ("gauge", "_exponential"), ("gauge", "primitive")]
+    assert set(_call_sites("primitive")) == {("gauge", "primitive_gap")}
+    # the fine-lattice frequencies are spectral.fine_frequencies: fftfreq
+    # builds only the modes of the coarse x and tau lattices
+    assert set(_call_sites("np.fft.fftfreq")) == {
+        ("spectral", "SpatialGrid.k"), ("bourgain", "SpaceTimeGrid.tau")}
+    # a P_-(du/dx): the one band product of bilinear, for all four callers
+    assert [s for s in _call_sites("_band_product") if s[0] == "bilinear"] == [
+        ("bilinear", "_minus_dx_product")]
+    assert sorted(name for _, name in _call_sites("_minus_dx_product")) == [
+        "_d_convolution", "_exp_lowband_operator", "_probe_leibniz", "bilinear_core"]

@@ -21,7 +21,7 @@ from bogl.bourgain import (
     spacetime_lebesgue,
     x_norm,
 )
-from bogl.gauge import _gauge_exponential, _truncate, translate_to_zero_mean
+from bogl.gauge import _truncate, exponential_pair, translate_to_zero_mean
 from bogl.reporting import stream
 from bogl.spectral import (
     ComplexField,
@@ -75,7 +75,7 @@ def _exp_lowband_loop(u):
     out = np.zeros((u.grid.num_times, grid.n), dtype=np.complex128)
     for mth in range(u.grid.num_times):
         slice_u = RealField(grid, slices[mth])
-        em = _gauge_exponential(slice_u, 4)
+        em = exponential_pair(slice_u, 4)[1]
         e_lo = _truncate(em, grid) * s_lo
         ux_m = slice_u.coefficients * s_minus_dx
         prod = pointwise_product(ComplexField(grid, e_lo), ComplexField(grid, ux_m))

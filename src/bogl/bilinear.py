@@ -61,6 +61,7 @@ from .spectral import (
     ComplexField,
     _band_product,
     _real_coefficients,
+    _reband,
     _wrapped_rows,
     fractional,
     lebesgue_norm,
@@ -233,19 +234,6 @@ def _require_integer_lattice(grid: SpaceTimeGrid) -> None:
         raise ValueError("the resonance machinery requires a 2*pi time window")
 
 
-def _centered(field: SpaceTimeField) -> np.ndarray:
-    """Coefficients reindexed to [tau = -M/2..M/2-1, xi = -N/2..N/2-1]."""
-    return np.fft.fftshift(field.coefficients)
-
-
-def _lattice_values(grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    m, n = grid.num_times, grid.spatial.n
-    return (
-        np.arange(-m // 2, m // 2, dtype=np.int64),
-        np.arange(-n // 2, n // 2, dtype=np.int64),
-    )
-
-
 # ----------------------------------------------------------------------------
 # bilinear operator and trilinear pairings
 # ----------------------------------------------------------------------------
@@ -360,8 +348,10 @@ def trilinear_I_oracle(
         raise GridTooLargeError(
             f"oracle limited to {limit}x{limit} grids, got {n}x{m}"
         )
-    taus, xis = _lattice_values(grid)
-    hc, wc, uc = _centered(h), _centered(w), _centered(u)
+    taus = np.arange(-m // 2, m // 2, dtype=np.int64)
+    xis = np.arange(-n // 2, n // 2, dtype=np.int64)
+    # coefficients reindexed to [tau = -M/2..M/2-1, xi = -N/2..N/2-1]
+    hc, wc, uc = (np.fft.fftshift(f.coefficients) for f in (h, w, u))
     t_off, x_off = m // 2, n // 2
     total = 0.0 + 0.0j
     for ki, k in enumerate(xis):
@@ -465,15 +455,6 @@ def _region_plan(grid: SpaceTimeGrid) -> _RegionPlan:
     return plan
 
 
-def _tau_padded(rows: np.ndarray, length: int) -> np.ndarray:
-    """(xi, tau) rows in FFT order, zero-padded to `length` taus."""
-    m = rows.shape[1]
-    out = np.zeros((rows.shape[0], length), dtype=np.complex128)
-    out[:, : m // 2] = rows[:, : m // 2]
-    out[:, length - m // 2 :] = rows[:, m // 2 :]
-    return out
-
-
 def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
     """A, B, C parts of sum_D hf(xi,tau) xi1^{-1} w_hat(xi1,tau1) xi2 u_hat(xi2,tau2).
 
@@ -500,9 +481,10 @@ def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.nd
     """
     plan = _region_plan(w.grid)
     n, k, length = w.grid.spatial.n, len(plan.ks), plan.length
-    hx = _tau_padded(hf[:, 1 : k + 1].T, length)
-    wx = _tau_padded((w.coefficients[:, 1 : k + 1] / plan.ks).T, length)
-    ux = _tau_padded((u.coefficients[:, -plan.lags % n] * -plan.lags).T, length)
+    # (xi, tau) rows in FFT order, zero-padded to `length` taus
+    hx = _reband(hf[:, 1 : k + 1].T, (k, length))
+    wx = _reband((w.coefficients[:, 1 : k + 1] / plan.ks).T, (k, length))
+    ux = _reband((u.coefficients[:, -plan.lags % n] * -plan.lags).T, (k, length))
     h_ge, h_lt = np.fft.ifft(hx * plan.ge), np.fft.ifft(hx * plan.lt)
     w_ge, w_lt = np.fft.fft(wx * plan.ge), np.fft.fft(wx * plan.lt)
     u_ge = np.fft.fft(ux * plan.ge2)

@@ -1,9 +1,10 @@
 """Space-time fields on a windowed slab and the dispersive-weighted norms.
 
 A SpaceTimeField stores coefficients c(tau, xi), axis 0 time, with
-u = sum c e^{i(xi x + tau t)}.  samples/from_raw_samples reach the values
-u(x_j, t_m); slices()/from_slices, the one t-only pair, reach the spatial
-coefficients of each time slice (both through spectral._samples/_analyze).
+u = sum c e^{i(xi x + tau t)}.  samples gives the values u(x_j, t_m) and
+SpaceTimeField(grid, _analyze(values)) takes them back; slices()/from_slices,
+the one t-only pair, reach the spatial coefficients of each time slice (both
+through spectral._samples/_analyze).
 The modulation variable is sigma = tau + |xi| xi, so the free evolution
 populates the sigma = 0 line.  Weights use the bracket <v> = 1 + |v| (the
 Sobolev operations in spectral.py use the Bessel bracket instead; both
@@ -35,6 +36,7 @@ from .spectral import (
     Field,
     SpatialGrid,
     _analyze,
+    _is_power_of_two,
     _lp_sum,
     _samples,
     make_grid,
@@ -78,7 +80,7 @@ class SpaceTimeGrid:
 
     def __post_init__(self):
         m = self.num_times
-        if m < 16 or (m & (m - 1)) != 0:
+        if m < 16 or not _is_power_of_two(m):
             raise ValueError("num_times must be a power of two >= 16")
         if self.t_span <= 0:
             raise ValueError("t_span must be positive")
@@ -121,14 +123,9 @@ class SpaceTimeField:
         if coefficients.shape != (grid.num_times, grid.spatial.n):
             raise ValueError("coefficient array does not match the grid")
         coefficients[grid.num_times // 2, :] = 0.0
-        coefficients[:, grid.spatial.nyquist_index] = 0.0
+        coefficients[:, grid.spatial.n // 2] = 0.0
         self.grid = grid
         self._coeff = coefficients
-
-    @classmethod
-    def from_raw_samples(cls, grid: SpaceTimeGrid, samples) -> "SpaceTimeField":
-        """The field with these (t, x) samples."""
-        return cls(grid, _analyze(np.asarray(samples, dtype=np.complex128)))
 
     @classmethod
     def from_slices(cls, grid: SpaceTimeGrid, slices) -> "SpaceTimeField":

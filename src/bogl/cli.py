@@ -7,8 +7,9 @@ scaling-check, probe-suite (every probe, or those named by its select key).
 Config files are "key = value" lines with # comments; --seed overrides the
 config seed and --out picks the run directory (gauge-check and lp-decompose
 take no config: they accept --seed and ignore it).  Exit codes: 0 success,
-2 config error, 3 numeric failure, 4 acceptance-threshold violation in
---assert mode; exits 2 and 3 make no run directory.
+2 config error (a run too large to hold in memory included), 3 numeric
+failure, 4 acceptance-threshold violation in --assert mode; exits 2 and 3
+make no run directory.
 """
 
 from __future__ import annotations
@@ -32,10 +33,19 @@ CSV schemas
                   ratio_gauge_z; truncation.csv: sample, cutoff, err_l2
   scaling-check   scaling.csv: check, value, expected, rel_err
   probe-suite     one CSV/JSON pair per probe plus probe_suite_summary.json;
-                  an estimate probe's <which>.csv: sample, lhs, rhs, ratio
-                  [, region_A, region_B, region_C, pairing_total,
-                  closure_rel, g_dual_norm]
-                  <which>.json: name, inequality, samples, skipped, sup,
+                  <name>.csv, by probe:
+                    the estimate probes (bilinear_*, exp_lowband,
+                    leibniz_split), linear_homogeneous, linear_duhamel_*:
+                    sample, lhs, rhs, ratio [, region_A, region_B,
+                    region_C, pairing_total, closure_rel
+                    (bilinear_critical_*), g_dual_norm (_shell)]
+                    linear_time_factor: sample, T, lhs, rhs, ratio
+                    bourgain_strichartz: sample, l4, tilde_l4, x38, ratio,
+                    ratio_tilde, ratio_l4_tilde
+                    embedding_sup_hs: sample, sup_hs, z, ratio
+                    exp_multiplication: sample, q, alpha, lhs, rhs, ratio
+                    bracket_convolution: mu, integral, ratio
+                  <name>.json: name, inequality, samples, skipped, sup,
                   mean, stddev, environment
 Every run writes manifest.json (resolved config + sha256 of each output).
 """
@@ -87,6 +97,9 @@ def main(argv=None) -> int:
         result = _dispatch(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid or march too large to hold
+        print(f"config error: the run does not fit in memory ({exc})", file=sys.stderr)
         return 2
     except (IntegrationError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

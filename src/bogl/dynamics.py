@@ -40,6 +40,7 @@ from .spectral import (
     RealField,
     SpatialGrid,
     _analyze,
+    _is_power_of_two,
     fractional,
     hilbert,
     derivative,
@@ -139,10 +140,6 @@ class Trajectory:
 
     times: np.ndarray
     states: Sequence
-
-    @property
-    def grid(self) -> SpatialGrid:
-        return self.states[0].grid
 
     @cached_property
     def _diagnostics(self) -> np.ndarray:
@@ -340,7 +337,7 @@ def rescale(u0: RealField, lam: int) -> RealField:
     holds to rounding.
     """
     lam = int(lam)
-    if lam < 1 or (lam & (lam - 1)) != 0:
+    if not _is_power_of_two(lam):
         raise ValueError(f"scaling factor must be a dyadic integer >= 1, got {lam}")
     new_scale = u0.grid.period_scale / lam
     if new_scale < 1 - 1e-12:

@@ -39,6 +39,7 @@ from .reporting import ProbeReport, sha256_file, stream, write_csv, write_json
 from .snapshots import read_samples, read_snapshot, write_snapshot
 from .spectral import (
     RealField,
+    _is_power_of_two,
     lebesgue_norm,
     make_grid,
     random_field,
@@ -110,7 +111,7 @@ POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 COUNT = (lambda v: v >= 1, ">= 1")
 NATURAL = (lambda v: v >= 0, ">= 0")
-DYADIC = (lambda v: v >= 1 and v & (v - 1) == 0, "a power of two >= 1")
+DYADIC = (_is_power_of_two, "a power of two >= 1")
 
 
 def resolve_config(raw: dict, schema: dict) -> dict:
@@ -160,7 +161,7 @@ def _emit(command: str, out_dir, config: dict, files: dict,
         write(path)
     manifest = {
         "command": command,
-        "config": {k: _manifest_value(v) for k, v in config.items()},
+        "config": config,
         "outputs": {name: sha256_file(path) for name, path in zip(files, outputs)},
         "assertions": [
             {"name": a.name, "ok": a.ok, "detail": a.detail} for a in assertions
@@ -170,12 +171,6 @@ def _emit(command: str, out_dir, config: dict, files: dict,
     path = out / "manifest.json"
     write_json(path, manifest)
     return RunResult(out, config, [*outputs, path], assertions)
-
-
-def _manifest_value(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 def _validated(keys: str, build, *args, **kwargs):
@@ -509,7 +504,8 @@ LIPSCHITZ_SCHEMA = {
     "max_mode": (int, 8, COUNT),
     "decay": (float, 2.0, FINITE),
     "trunc_decay": (float, 1.0, FINITE),
-    "trunc_max_mode": (int, 0, NATURAL),  # 0: fill the dealiased band
+    # 0: modes up to n // 3 - 1, one below the top n // 3 of the dealiased band
+    "trunc_max_mode": (int, 0, NATURAL),
 }
 
 

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .spectral import Field, SpatialGrid, _wrap, lebesgue_norm
+from .spectral import Field, SpatialGrid, _is_power_of_two, _wrap, lebesgue_norm
 
 PROFILE_NAME = "smoothstep-exp"
 
@@ -65,7 +65,7 @@ def phi(xi) -> np.ndarray | float:
 
 def phi_shell(xi, shell: int) -> np.ndarray | float:
     """phi_N(xi) = phi(xi/N), supported on N/2 <= |xi| <= 2N."""
-    if shell < 1 or (shell & (shell - 1)) != 0:
+    if not _is_power_of_two(shell):
         raise ValueError(f"shell must be a dyadic integer >= 1, got {shell}")
     return phi(np.asarray(xi, dtype=np.float64) / float(shell))
 

@@ -96,23 +96,9 @@ class SpatialGrid:
         """Frequencies k/lambda in FFT order."""
         return self.k / self.period_scale
 
-    @cached_property
-    def nyquist_index(self) -> int:
-        return self.n // 2
-
     def max_frequency(self) -> float:
         """Largest |xi| on the lattice (the Nyquist line)."""
         return (self.n // 2) / self.period_scale
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpatialGrid)
-            and self.n == other.n
-            and self.period_scale == other.period_scale
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.period_scale))
 
 
 @lru_cache(maxsize=64)

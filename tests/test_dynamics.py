@@ -75,7 +75,7 @@ class ComplexStepperOracle:
         self.f2 = dt * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
         self.f3 = dt * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
         self.drop = np.abs(grid.k) > 2.0 / 3.0 * (grid.n // 2) + 1e-9  # the 2/3 rule
-        self.drop[grid.nyquist_index] = True
+        self.drop[grid.n // 2] = True
         self.ikxi, self.n = 1j * xi, grid.n
 
     def nonlinear(self, coeff):

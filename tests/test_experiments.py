@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 import bogl
 from bogl import experiments
 from bogl.bilinear import PROBE_NAMES
-from bogl.cli import main
+from bogl.cli import CSV_SCHEMAS, main
 from bogl.experiments import (
     ANY,
     FINITE,
@@ -665,6 +666,24 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             assert not lip.exists()
             err = capsys.readouterr().err
             assert "ratio_l2" in err and "ratio_gauge_z" in err
+    # a run too large to hold in memory is a config error: 2^54 grid points
+    # (arrays of 256 PiB and 4 EiB) and 1e17 snapshot marks (711 PiB), past
+    # every address space, so no allocation can start
+    huge_n = "n = 18014398509481984\n"
+    long_march = "n = 16\ndt = 1e-8\nt_end = 1e9\nsnapshot_stride = 1\ninit = zero\n"
+    too_large = [(cmd, huge_n) for cmd in
+                 ("simulate", "lipschitz-pairs", "scaling-check", "norm-sweep")]
+    too_large.append(("simulate", long_march))
+    for j, (cmd, body) in enumerate(too_large):
+        big_cfg = tmp_path / f"big_{j}.cfg"
+        big_cfg.write_text(body)
+        for i, extra in enumerate(([], ["--assert"])):
+            dest = tmp_path / f"big_{j}_{i}"
+            capsys.readouterr()
+            assert main([cmd, "--config", str(big_cfg), "--out", str(dest)]
+                        + extra) == 2, (cmd, body)
+            assert not dest.exists(), (cmd, body)
+            assert capsys.readouterr().err.startswith("config error"), (cmd, body)
 
 
 # each config schema's command, with a base config that runs in milliseconds
@@ -684,6 +703,41 @@ _CONTRACT_BASES = {
         "n": "16", "num_times": "16", "samples": "1", "exp_samples": "1",
         "exp_n": "16"}),
 }
+
+
+def _schema_entries() -> dict:
+    """command -> the words of its entry in the CSV schemas of `bogl --help`."""
+    entries, command = {}, None
+    for line in CSV_SCHEMAS.splitlines()[1:]:
+        if not line.startswith("  "):
+            command = None  # the closing line names no command
+        elif not line.startswith("   "):
+            command, _, line = line.strip().partition(" ")
+        if command:
+            entries.setdefault(command, set()).update(re.findall(r"\w+", line))
+    return entries
+
+
+def test_help_names_every_csv_column(tmp_path, monkeypatch):
+    # each command once at a tiny config: every column of every CSV it
+    # writes is named in that command's entry of the CSV schemas
+    monkeypatch.chdir(tmp_path)
+    argvs = {}  # simulate first: gauge-check and lp-decompose read its output
+    for cmd, (_, base) in _CONTRACT_BASES.items():
+        Path(f"{cmd}.cfg").write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
+        argvs[cmd] = ["--config", f"{cmd}.cfg"]
+    argvs["gauge-check"] = ["--traj", "simulate"]
+    argvs["lp-decompose"] = ["--input", "simulate/snap_000000.bin"]
+    entries = _schema_entries()
+    assert set(entries) == set(argvs)
+    missing = []
+    for cmd, argv in argvs.items():
+        assert main([cmd, *argv, "--out", cmd]) == 0, cmd
+        for csv in sorted(Path(cmd).glob("*.csv")):
+            header = csv.read_text().splitlines()[0].split(",")
+            missing += [f"{cmd} {csv.name}: {c}" for c in header
+                        if c not in entries[cmd]]
+    assert not missing
 
 
 def _reject_constant(name):

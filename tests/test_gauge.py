@@ -359,7 +359,7 @@ def _ref_exponential_pair(u, factor):
 
 
 def _ref_gauge_residual(traj, oversample):
-    grid = traj.grid
+    grid = traj.states[0].grid
     xi = _ref_xi(grid, oversample)
     plus, minus = projection_symbol("plus", xi), projection_symbol("minus", xi)
     ws, rhss, mean_terms = [], [], []

@@ -13,6 +13,7 @@ from bogl.spectral import (
     _reband,
     ComplexField,
     RealField,
+    SpatialGrid,
     make_grid,
     hilbert,
     project,
@@ -39,6 +40,16 @@ def test_make_grid_basic():
 
     g3 = make_grid(256, 1.0)
     assert g3.n == 256 and g3.length == pytest.approx(2 * np.pi)
+
+
+def test_grids_are_equal_and_hash_alike_by_n_and_lambda():
+    g = make_grid(16, 1.0)
+    g.xi  # a cached array is not part of the identity
+    fresh = SpatialGrid(16, 1.0)
+    assert g is not fresh and g == fresh and hash(g) == hash(fresh)
+    for other in (make_grid(32, 1.0), make_grid(16, 2.0), (16, 1.0)):
+        assert g != other
+    assert len({g, fresh, make_grid(16, 2.0)}) == 2
 
 
 def test_make_grid_rejects_bad_input():
@@ -353,3 +364,29 @@ def test_fft_transforms_only_at_the_named_sites():
                 stray.append(f"{path.name}: {where or '<module>'} uses {what}")
     assert not stray
     assert seen == _TRANSFORM_SITES  # the scan reaches every named site
+
+
+def _power_of_two_tests(tree: ast.AST) -> list:
+    """Enclosing function's qualified name of every x & (x - 1) in tree."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.BitAnd)
+                    and ast.unparse(child.right) == f"{ast.unparse(child.left)} - 1"):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_power_of_two_test_only_in_is_power_of_two():
+    sites = []
+    for path in sorted(Path(bogl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [f"{path.stem}.{where}" for where in _power_of_two_tests(tree)]
+    assert sites == ["spectral._is_power_of_two"]

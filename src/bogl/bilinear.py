@@ -455,6 +455,15 @@ def _region_plan(grid: SpaceTimeGrid) -> _RegionPlan:
     return plan
 
 
+@lru_cache(maxsize=4)
+def _region_work(grid: SpaceTimeGrid) -> list[np.ndarray]:
+    """The arrays _region_parts overwrites on each call, for the widest N2 shell."""
+    plan = _region_plan(grid)
+    (t, k, length), rows = plan.ge.shape, 2 * max(len(s.phi) for s in plan.by_shell) + 1
+    shapes = [(t, k, length)] * 5 + [(k, length)] + [(rows, k, length)] * 2
+    return [np.empty(shape, np.complex128) for shape in shapes + [k * rows * length]]
+
+
 def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
     """A, B, C parts of sum_D hf(xi,tau) xi1^{-1} w_hat(xi1,tau1) xi2 u_hat(xi2,tau2).
 
@@ -477,28 +486,34 @@ def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.nd
     are stacked, so each lag is one contraction over xi, and each N2 shell
     three contractions with phi_N2(lag) and u (all of u for A and B,
     [6|sigma2| >= N N2] u for C).  The grid-only masks and indices come
-    from _region_plan.
+    from _region_plan; the tables live in the grid's one workspace
+    (_region_work), not fresh per call, so _region_parts is non-reentrant.
     """
     plan = _region_plan(w.grid)
+    h_ge, h_lt, w_ge, w_lt, u_ge, u_all, h_stack, w_stack, flat = _region_work(w.grid)
     n, k, length = w.grid.spatial.n, len(plan.ks), plan.length
     # (xi, tau) rows in FFT order, zero-padded to `length` taus
     hx = _reband(hf[:, 1 : k + 1].T, (k, length))
     wx = _reband((w.coefficients[:, 1 : k + 1] / plan.ks).T, (k, length))
     ux = _reband((u.coefficients[:, -plan.lags % n] * -plan.lags).T, (k, length))
-    h_ge, h_lt = np.fft.ifft(hx * plan.ge), np.fft.ifft(hx * plan.lt)
-    w_ge, w_lt = np.fft.fft(wx * plan.ge), np.fft.fft(wx * plan.lt)
-    u_ge = np.fft.fft(ux * plan.ge2)
-    w_all, u_all = np.fft.fft(wx), np.fft.fft(ux)
+    for x, mask, out in ((hx, plan.ge, h_ge), (hx, plan.lt, h_lt), (wx, plan.ge, w_ge),
+                         (wx, plan.lt, w_lt), (ux, plan.ge2, u_ge)):
+        for row, row_mask in zip(out, mask):  # at once, the cast buffers 0.2 MB
+            np.multiply(x, row_mask, out=row)
+        (np.fft.ifft if x is hx else np.fft.fft)(out, out=out)  # H; W and U
+    w_all, u_all = np.fft.fft(wx, out=w_stack[0]), np.fft.fft(ux, out=u_all)
 
     parts = np.zeros(3, dtype=np.complex128)  # A, B, C
     for shell in plan.by_shell:
         p, t_idx, lags = len(shell.phi), shell.t_idx, shell.lags
-        h_bc = shell.phi[:, :, None] * h_lt[t_idx]
-        h_rows = np.concatenate(
-            [np.einsum("px,pxl->xl", shell.phi, h_ge[t_idx])[None], h_bc, h_bc]
-        )
-        w_rows = np.concatenate([w_all[None], w_ge[t_idx], w_lt[t_idx]])
-        corr = np.empty((len(lags), 2 * p + 1, length), dtype=np.complex128)
+        h_rows, w_rows = h_stack[: 2 * p + 1], w_stack[: 2 * p + 1]  # w_rows[0]: w_all
+        b, c = slice(1, p + 1), slice(p + 1, None)
+        take = partial(np.take, indices=t_idx, axis=0, mode="clip")  # "raise" buffers
+        np.einsum("px,pxl->xl", shell.phi, h_ge[t_idx], out=h_rows[0])
+        np.multiply(take(h_lt, out=h_rows[b]), shell.phi[:, :, None], out=h_rows[b])
+        h_rows[c] = h_rows[b]
+        take(w_ge, out=w_rows[b]), take(w_lt, out=w_rows[c])
+        corr = flat[: len(lags) * (2 * p + 1) * length].reshape(-1, 2 * p + 1, length)
         for a, lag in enumerate(lags):
             np.einsum("qxl,qxl->ql", h_rows[:, : k - lag], w_rows[:, lag:], out=corr[a])
         parts += (

@@ -17,6 +17,9 @@ Norms, with L_x = 2 pi lambda, L_t = t_span, dtau = 2 pi / t_span:
     Ztilde:   ||P_lo .||_Z + ( sum_N ||P_N .||_Z^2 )^{1/2}   (spatial shells)
     Y^s    =  X^{s,1/2} + Ztilde^{s,0}
 
+The Duhamel term is one inverse DFT along tau, since e^{i sigma t} =
+e^{i tau t} e^{i |xi| xi t}: no (time, tau, xi) table (duhamel_field).
+
 The time localization to [0, T] multiplies each time slice by the scaled
 cutoff window (plateau on the central half of [0, T]), the canonical extension
 realizing the localized norms.
@@ -235,34 +238,28 @@ def free_evolution_field(f: Field, win: SpaceTimeGrid) -> SpaceTimeField:
     )
 
 
-@lru_cache(maxsize=4)
-def _duhamel_envelope(win: SpaceTimeGrid) -> np.ndarray:
-    """(e^{i sigma t}-1)/(i sigma), or t on the resonant line, on the
-    (time, tau, xi) lattice of the window, built once (read-only)."""
-    t = win.times[:, None, None]  # (time, tau, xi) broadcasting
-    sig = win.sigma[None, :, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        env = np.where(
-            np.abs(sig) > 1e-14,
-            (np.exp(1j * sig * t) - 1.0) / (1j * sig),
-            t * np.ones_like(sig),
-        )
-    env.flags.writeable = False
-    return env
-
-
 def duhamel_field(g: SpaceTimeField, win: SpaceTimeGrid) -> SpaceTimeField:
     """eta(t) int_0^t U(t-t') g(t') dt' with exact per-bin phase quadrature.
 
     For each (xi, tau) bin of g the time integral is (e^{i sigma t}-1)/(i sigma)
     (or t on the resonant line), so no time-marching error enters the probe.
+    With phi = |xi| xi and a = g_hat/(i sigma), the tau sum is one inverse DFT:
+
+        row t = slices(a)(t) + e^{-i t phi} (d(t) - sum_tau a),
+
+    where the bins with |sigma| < 1, on which 1/sigma would magnify the
+    rounding of sigma, have a = 0 and are summed one by one into d.
     """
     if g.grid != win:
         raise ValueError("forcing must live on the target window grid")
-    # sum over tau bins: coefficient c(xi,tau) times envelope, then mode phases
-    env = _duhamel_envelope(win)
-    hat_t = np.sum(g.coefficients[None, :, :] * env, axis=1)  # (time, xi)
-    hat_t *= _phase_table(win)
+    c, sig, t = g.coefficients, win.sigma, win.times[:, None]
+    near = np.abs(sig) < 1.0
+    a = np.divide(c, 1j * sig, out=np.zeros_like(c), where=~near)
+    s, d = sig[near], np.zeros_like(c)
+    env = np.divide(np.exp(1j * s * t) - 1.0, 1j * s, out=t + 0j * s,
+                    where=np.abs(s) > 1e-14)
+    np.add.at(d, (slice(None), np.nonzero(near)[1]), c[near] * env)
+    hat_t = _phase_table(win) * (d - np.sum(a, axis=0)) + _samples(a, axes=(0,))
     return SpaceTimeField.from_slices(win, hat_t * win.window[:, None])
 
 

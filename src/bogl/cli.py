@@ -98,7 +98,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # a grid or march too large to hold
+    except (MemoryError, ValueError) as exc:  # a grid or march too large to hold
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise  # numpy's error for an array past 2^63 bytes; others propagate
         print(f"config error: the run does not fit in memory ({exc})", file=sys.stderr)
         return 2
     except (IntegrationError, FloatingPointError) as exc:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from bogl.bilinear import (
     _h_weights,
     _region_parts,
     _region_plan,
+    _region_work,
     bilinear_B,
     bilinear_core,
     bracket_convolution_integral,
@@ -46,7 +48,7 @@ from bogl.bourgain import (
 )
 from bogl.lp import phi_shell, shell_table
 from bogl.reporting import stream
-from bogl.spectral import make_grid
+from bogl.spectral import _reband, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -459,6 +461,67 @@ def test_region_parts_match_the_2m_oracle(n, form, rough, seed):
     assert gap <= 1e-13 * np.max(np.abs(oracle))
 
 
+def _region_parts_allocating(hf, w, u):
+    """The earlier _region_parts: the same plan, transforms and einsums, with
+    every table and stacked row a fresh array on each call."""
+    plan = _region_plan(w.grid)
+    n, k, length = w.grid.spatial.n, len(plan.ks), plan.length
+    hx = _reband(hf[:, 1 : k + 1].T, (k, length))
+    wx = _reband((w.coefficients[:, 1 : k + 1] / plan.ks).T, (k, length))
+    ux = _reband((u.coefficients[:, -plan.lags % n] * -plan.lags).T, (k, length))
+    h_ge, h_lt = np.fft.ifft(hx * plan.ge), np.fft.ifft(hx * plan.lt)
+    w_ge, w_lt = np.fft.fft(wx * plan.ge), np.fft.fft(wx * plan.lt)
+    u_ge = np.fft.fft(ux * plan.ge2)
+    w_all, u_all = np.fft.fft(wx), np.fft.fft(ux)
+
+    parts = np.zeros(3, dtype=np.complex128)
+    for shell in plan.by_shell:
+        p, t_idx, lags = len(shell.phi), shell.t_idx, shell.lags
+        h_bc = shell.phi[:, :, None] * h_lt[t_idx]
+        h_rows = np.concatenate(
+            [np.einsum("px,pxl->xl", shell.phi, h_ge[t_idx])[None], h_bc, h_bc]
+        )
+        w_rows = np.concatenate([w_all[None], w_ge[t_idx], w_lt[t_idx]])
+        corr = np.empty((len(lags), 2 * p + 1, length), dtype=np.complex128)
+        for a, lag in enumerate(lags):
+            np.einsum("qxl,qxl->ql", h_rows[:, : k - lag], w_rows[:, lag:], out=corr[a])
+        parts += (
+            np.einsum("a,al,al->", shell.phi2, corr[:, 0], u_all[lags]),
+            np.einsum("a,apl,al->", shell.phi2, corr[:, 1 : p + 1], u_all[lags]),
+            np.einsum("a,apl,pal->", shell.phi2, corr[:, p + 1 :],
+                      u_ge[t_idx[:, None], lags]),
+        )
+    return parts
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_region_parts_in_the_workspace_match_the_allocating_body(n):
+    win = SpaceTimeGrid(make_grid(n, 1.0), n, 2 * np.pi)
+    for seed in range(3):
+        h, w, u = fields(win, 50 + seed, (0.5, 1.0, 2.0)[seed])
+        for form in "IJ":
+            hf = _h_factor(h, form)
+            # twice: the second call runs on the workspace the first left
+            for _ in range(2):
+                assert np.array_equal(_region_parts(hf, w, u),
+                                      _region_parts_allocating(hf, w, u))
+
+
+def test_warm_region_pairing_allocates_no_tables():
+    # the allocating body peaks at about 1.1 MB here; what is left is the
+    # total's convolution, the padded rows and einsum's own buffers
+    win = SpaceTimeGrid(make_grid(32, 1.0), 32, 2 * np.pi)
+    h, w, u = fields(win, 60)
+    region_pairing(h, w, u)
+    tracemalloc.start()
+    try:
+        region_pairing(h, w, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25e6
+
+
 @pytest.mark.parametrize("n, num_times", [(32, 32), (16, 32), (32, 16)])
 def test_region_tau_lattice_is_three_halves(monkeypatch, n, num_times):
     """Every transform of _region_parts runs along tau on 3M/2 points, the
@@ -486,6 +549,7 @@ def test_region_tables_are_shared_and_read_only():
     assert a is not b
     plan = _region_plan(a)
     assert plan is _region_plan(b)
+    assert _region_work(a) is _region_work(b)
     arrays = [plan.ks, plan.lags, plan.ge, plan.lt, plan.ge2]
     arrays += [arr for shell in plan.by_shell for arr in shell]
     for form in "IJ":

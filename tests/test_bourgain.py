@@ -1,5 +1,7 @@
 """Space-time norms, free/Duhamel fields and the linear estimate probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -255,9 +257,9 @@ def test_duhamel_single_mode_oracle(win):
     assert np.max(np.abs(got_tau - expected_tau)) < 1e-12
 
 
-# The bodies of x_norm, z_norm, random_spacetime_field and duhamel_field
-# that built their grid-only weights on every call.  The cached weights are
-# computed the same way, so the results must agree bit for bit.
+# The bodies of x_norm, z_norm and random_spacetime_field that built their
+# grid-only weights on every call.  The cached weights are computed the same
+# way, so the results must agree bit for bit.
 
 
 def _bracket_powers(grid, b, s):
@@ -299,7 +301,11 @@ def _uncached_random_spacetime_field(win, rng, xi_decay=1.0, sigma_decay=1.5,
     return SpaceTimeField(win, coeff)
 
 
-def _uncached_duhamel(g, win):
+def _envelope_duhamel(g, win):
+    """The earlier duhamel_field: the (time, tau, xi) table of per-bin
+    integrals (e^{i sigma t} - 1)/(i sigma), or t on the resonant line,
+    summed over tau.  M^2 n complex values, so small grids only."""
+    assert win.spatial.n <= 64 and win.num_times <= 64
     xi = win.spatial.xi
     t = win.times[:, None, None]
     sig = win.sigma[None, :, :]
@@ -312,6 +318,14 @@ def _uncached_duhamel(g, win):
     hat_t = np.sum(g.coefficients[None, :, :] * env, axis=1)
     hat_t *= np.exp(-1j * np.outer(win.times, np.abs(xi) * xi))
     return SpaceTimeField.from_slices(win, hat_t * win.window[:, None])
+
+
+def _assert_duhamel_matches_envelope(g, win):
+    # the same exact per-bin quadrature, summed in another order and phased
+    # before the tau sum, not after it: equal to rounding, not bit for bit
+    ref = _envelope_duhamel(g, win).coefficients
+    gap = np.linalg.norm(duhamel_field(g, win).coefficients - ref)
+    assert gap <= 1e-14 * np.linalg.norm(ref)
 
 
 def _uncached_free_evolution(f, win):
@@ -339,11 +353,39 @@ def test_cached_weights_match_uncached_bodies(n, num_times, t_span, lam):
         for s, b in ((0.0, 0.5), (-1.0, 1.0), (0.3, -0.5), (0.25, 0.5125)):
             assert np.array_equal(x_norm(f, s, b), _uncached_x_norm(f, s, b))
             assert np.array_equal(z_norm(f, s, b), _uncached_z_norm(f, s, b))
-        duhamel = duhamel_field(f, win).coefficients
-        assert np.array_equal(duhamel, _uncached_duhamel(f, win).coefficients)
+        _assert_duhamel_matches_envelope(f, win)
         data = random_field(win.spatial, stream(n, "cached-data", i), max_mode=n // 4)
         free = free_evolution_field(data, win).coefficients
         assert np.array_equal(free, _uncached_free_evolution(data, win).coefficients)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("t_span", [2 * np.pi, 3.0])
+@pytest.mark.parametrize("n,num_times", [(16, 16), (32, 64), (64, 32), (64, 64)])
+def test_duhamel_matches_the_envelope_form(n, num_times, t_span, lam):
+    win = SpaceTimeGrid(make_grid(n, lam), num_times, t_span)
+    resonant = np.abs(win.sigma) <= 1e-14
+    for i, kwargs in enumerate([{}, {"real": True}, {"sigma_decay": 1.0},
+                                {"xi_decay": 0.5, "positive_xi_only": True}]):
+        g = random_spacetime_field(win, stream(n, "envelope", i), **kwargs)
+        _assert_duhamel_matches_envelope(g, win)
+        # a forcing that lives only on the resonant bins, where the integral is t
+        on_line = SpaceTimeField(win, np.where(resonant, g.coefficients, 0.0))
+        if on_line.coefficients.any():
+            _assert_duhamel_matches_envelope(on_line, win)
+
+
+def test_duhamel_memory_is_linear_in_the_lattice():
+    # the envelope form holds two (M, M, n) tables, about 80 MB at n = M = 128
+    win = SpaceTimeGrid(make_grid(128, 1.0), 128, 2 * np.pi)
+    g = random_spacetime_field(win, stream(0, "duhamel-memory"))
+    tracemalloc.start()
+    try:
+        duhamel_field(g, win)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_l2_and_l4_are_the_two_lebesgue_norms(win):
@@ -354,8 +396,7 @@ def test_l2_and_l4_are_the_two_lebesgue_norms(win):
 def test_grid_weights_are_shared_and_read_only():
     a, b = (SpaceTimeGrid(make_grid(32, 1.0), 16, 2 * np.pi) for _ in range(2))
     assert a is not b
-    for table in (lambda g: bourgain._weight(g, 1.0, -0.5), bourgain._duhamel_envelope,
-                  bourgain._phase_table):
+    for table in (lambda g: bourgain._weight(g, 1.0, -0.5), bourgain._phase_table):
         assert table(a) is table(b)
         assert not table(a).flags.writeable
 

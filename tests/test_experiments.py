@@ -684,6 +684,26 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                         + extra) == 2, (cmd, body)
             assert not dest.exists(), (cmd, body)
             assert capsys.readouterr().err.startswith("config error"), (cmd, body)
+    # past 2^63 bytes numpy raises ValueError("array is too big; ...") at once,
+    # not a MemoryError (norm-sweep at n = 2^56): the same exit 2.  Any other
+    # ValueError still propagates
+    def too_big(source, out_dir):
+        np.empty(2**62, np.complex128)
+
+    monkeypatch.setattr(experiments, "run_norm_sweep", too_big)
+    for i, extra in enumerate(([], ["--assert"])):
+        dest = tmp_path / f"too_big_{i}"
+        capsys.readouterr()
+        assert main(["norm-sweep", "--out", str(dest)] + extra) == 2
+        assert not dest.exists()
+        assert capsys.readouterr().err.startswith("config error: the run does not fit")
+
+    def other_error(source, out_dir):
+        raise ValueError("not a size")
+
+    monkeypatch.setattr(experiments, "run_norm_sweep", other_error)
+    with pytest.raises(ValueError, match="not a size"):
+        main(["norm-sweep", "--out", str(tmp_path / "other")])
 
 
 # each config schema's command, with a base config that runs in milliseconds

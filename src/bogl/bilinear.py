@@ -31,6 +31,9 @@ The bilinear operator d/dx P_+( dx^{-1} w P_- du/dx ) uses the sharp
 positive/negative projections: on the integer lattice the positive
 projection equals the xi >= 1 restriction defining D, which is what makes
 the duality identity  <sigma-weighted h, B(w,u)> = i * I(h,w,u)  exact.
+
+Docstrings that say "tau-lattice code" read the (tau, xi) layout of the
+coefficients directly; all else reaches time through SpaceTimeGrid.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ class RegionTag(Enum):
 
 @dataclass(frozen=True)
 class FrequencyTuple:
-    """Integer lattice tuple (xi, xi1, tau, tau1) with derived modulations."""
+    """tau-lattice code: integer tuple (xi, xi1, tau, tau1) and its modulations."""
 
     xi: int
     xi1: int
@@ -142,8 +145,8 @@ def _in_shell(mag, shell: int):
 
 
 def classify(t: FrequencyTuple, shell: int, shell2: int) -> RegionTag:
-    """Region of the tuple for the shell pair (N, N2); exact integer thresholds
-    (|sigma| >= N N2 / 6 as 6 |sigma| >= N N2)."""
+    """tau-lattice code: the tuple's region for the shell pair (N, N2); exact
+    integer thresholds (|sigma| >= N N2 / 6 as 6 |sigma| >= N N2)."""
     if not t.in_domain:
         raise ValueError("tuple lies outside the domain D")
     if not _in_shell(abs(t.xi), shell):
@@ -161,7 +164,7 @@ def classify(t: FrequencyTuple, shell: int, shell2: int) -> RegionTag:
 
 
 def region_scan(k_max: int = 32, tau_half: int = 16) -> dict:
-    """Exhaustive integer scan of the resonance identity and region coverage.
+    """tau-lattice code: integer scan of the resonance identity and coverage.
 
     Scans xi, xi1 in [1, k_max] and tau, tau1 in [-tau_half, tau_half),
     restricted to D with |xi2| >= 1; every tuple is classified for every
@@ -228,6 +231,7 @@ class GridTooLargeError(ValueError):
 
 
 def _require_integer_lattice(grid: SpaceTimeGrid) -> None:
+    """tau-lattice code: require the integer (tau, xi) lattice of the 2 pi slab."""
     if grid.spatial.period_scale != 1.0:
         raise ValueError("the resonance machinery requires the unit-scale lattice")
     if abs(grid.t_span - 2.0 * np.pi) > 1e-12:
@@ -257,7 +261,8 @@ def _minus_dx_product(a: np.ndarray, u: np.ndarray, xi: np.ndarray,
 
 def bilinear_core(w: SpaceTimeField, u: SpaceTimeField) -> SpaceTimeField:
     """P_+( w P_- du/dx ), sharp sign projections (the half-weight/periodic
-    form; bilinear_B wraps it in dx^{-1} and d/dx)."""
+    form; bilinear_B wraps it in dx^{-1} and d/dx); tau-lattice code, as
+    _minus_dx_product convolves the (tau, xi) tables."""
     _check_positive_support(w)
     grid = w.grid
     if u.grid != grid:
@@ -283,7 +288,8 @@ def bilinear_B(w: SpaceTimeField, u: SpaceTimeField) -> SpaceTimeField:
 
 def _d_convolution(w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
     """Exact convolution of xi1^{-1} w_hat on xi1 >= 1 with xi2 u_hat on
-    xi2 <= 0, on the lattice of (xi, tau) = (xi1 + xi2, tau1 + tau2)."""
+    xi2 <= 0, on the lattice of (xi, tau) = (xi1 + xi2, tau1 + tau2): tau-lattice
+    code, as _minus_dx_product convolves the (tau, xi) tables."""
     grid = w.grid
     xi = grid.spatial.xi
     wc = w.coefficients.copy()
@@ -340,7 +346,7 @@ def trilinear_I(h: SpaceTimeField, w: SpaceTimeField, u: SpaceTimeField) -> comp
 def trilinear_I_oracle(
     h: SpaceTimeField, w: SpaceTimeField, u: SpaceTimeField, limit: int = 32
 ) -> complex:
-    """Direct quadruple sum over D; refuses grids beyond the oracle limit."""
+    """tau-lattice code: the direct quadruple sum over D, up to the oracle limit."""
     grid = h.grid
     _require_integer_lattice(grid)
     m, n = grid.num_times, grid.spatial.n
@@ -416,7 +422,7 @@ class _RegionPlan(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _region_plan(grid: SpaceTimeGrid) -> _RegionPlan:
-    """The grid's region plan, built once (read-only arrays)."""
+    """tau-lattice code: the grid's region plan, built once (read-only arrays)."""
     m, n = grid.num_times, grid.spatial.n
     k = n // 2 - 1
     length = 3 * m // 2
@@ -457,7 +463,7 @@ def _region_plan(grid: SpaceTimeGrid) -> _RegionPlan:
 
 @lru_cache(maxsize=4)
 def _region_work(grid: SpaceTimeGrid) -> list[np.ndarray]:
-    """The arrays _region_parts overwrites on each call, for the widest N2 shell."""
+    """tau-lattice code: _region_parts's per-call arrays, for the widest N2 shell."""
     plan = _region_plan(grid)
     (t, k, length), rows = plan.ge.shape, 2 * max(len(s.phi) for s in plan.by_shell) + 1
     shapes = [(t, k, length)] * 5 + [(k, length)] + [(rows, k, length)] * 2
@@ -465,7 +471,8 @@ def _region_work(grid: SpaceTimeGrid) -> list[np.ndarray]:
 
 
 def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
-    """A, B, C parts of sum_D hf(xi,tau) xi1^{-1} w_hat(xi1,tau1) xi2 u_hat(xi2,tau2).
+    """A, B, C parts of sum_D hf(xi,tau) xi1^{-1} w_hat(xi1,tau1) xi2 u_hat(xi2,tau2);
+    tau-lattice code.
 
     Each region test reads one variable (|sigma| on h, |sigma1| on w,
     |sigma2| on u) and the shell weights phi_N(xi), phi_N2(|xi2|) sit on h

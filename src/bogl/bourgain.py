@@ -1,10 +1,10 @@
 """Space-time fields on a windowed slab and the dispersive-weighted norms.
 
 A SpaceTimeField stores coefficients c(tau, xi), axis 0 time, with
-u = sum c e^{i(xi x + tau t)}.  samples gives the values u(x_j, t_m) and
-SpaceTimeField(grid, _analyze(values)) takes them back; slices()/from_slices,
-the one t-only pair, reach the spatial coefficients of each time slice (both
-through spectral._samples/_analyze).
+u = sum c e^{i(xi x + tau t)}.  That layout is SpaceTimeGrid's alone: its
+samples gives the values u(x_j, t_m) and to_slices/from_slices the spatial
+coefficients of each time slice, so the norms, lifts and probes reach time
+only through the grid's sigma and these three transforms.
 The modulation variable is sigma = tau + |xi| xi, so the free evolution
 populates the sigma = 0 line.  Weights use the bracket <v> = 1 + |v| (the
 Sobolev operations in spectral.py use the Bessel bracket instead; both
@@ -85,8 +85,8 @@ class SpaceTimeGrid:
         m = self.num_times
         if m < 16 or not _is_power_of_two(m):
             raise ValueError("num_times must be a power of two >= 16")
-        if self.t_span <= 0:
-            raise ValueError("t_span must be positive")
+        if not (np.isfinite(self.t_span) and self.t_span > 0):
+            raise ValueError(f"t_span must be finite and positive, got {self.t_span}")
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -117,6 +117,18 @@ class SpaceTimeGrid:
     def cell(self) -> float:
         return self.spatial.dx * self.dt
 
+    def samples(self, coeff: np.ndarray) -> np.ndarray:
+        """The values u(x_j, t_m) of a coefficient table; row m is at times[m]."""
+        return _samples(coeff)
+
+    def to_slices(self, coeff: np.ndarray) -> np.ndarray:
+        """The spatial coefficients of each time slice; row m is at times[m]."""
+        return _samples(coeff, axes=(0,))
+
+    def from_slices(self, slices) -> np.ndarray:
+        """The coefficient table whose time slices are slices (to_slices's inverse)."""
+        return _analyze(np.asarray(slices, dtype=np.complex128), axes=(0,))
+
 
 class SpaceTimeField:
     """(tau, xi) coefficients of (x, t) data on a window grid; axis 0 is time."""
@@ -133,7 +145,7 @@ class SpaceTimeField:
     @classmethod
     def from_slices(cls, grid: SpaceTimeGrid, slices) -> "SpaceTimeField":
         """The field whose spatial coefficients at times[m] are slices[m]."""
-        return cls(grid, _analyze(np.asarray(slices, dtype=np.complex128), axes=(0,)))
+        return cls(grid, grid.from_slices(slices))
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -141,25 +153,14 @@ class SpaceTimeField:
 
     @property
     def samples(self) -> np.ndarray:
-        return _samples(self._coeff)
+        return self.grid.samples(self._coeff)
 
     def slices(self) -> np.ndarray:
         """The spatial coefficients of each time slice: row m is at times[m]."""
-        return _samples(self._coeff, axes=(0,))
+        return self.grid.to_slices(self._coeff)
 
     def spatial_mask(self, mask: np.ndarray) -> "SpaceTimeField":
         return SpaceTimeField(self.grid, self._coeff * mask[None, :])
-
-    def __add__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self._coeff + other._coeff)
-
-    def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self._coeff - other._coeff)
-
-    def __mul__(self, scalar) -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self._coeff * scalar)
-
-    __rmul__ = __mul__
 
 
 @lru_cache(maxsize=64)
@@ -233,6 +234,8 @@ def _phase_table(win: SpaceTimeGrid) -> np.ndarray:
 
 def free_evolution_field(f: Field, win: SpaceTimeGrid) -> SpaceTimeField:
     """Windowed free evolution eta(t) U(t) f, exact mode-by-mode phases."""
+    if f.grid != win.spatial:
+        raise ValueError("datum must live on the window's spatial grid")
     return SpaceTimeField.from_slices(
         win, _phase_table(win) * f.coefficients * win.window[:, None]
     )
@@ -245,7 +248,7 @@ def duhamel_field(g: SpaceTimeField, win: SpaceTimeGrid) -> SpaceTimeField:
     (or t on the resonant line), so no time-marching error enters the probe.
     With phi = |xi| xi and a = g_hat/(i sigma), the tau sum is one inverse DFT:
 
-        row t = slices(a)(t) + e^{-i t phi} (d(t) - sum_tau a),
+        row t = win.to_slices(a)(t) + e^{-i t phi} (d(t) - sum_tau a),
 
     where the bins with |sigma| < 1, on which 1/sigma would magnify the
     rounding of sigma, have a = 0 and are summed one by one into d.
@@ -259,7 +262,7 @@ def duhamel_field(g: SpaceTimeField, win: SpaceTimeGrid) -> SpaceTimeField:
     env = np.divide(np.exp(1j * s * t) - 1.0, 1j * s, out=t + 0j * s,
                     where=np.abs(s) > 1e-14)
     np.add.at(d, (slice(None), np.nonzero(near)[1]), c[near] * env)
-    hat_t = _phase_table(win) * (d - np.sum(a, axis=0)) + _samples(a, axes=(0,))
+    hat_t = _phase_table(win) * (d - np.sum(a, axis=0)) + win.to_slices(a)
     return SpaceTimeField.from_slices(win, hat_t * win.window[:, None])
 
 

@@ -1,6 +1,8 @@
 """Space-time norms, free/Duhamel fields and the linear estimate probes."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,8 +41,9 @@ def test_grid_validation():
         SpaceTimeGrid(g, 8, 2 * np.pi)
     with pytest.raises(ValueError):
         SpaceTimeGrid(g, 24, 2 * np.pi)
-    with pytest.raises(ValueError):
-        SpaceTimeGrid(g, 32, -1.0)
+    for t_span in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_span"):
+            SpaceTimeGrid(g, 32, t_span)
 
 
 def test_window_plateau_covers_central_half(win):
@@ -134,6 +137,30 @@ def test_t_only_forms_match_sample_space_references(n, num_times, t_span, lam):
     for h in (g, u):
         again = SpaceTimeField.from_slices(win, h.slices())
         assert _rel_gap(again.coefficients, h.coefficients) <= 1e-14
+
+
+@pytest.mark.parametrize("t_span", [2 * np.pi, 3 * np.pi])
+def test_field_time_access_is_the_grids(t_span):
+    win = SpaceTimeGrid(make_grid(16, 1.0), 32, t_span)
+    u = random_spacetime_field(win, stream(0, "seam", int(t_span)), real=True)
+    c = u.coefficients
+    assert np.array_equal(u.samples, win.samples(c))
+    assert np.array_equal(u.slices(), win.to_slices(c))
+    again = SpaceTimeField.from_slices(win, u.slices())
+    # the field stores the grid's table with its Nyquist row and column zeroed
+    ref = SpaceTimeField(win, win.from_slices(u.slices()))
+    assert np.array_equal(again.coefficients, ref.coefficients)
+    # to_slices inverts from_slices on any table, not only on stored fields
+    rng = np.random.default_rng(int(t_span))
+    x = rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)
+    back = win.to_slices(win.from_slices(x))
+    assert np.max(np.abs(back - x)) <= 1e-15 * np.max(np.abs(x))
+
+
+def test_free_evolution_rejects_a_datum_from_another_grid(win):
+    f = random_field(make_grid(win.spatial.n, 2.0), stream(0, "other-grid"))
+    with pytest.raises(ValueError, match="spatial grid"):
+        free_evolution_field(f, win)
 
 
 def test_free_evolution_resonant_line(win):
@@ -399,6 +426,59 @@ def test_grid_weights_are_shared_and_read_only():
     for table in (lambda g: bourgain._weight(g, 1.0, -0.5), bourgain._phase_table):
         assert table(a) is table(b)
         assert not table(a).flags.writeable
+
+
+# The one seam between the space-time code and the (tau, xi) storage: the time
+# transforms are SpaceTimeGrid's three methods and tau is read only by
+# SpaceTimeGrid.sigma and the exact-integer FrequencyTuple.  Whatever else
+# reads the layout says "tau-lattice code" in its docstring.
+_TIME_TRANSFORM_SITES = {
+    ("bourgain", "SpaceTimeGrid.samples"),
+    ("bourgain", "SpaceTimeGrid.to_slices"),
+    ("bourgain", "SpaceTimeGrid.from_slices"),
+}
+_TAU_READ_SITES = {
+    ("bourgain", "SpaceTimeGrid.sigma"),
+    ("bilinear", "FrequencyTuple.tau2"),
+    ("bilinear", "FrequencyTuple.sigma"),
+    ("bilinear", "FrequencyTuple.sigma1"),
+}
+
+
+def _lattice_uses(tree: ast.AST) -> list:
+    """(enclosing function's qualified name, kind) of every reference to
+    spectral's transform pair and every .tau/.tau1 read in tree."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            where = ".".join(scope)
+            if isinstance(child, ast.Name) and child.id in ("_samples", "_analyze"):
+                found.append((where, "transform"))
+            elif isinstance(child, ast.Attribute) and child.attr in ("tau", "tau1"):
+                found.append((where, "tau"))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_time_layout_is_read_only_at_the_grid_seam():
+    package = Path(bourgain.__file__).parent
+    seen, stray = {"transform": set(), "tau": set()}, []
+    for stem in ("bourgain", "bilinear"):
+        tree = ast.parse((package / f"{stem}.py").read_text(encoding="utf-8"))
+        for where, kind in _lattice_uses(tree):
+            sites = _TIME_TRANSFORM_SITES if kind == "transform" else _TAU_READ_SITES
+            if (stem, where) in sites:
+                seen[kind].add((stem, where))
+            else:
+                stray.append(f"{stem}.py: {where or '<module>'} reads {kind}")
+    assert not stray
+    assert seen == {"transform": _TIME_TRANSFORM_SITES, "tau": _TAU_READ_SITES}
 
 
 def test_resonant_mode_l4_ratio_quadrature_oracle(win):

@@ -63,9 +63,9 @@ from .reporting import ProbeReport, stream
 from .spectral import (
     ComplexField,
     _band_product,
+    _complex_coefficients,
     _real_coefficients,
     _reband,
-    _wrapped_rows,
     fractional,
     lebesgue_norm,
     projection_symbol,
@@ -97,7 +97,6 @@ class RegionTag(Enum):
     A = "A"
     B = "B"
     C = "C"
-    OUTSIDE_D = "outside_D"
 
 
 @dataclass(frozen=True)
@@ -230,8 +229,18 @@ class GridTooLargeError(ValueError):
 # ----------------------------------------------------------------------------
 
 
-def _require_integer_lattice(grid: SpaceTimeGrid) -> None:
-    """tau-lattice code: require the integer (tau, xi) lattice of the 2 pi slab."""
+def _one_grid(*fields: SpaceTimeField) -> SpaceTimeGrid:
+    """The space-time grid that all the fields live on; ValueError if they differ."""
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields[1:]):
+        raise ValueError("fields live on different space-time grids")
+    return grid
+
+
+def _require_integer_lattice(*fields: SpaceTimeField) -> None:
+    """tau-lattice code: require fields on one grid, the integer (tau, xi)
+    lattice of the 2 pi slab."""
+    grid = _one_grid(*fields)
     if grid.spatial.period_scale != 1.0:
         raise ValueError("the resonance machinery requires the unit-scale lattice")
     if abs(grid.t_span - 2.0 * np.pi) > 1e-12:
@@ -243,12 +252,16 @@ def _require_integer_lattice(grid: SpaceTimeGrid) -> None:
 # ----------------------------------------------------------------------------
 
 
-def _check_positive_support(w: SpaceTimeField) -> None:
-    xi = w.grid.spatial.xi
-    bad = np.abs(w.coefficients[:, xi < 1.0 - 1e-12])
-    scale = max(float(np.max(np.abs(w.coefficients))), 1e-300)
-    if bad.size and float(np.max(bad)) > 1e-12 * max(scale, 1.0):
+def _positive_part(w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
+    """w's coefficients, zero off xi >= 1: the w slot of every critical
+    product.  ValueError if w has content at xi < 1 or u lives on another grid."""
+    pos = w.grid.spatial.xi >= 1.0 - 1e-12
+    bad = np.abs(w.coefficients[:, ~pos])
+    scale = max(float(np.max(np.abs(w.coefficients))), 1.0)
+    if bad.size and float(np.max(bad)) > 1e-12 * scale:
         raise ValueError("w must be supported on frequencies xi >= 1")
+    _one_grid(w, u)
+    return np.where(pos, w.coefficients, 0)
 
 
 def _minus_dx_product(a: np.ndarray, u: np.ndarray, xi: np.ndarray,
@@ -261,49 +274,35 @@ def _minus_dx_product(a: np.ndarray, u: np.ndarray, xi: np.ndarray,
 
 def bilinear_core(w: SpaceTimeField, u: SpaceTimeField) -> SpaceTimeField:
     """P_+( w P_- du/dx ), sharp sign projections (the half-weight/periodic
-    form; bilinear_B wraps it in dx^{-1} and d/dx); tau-lattice code, as
-    _minus_dx_product convolves the (tau, xi) tables."""
-    _check_positive_support(w)
-    grid = w.grid
-    if u.grid != grid:
-        raise ValueError("fields live on different space-time grids")
-    xi = grid.spatial.xi
-    wc = w.coefficients.copy()
-    wc[:, xi < 1.0 - 1e-12] = 0.0
-    prod = _minus_dx_product(wc, u.coefficients, xi)
+    form); tau-lattice code, as _minus_dx_product convolves the (tau, xi)
+    tables."""
+    xi = w.grid.spatial.xi
+    prod = _minus_dx_product(_positive_part(w, u), u.coefficients, xi)
     prod *= (xi > 0)[None, :]
-    return SpaceTimeField(grid, prod)
+    return SpaceTimeField(w.grid, prod)
 
 
 def bilinear_B(w: SpaceTimeField, u: SpaceTimeField) -> SpaceTimeField:
-    """The critical operator d/dx P_+( dx^{-1} w P_- du/dx )."""
-    _check_positive_support(w)
-    xi = w.grid.spatial.xi
-    pos = xi >= 1.0 - 1e-12
-    inv = np.zeros_like(w.coefficients)
-    inv[:, pos] = w.coefficients[:, pos] / (1j * xi[pos])
-    core = bilinear_core(SpaceTimeField(w.grid, inv), u)
-    return SpaceTimeField(w.grid, core.coefficients * (1j * xi)[None, :])
+    """The critical operator d/dx P_+( dx^{-1} w P_- du/dx ): d/dx P_+ of the
+    convolution that the critical probes and the pairings share."""
+    return _dx_plus(w.grid, _d_convolution(w, u))
 
 
 def _d_convolution(w: SpaceTimeField, u: SpaceTimeField) -> np.ndarray:
     """Exact convolution of xi1^{-1} w_hat on xi1 >= 1 with xi2 u_hat on
     xi2 <= 0, on the lattice of (xi, tau) = (xi1 + xi2, tau1 + tau2): tau-lattice
     code, as _minus_dx_product convolves the (tau, xi) tables."""
-    grid = w.grid
-    xi = grid.spatial.xi
-    wc = w.coefficients.copy()
-    wc[:, xi < 1.0 - 1e-12] = 0.0
+    xi = w.grid.spatial.xi
+    wc = _positive_part(w, u)
     pos = xi >= 1.0 - 1e-12
-    wc[:, pos] = wc[:, pos] / xi[pos]
+    wc[:, pos] /= xi[pos]
     # xi1^{-1} w times i xi2 u is i times the convolution; -1j takes the i
     # out exactly
     return -1j * _minus_dx_product(wc, u.coefficients, xi)
 
 
 def _dx_plus(grid: SpaceTimeGrid, coeff: np.ndarray) -> SpaceTimeField:
-    """d/dx P_+ of coeff: bilinear_B(w, u) is _dx_plus(grid, _d_convolution(w, u))
-    to rounding."""
+    """d/dx P_+ of the (tau, xi) table coeff."""
     xi = grid.spatial.xi
     return SpaceTimeField(grid, coeff * ((xi > 0) * (1j * xi))[None, :])
 
@@ -339,7 +338,7 @@ def trilinear_I(h: SpaceTimeField, w: SpaceTimeField, u: SpaceTimeField) -> comp
     restriction to D comes from the sharp masks (xi >= 1 on h, xi1 >= 1 on
     w, xi2 <= 0 on u along with the explicit xi2 factor).
     """
-    _require_integer_lattice(h.grid)
+    _require_integer_lattice(h, w, u)
     return complex(np.sum(_h_factor(h, "I") * _d_convolution(w, u)))
 
 
@@ -348,7 +347,7 @@ def trilinear_I_oracle(
 ) -> complex:
     """tau-lattice code: the direct quadruple sum over D, up to the oracle limit."""
     grid = h.grid
-    _require_integer_lattice(grid)
+    _require_integer_lattice(h, w, u)
     m, n = grid.num_times, grid.spatial.n
     if m > limit or n > limit:
         raise GridTooLargeError(
@@ -388,8 +387,7 @@ def trilinear_I_oracle(
 
 def duality_pair(h: SpaceTimeField, bfield: SpaceTimeField) -> complex:
     """<h, v> with the <sigma>^{-1/2} weight on h: sum sigma-weighted h_hat v_hat."""
-    grid = h.grid
-    weight = 1.0 / np.sqrt(_bracket(grid.sigma))
+    weight = 1.0 / np.sqrt(_bracket(_one_grid(h, bfield).sigma))
     return complex(np.sum(h.coefficients * weight * bfield.coefficients))
 
 
@@ -400,10 +398,10 @@ def duality_pair(h: SpaceTimeField, bfield: SpaceTimeField) -> complex:
 
 class _ShellPlan(NamedTuple):
     """The pairs (N, N2) of one N2 shell: the rows of the N shells, their
-    threshold indices, the lags that phi_N2 reaches and phi_N2 there."""
+    threshold rows, the lags that phi_N2 reaches and phi_N2 there."""
 
     phi: np.ndarray  # (P, k): phi_N(xi), xi = 1..k, of the shells paired with N2
-    t_idx: np.ndarray  # (P,): the index of N N2 among the thresholds
+    rows: slice  # the P thresholds N N2, consecutive rows of the masks
     lags: np.ndarray  # (a,): the |xi2| with phi_N2(|xi2|) > 0
     phi2: np.ndarray  # (a,): phi_N2 at those lags
 
@@ -423,14 +421,18 @@ class _RegionPlan(NamedTuple):
 @lru_cache(maxsize=32)
 def _region_plan(grid: SpaceTimeGrid) -> _RegionPlan:
     """tau-lattice code: the grid's region plan, built once (read-only arrays)."""
-    m, n = grid.num_times, grid.spatial.n
+    n = grid.spatial.n
     k = n // 2 - 1
-    length = 3 * m // 2
+    length = 3 * grid.num_times // 2
     ks = np.arange(1, k + 1)
     lags = np.arange(k)  # |xi2| = xi1 - xi; lag 0 carries the factor xi2 = 0
-    tau = np.r_[0 : length // 2, -(length // 2) : 0]  # the padded taus in FFT order
-    six_sigma = 6 * np.abs(tau + (ks * ks)[:, None])  # |sigma| on h, |sigma1| on w
-    six_sigma2 = 6 * np.abs(tau - (lags * lags)[:, None])
+    # 6|sigma| at xi = 1..k (|sigma| on h, |sigma1| on w) and at xi = -lag
+    # (|sigma2| on u), as (xi, tau) rows zero-padded to `length` taus: the
+    # padded taus meet only the zero padding of the rows they mask
+    six_sigma, six_sigma2 = (
+        6 * np.abs(_reband(grid.sigma[:, cols].T, (k, length)).real)
+        for cols in (ks, -lags % n)
+    )
 
     table = shell_table(grid.spatial)
     shells = table.shells
@@ -448,15 +450,14 @@ def _region_plan(grid: SpaceTimeGrid) -> _RegionPlan:
     by_shell = []
     for j in sorted({j for _, j in pairs}):
         i_idx = [i for i, jj in pairs if jj == j]
+        t_idx = [thresholds.index(shells[i] * shells[j]) for i in i_idx]
+        rows = slice(t_idx[0], t_idx[-1] + 1)
+        assert t_idx == list(range(rows.start, rows.stop)), "thresholds not consecutive"
         on = np.flatnonzero(phi2[j])
-        by_shell.append(_ShellPlan(
-            phi[i_idx],
-            np.array([thresholds.index(shells[i] * shells[j]) for i in i_idx]),
-            on,
-            phi2[j, on],
-        ))
+        by_shell.append(_ShellPlan(phi[i_idx], rows, on, phi2[j, on]))
     plan = _RegionPlan(length, ks, lags, ge, ~ge, ge2, tuple(by_shell))
-    for arr in (ks, lags, ge, plan.lt, ge2, *(a for s in by_shell for a in s)):
+    arrays = (a for s in by_shell for a in (s.phi, s.lags, s.phi2))
+    for arr in (ks, lags, ge, plan.lt, ge2, *arrays):
         arr.flags.writeable = False
     return plan
 
@@ -493,8 +494,10 @@ def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.nd
     are stacked, so each lag is one contraction over xi, and each N2 shell
     three contractions with phi_N2(lag) and u (all of u for A and B,
     [6|sigma2| >= N N2] u for C).  The grid-only masks and indices come
-    from _region_plan; the tables live in the grid's one workspace
-    (_region_work), not fresh per call, so _region_parts is non-reentrant.
+    from _region_plan (its masks read grid.sigma, and each N2 shell's
+    thresholds are one slice of mask rows); the tables live in the grid's one
+    workspace (_region_work), not fresh per call, so _region_parts is
+    non-reentrant.
     """
     plan = _region_plan(w.grid)
     h_ge, h_lt, w_ge, w_lt, u_ge, u_all, h_stack, w_stack, flat = _region_work(w.grid)
@@ -512,14 +515,13 @@ def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.nd
 
     parts = np.zeros(3, dtype=np.complex128)  # A, B, C
     for shell in plan.by_shell:
-        p, t_idx, lags = len(shell.phi), shell.t_idx, shell.lags
+        p, rows, lags = len(shell.phi), shell.rows, shell.lags
         h_rows, w_rows = h_stack[: 2 * p + 1], w_stack[: 2 * p + 1]  # w_rows[0]: w_all
         b, c = slice(1, p + 1), slice(p + 1, None)
-        take = partial(np.take, indices=t_idx, axis=0, mode="clip")  # "raise" buffers
-        np.einsum("px,pxl->xl", shell.phi, h_ge[t_idx], out=h_rows[0])
-        np.multiply(take(h_lt, out=h_rows[b]), shell.phi[:, :, None], out=h_rows[b])
+        np.einsum("px,pxl->xl", shell.phi, h_ge[rows], out=h_rows[0])
+        np.multiply(h_lt[rows], shell.phi[:, :, None], out=h_rows[b])
         h_rows[c] = h_rows[b]
-        take(w_ge, out=w_rows[b]), take(w_lt, out=w_rows[c])
+        w_rows[b], w_rows[c] = w_ge[rows], w_lt[rows]
         corr = flat[: len(lags) * (2 * p + 1) * length].reshape(-1, 2 * p + 1, length)
         for a, lag in enumerate(lags):
             np.einsum("qxl,qxl->ql", h_rows[:, : k - lag], w_rows[:, lag:], out=corr[a])
@@ -527,7 +529,7 @@ def _region_parts(hf: np.ndarray, w: SpaceTimeField, u: SpaceTimeField) -> np.nd
             np.einsum("a,al,al->", shell.phi2, corr[:, 0], u_all[lags]),
             np.einsum("a,apl,al->", shell.phi2, corr[:, 1 : p + 1], u_all[lags]),
             np.einsum("a,apl,pal->", shell.phi2, corr[:, p + 1 :],
-                      u_ge[t_idx[:, None], lags]),
+                      u_ge[rows, lags]),
         )
     return parts
 
@@ -551,7 +553,7 @@ def region_pairing(
     closure_gap = |A + B + C - total| checks one against the other.
     convolution, if given, is _d_convolution(w, u), formed by the caller.
     """
-    _require_integer_lattice(h.grid)
+    _require_integer_lattice(h, w, u)
     hf = _h_factor(h, form)
     if convolution is None:
         convolution = _d_convolution(w, u)
@@ -699,14 +701,13 @@ def _probe_bilinear_weighted(name, cfg, win, env, periodic) -> ProbeReport:
 def _exp_lowband_operator(u: SpaceTimeField) -> np.ndarray:
     """dx P_+(P_lo e^{-iF/2} P_- dx u) on each time slice of the real field u,
     F the primitive of the slice: the (M, n) array of spatial coefficients,
-    formed in one pass over all slices.  Each row is stored, checked and
-    rounded before P_+ as pointwise_product of that slice alone would."""
+    formed in one pass over all slices."""
     grid = u.grid.spatial
     xi = grid.xi
     coeff = _real_coefficients(u.slices())
     e_lo = _truncate(_exponential(coeff, grid, 4)[1], grid) * projection_symbol("lo", xi)
     prod = _minus_dx_product(e_lo, coeff, xi, axes=(-1,))
-    return _wrapped_rows(prod) * (projection_symbol("plus", xi) * (1j * xi))
+    return _complex_coefficients(prod) * (projection_symbol("plus", xi) * (1j * xi))
 
 
 def _probe_exp_lowband(name, cfg, win, env) -> ProbeReport:

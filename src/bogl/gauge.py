@@ -238,8 +238,7 @@ def gauge_W(u: RealField, oversample: int = 4) -> ComplexField:
 
 def gauge_w(u: RealField, oversample: int = 4) -> ComplexField:
     """w = d/dx W (exact multiplier identity on the coefficients)."""
-    out = derivative(gauge_W(u, oversample))
-    return out if isinstance(out, ComplexField) else ComplexField(u.grid, out.coefficients)
+    return ComplexField(u.grid, gauge_W(u, oversample).coefficients * (1j * u.grid.xi))
 
 
 def gauge_w_product_form(u: RealField, oversample: int = 4) -> ComplexField:
@@ -465,6 +464,11 @@ def reconstruct_high(
     """
     grid = u.grid
     nf = grid.n * oversample
+    if exponential is not None and exponential[1].shape[-1] != nf:
+        raise ValueError(
+            f"the exponential is on {exponential[1].shape[-1]} points, but oversample "
+            f"{oversample} needs the {nf}-point lattice ({oversample} x {grid.n})"
+        )
     lo, plus_hi, minus_hi, plus_HI = (
         _band(grid, oversample, which) for which in ("lo", "plus_hi", "minus_hi", "plus_HI")
     )

@@ -151,16 +151,6 @@ def _real_coefficients(coeff: np.ndarray) -> np.ndarray:
     return c
 
 
-def _wrapped_rows(coeff: np.ndarray) -> np.ndarray:
-    """The coefficients _wrap stores, row by row: RealField's for the rows
-    that are Hermitian, ComplexField's for the others."""
-    out = _complex_coefficients(coeff)
-    real = _is_hermitian(coeff)
-    if np.any(real):
-        out[real] = _real_coefficients(coeff[real])
-    return out
-
-
 class _FieldBase:
     """One space slice with its spectral representation.
 

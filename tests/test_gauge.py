@@ -250,6 +250,15 @@ def test_reconstruction_low_band_input(grid):
     assert rep0.rhs_norm == 0.0 and rep0.lhs_norm == 0.0
 
 
+@pytest.mark.parametrize("oversample, formed_at", [(4, 2), (2, 4)])
+def test_reconstruction_rejects_an_exponential_on_another_lattice(grid, oversample,
+                                                                  formed_at):
+    u = random_field(grid, np.random.default_rng(5), decay=1.0, amplitude=0.9)
+    exponential = gauge.exponential_pair(u, formed_at)
+    with pytest.raises(ValueError, match=f"{formed_at * grid.n} points"):
+        reconstruct_high(u, oversample=oversample, exponential=exponential)
+
+
 def test_primitive_gap_bounds(grid):
     u1 = random_field(grid, np.random.default_rng(4), decay=1.0, amplitude=0.5)
     gap, dist = primitive_gap(u1, u1)

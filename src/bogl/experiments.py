@@ -711,14 +711,14 @@ PROBE_SUITE_SCHEMA = {
     "exp_samples": (int, 40, COUNT),
     "exp_n": (int, 64, ANY),
     "bracket_mu_max": (float, 1e4, FINITE),
-    "lambda": (float, 0.0, NONNEGATIVE),  # 0: each estimate probe's default
+    "lambda": (float, 0.0, NONNEGATIVE),  # 0: each lattice probe's default
 }
 
 
 def _suite_exp_multiplication(cfg) -> ProbeReport:
     from . import gauge
 
-    grid = make_grid(cfg["exp_n"], 1.0)
+    grid = make_grid(cfg["exp_n"], cfg["lambda"] or 1.0)
     rep = ProbeReport(
         "exp_multiplication",
         "|J^a(e^{-iF/2} g)|_{Lq} <= C (1 + |u|_{L2}) |J^a g|_{Lq}",
@@ -765,7 +765,7 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
     for name in selected:
         if name in bilinear.PROBE_NAMES:
             _validated("lambda", bilinear.default_period_scale, name, cfg["lambda"])
-    _validated("exp_n", make_grid, cfg["exp_n"], 1.0)
+    _validated("exp_n", make_grid, cfg["exp_n"], cfg["lambda"] or 1.0)
     failures: list = []
     reports: list[ProbeReport] = []
     for name in selected:
@@ -808,6 +808,7 @@ def _run_one_suite_probe(name: str, cfg: dict) -> list[ProbeReport]:
         probe_cfg = bourgain.ProbeConfig(
             n=cfg["n"], num_times=cfg["num_times"],
             samples=max(10, cfg["samples"] // 3), seed=cfg["seed"], s=cfg["s"],
+            period_scale=cfg["lambda"] or 1.0,
         )
         return bourgain.linear_probes(probe_cfg)
     if name == "exp_multiplication":

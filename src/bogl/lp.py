@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .spectral import Field, SpatialGrid, _is_power_of_two, _wrap, lebesgue_norm
+from .spectral import Field, SpatialGrid, _is_power_of_two, lebesgue_norm
 
 PROFILE_NAME = "smoothstep-exp"
 
@@ -125,7 +125,7 @@ class LPDecomposition:
         total = self.low.copy_coefficients()
         for _, piece in self.shells:
             total = total + piece.coefficients
-        return _wrap(self.low.grid, total)
+        return type(self.low)(self.low.grid, total)
 
     def shell_masses(self) -> list[tuple[int, float]]:
         """Per-shell L^2 mass, with the low part reported as shell 0."""
@@ -137,8 +137,8 @@ class LPDecomposition:
 def decompose(f: Field) -> LPDecomposition:
     """Split f into the eta(2 xi) low part and the shells P_N f, N = 1..N_max."""
     table = shell_table(f.grid)
-    low = _wrap(f.grid, f.coefficients * eta(2.0 * f.grid.xi))
-    pieces = (_wrap(f.grid, f.coefficients * row) for row in table.phi)
+    low = type(f)(f.grid, f.coefficients * eta(2.0 * f.grid.xi))
+    pieces = (type(f)(f.grid, f.coefficients * row) for row in table.phi)
     return LPDecomposition(low=low, shells=tuple(zip(table.shells, pieces)))
 
 
@@ -147,5 +147,5 @@ def tilde_lp_norm(f: Field, p: int) -> float:
     if p not in (2, 4):
         raise ValueError("shell-summed norm supports p in {2, 4}")
     return _tilde_sum(
-        f.grid, lambda m: lebesgue_norm(_wrap(f.grid, f.coefficients * m), p)
+        f.grid, lambda m: lebesgue_norm(type(f)(f.grid, f.coefficients * m), p)
     )

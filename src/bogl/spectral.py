@@ -11,6 +11,15 @@ and Plancherel reads  int |u|^2 dx = 2*pi*lambda * sum_k |u_hat(xi_k)|^2.
 The Nyquist mode k = -N/2 has no conjugate partner and is zeroed on field
 construction; the sign projections P_± exclude xi = 0 from both halves.
 
+A result's class follows from the operation and its inputs' classes, never
+from the coefficient values.  A multiplier whose symbol has
+m(-xi) = conj m(xi) (hilbert, derivative, fractional, free_propagate,
+translate, an even projection) keeps the input's class; a sign projection
+gives a ComplexField; a sum, difference or pointwise product is a RealField
+only when both inputs are, and a scalar multiple only for a real scalar.  The
+RealField constructor is the one Hermitian test: it rejects coefficients more
+than HERMITIAN_TOL from Hermitian and symmetrizes the rest exactly.
+
 The private array kernels (field storage, transforms, re-banding, band
 products) also take stacks of slices: leading axes are a batch and the last
 axis is x, and each row comes out as the one-slice call would give it.
@@ -124,26 +133,14 @@ def _mirror(coeff: np.ndarray) -> np.ndarray:
     return np.conjugate(c, out=c)
 
 
-def _hermitian_gap(coeff: np.ndarray, mirror: np.ndarray):
-    """Per row: max |c - conj(c[-k])| and the slack it is held to,
-    HERMITIAN_TOL * max(max |c|, 1)."""
-    gap = np.max(np.abs(coeff - mirror), axis=-1)
-    return gap, HERMITIAN_TOL * np.maximum(np.max(np.abs(coeff), axis=-1), 1.0)
-
-
-def _is_hermitian(coeff: np.ndarray) -> np.ndarray:
-    """Per row: whether coeff is Hermitian-symmetric to HERMITIAN_TOL."""
-    gap, slack = _hermitian_gap(coeff, _mirror(coeff))
-    return gap <= slack
-
-
 def _real_coefficients(coeff: np.ndarray) -> np.ndarray:
     """The coefficients a RealField stores for each row of coeff: the
     ComplexField copy, checked Hermitian to HERMITIAN_TOL and then symmetrized
     exactly so realness cannot drift."""
     c = _complex_coefficients(coeff)
     mirror = _mirror(c)
-    gap, slack = _hermitian_gap(c, mirror)
+    gap = np.max(np.abs(c - mirror), axis=-1)
+    slack = HERMITIAN_TOL * np.maximum(np.max(np.abs(c), axis=-1), 1.0)
     if np.any(gap > slack):
         raise ValueError("coefficients are not Hermitian-symmetric")
     c = 0.5 * (c + mirror)
@@ -189,24 +186,16 @@ class _FieldBase:
         return _samples(self._coeff)
 
     def __add__(self, other):
-        self._check_grid(other)
-        return _wrap(self.grid, self._coeff + other._coeff)
+        return _joint_class(self, other)(self.grid, self._coeff + other._coeff)
 
     def __sub__(self, other):
-        self._check_grid(other)
-        return _wrap(self.grid, self._coeff - other._coeff)
+        return _joint_class(self, other)(self.grid, self._coeff - other._coeff)
 
     def __mul__(self, scalar):
-        return _wrap(self.grid, self._coeff * scalar)
+        cls = type(self) if np.isrealobj(scalar) else ComplexField
+        return cls(self.grid, self._coeff * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return _wrap(self.grid, -self._coeff)
-
-    def _check_grid(self, other):
-        if self.grid != other.grid:
-            raise ValueError("fields live on different grids")
 
     @property
     def mean(self) -> complex:
@@ -239,20 +228,22 @@ class ComplexField(_FieldBase):
 Field = Union[RealField, ComplexField]
 
 
-def _wrap(grid: SpatialGrid, coeff: np.ndarray) -> Field:
-    """Wrap coefficients as RealField when Hermitian, else ComplexField."""
-    if _is_hermitian(coeff):
-        return RealField(grid, coeff)
-    return ComplexField(grid, coeff)
+def _joint_class(f: Field, g: Field) -> type:
+    """The class of a sum or product of f and g: RealField when both are real,
+    else ComplexField.  Raises if they live on different grids."""
+    if f.grid != g.grid:
+        raise ValueError("fields live on different grids")
+    both_real = isinstance(f, RealField) and isinstance(g, RealField)
+    return RealField if both_real else ComplexField
 
 
 def hilbert(f: Field) -> Field:
     """Hilbert transform, symbol -i*sgn(xi) with sgn(0) = 0."""
-    return _wrap(f.grid, f.coefficients * (-1j * np.sign(f.grid.xi)))
+    return type(f)(f.grid, f.coefficients * (-1j * np.sign(f.grid.xi)))
 
 
 def derivative(f: Field, order: int = 1) -> Field:
-    return _wrap(f.grid, f.coefficients * (1j * f.grid.xi) ** order)
+    return type(f)(f.grid, f.coefficients * (1j * f.grid.xi) ** order)
 
 
 def projection_symbol(which: str, xi: np.ndarray, shell: int | None = None) -> np.ndarray:
@@ -293,7 +284,9 @@ def projection_symbol(which: str, xi: np.ndarray, shell: int | None = None) -> n
 
 def project(f: Field, which: str, shell: int | None = None) -> Field:
     """Apply a named frequency projection (see projection_symbol)."""
-    return _wrap(f.grid, f.coefficients * projection_symbol(which, f.grid.xi, shell))
+    sym = projection_symbol(which, f.grid.xi, shell)
+    even = np.array_equal(sym, sym[-f.grid.k])  # the sign projections are not
+    return (type(f) if even else ComplexField)(f.grid, f.coefficients * sym)
 
 
 def fractional(f: Field, kind: str, s: float) -> Field:
@@ -309,21 +302,21 @@ def fractional(f: Field, kind: str, s: float) -> Field:
             vals[nz] = mag[nz] ** s
         else:
             vals = np.abs(xi) ** s
-        return _wrap(f.grid, f.coefficients * vals)
+        return type(f)(f.grid, f.coefficients * vals)
     if kind == "bessel":
-        return _wrap(f.grid, f.coefficients * (1.0 + xi**2) ** (s / 2.0))
+        return type(f)(f.grid, f.coefficients * (1.0 + xi**2) ** (s / 2.0))
     raise ValueError(f"unknown potential kind {kind!r}")
 
 
 def free_propagate(f: Field, t: float) -> Field:
     """Free dispersive group: coefficient at xi multiplied by exp(-i t |xi| xi)."""
     xi = f.grid.xi
-    return _wrap(f.grid, f.coefficients * np.exp(-1j * t * np.abs(xi) * xi))
+    return type(f)(f.grid, f.coefficients * np.exp(-1j * t * np.abs(xi) * xi))
 
 
 def translate(f: Field, shift: float) -> Field:
     """f(. - shift), computed spectrally (exact for band-limited fields)."""
-    return _wrap(f.grid, f.coefficients * np.exp(-1j * f.grid.xi * shift))
+    return type(f)(f.grid, f.coefficients * np.exp(-1j * f.grid.xi * shift))
 
 
 def _lp_sum(samples: np.ndarray, cell: float, p) -> float:
@@ -424,9 +417,8 @@ def _band_product(pairs, axes=None) -> np.ndarray:
 
 def pointwise_product(f: Field, g: Field) -> Field:
     """Product f*g, exact on the band of the common grid."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return _wrap(f.grid, _band_product([(f.coefficients, g.coefficients)]))
+    cls = _joint_class(f, g)
+    return cls(f.grid, _band_product([(f.coefficients, g.coefficients)]))
 
 
 def random_field(
@@ -451,8 +443,6 @@ def random_field(
     coeff[-kmax:] = np.conj(shaped[::-1])
     if not mean_zero:
         coeff[0] = rng.standard_normal()
-    f = RealField(grid, coeff)
-    peak = float(np.max(np.abs(f.samples)))
-    if peak > 0:
-        f = f * (amplitude / peak)
-    return f  # type: ignore[return-value]
+    # coeff is Hermitian by construction, so RealField stores it as it is
+    peak = float(np.max(np.abs(_samples(coeff).real)))
+    return RealField(grid, coeff * (amplitude / peak) if peak > 0 else coeff)

@@ -355,6 +355,29 @@ def test_probe_suite_passes_estimate_probes_through(tmp_path):
         assert (direct / name).read_bytes() == (tmp_path / "suite" / name).read_bytes()
 
 
+def test_probe_suite_runs_linear_and_exp_multiplication_at_lambda(tmp_path):
+    # lambda sets the period of every lattice probe, the linear family and
+    # exp_multiplication included; lambda = 0 runs them at period scale 1
+    from bogl import bourgain
+
+    cfg = {"select": "linear,exp_multiplication", "samples": "3", "n": "16",
+           "num_times": "16", "seed": "3", "exp_samples": "2", "exp_n": "16"}
+    for lam in ("0", "1", "2"):
+        assert run_probe_suite({**cfg, "lambda": lam}, tmp_path / lam).passed
+    reps = bourgain.linear_probes(bourgain.ProbeConfig(
+        n=16, num_times=16, samples=10, seed=3, period_scale=2.0))
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    for rep in reps:
+        for name, write in rep.files().items():
+            write(direct / name)
+            assert (direct / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+            assert (tmp_path / "0" / name).read_bytes() != (direct / name).read_bytes()
+    exp = "exp_multiplication.csv"
+    assert (tmp_path / "0" / exp).read_bytes() == (tmp_path / "1" / exp).read_bytes()
+    assert (tmp_path / "0" / exp).read_bytes() != (tmp_path / "2" / exp).read_bytes()
+
+
 def test_run_scaling_check(tmp_path):
     res = run_scaling_check(
         {"n": "128", "t_scaled": "0.05", "lambda_base": "2"}, tmp_path / "sc"

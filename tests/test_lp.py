@@ -14,7 +14,6 @@ from bogl.lp import (
 )
 from bogl.spectral import (
     RealField,
-    _wrap,
     lebesgue_norm,
     make_grid,
     project,
@@ -142,10 +141,10 @@ def _ref_dyadic_shells(grid):
 def _ref_tilde_lp_norm(f, p):
     """Reference: the eta low part plus an explicit loop over the shells."""
     xi = f.grid.xi
-    low = _wrap(f.grid, f.coefficients * eta(xi))
+    low = type(f)(f.grid, f.coefficients * eta(xi))
     shell_sq = 0.0
     for n in _ref_dyadic_shells(f.grid):
-        piece = _wrap(f.grid, f.coefficients * phi_shell(xi, n))
+        piece = type(f)(f.grid, f.coefficients * phi_shell(xi, n))
         shell_sq += lebesgue_norm(piece, p) ** 2
     return lebesgue_norm(low, p) + float(np.sqrt(shell_sq))
 

@@ -15,8 +15,10 @@ from bogl.spectral import (
     RealField,
     SpatialGrid,
     make_grid,
+    derivative,
     hilbert,
     project,
+    projection_symbol,
     fractional,
     free_propagate,
     lebesgue_norm,
@@ -307,6 +309,54 @@ def test_translate_is_spectral_shift():
     f = RealField.from_samples(g, np.cos(2 * g.x))
     moved = translate(f, 0.3)
     assert np.max(np.abs(moved.samples - np.cos(2 * (g.x - 0.3)))) < 1e-12
+
+
+def _real_preserving(xi):
+    """(name, operation, symbol) for each multiplier with m(-xi) = conj m(xi)."""
+    ops = [
+        ("hilbert", hilbert, -1j * np.sign(xi)),
+        ("derivative", derivative, 1j * xi),
+        ("derivative2", lambda f: derivative(f, 2), (1j * xi) ** 2),
+        ("riesz", lambda f: fractional(f, "riesz", 0.5), np.abs(xi) ** 0.5),
+        ("bessel", lambda f: fractional(f, "bessel", -1.0), (1.0 + xi**2) ** -0.5),
+        ("free", lambda f: free_propagate(f, 0.3), np.exp(-1j * 0.3 * np.abs(xi) * xi)),
+        ("translate", lambda f: translate(f, 0.7), np.exp(-1j * xi * 0.7)),
+        ("real scalar", lambda f: 2.5 * f, 2.5),
+    ]
+    for which in ("hi", "lo", "HI", "LO", "dyadic"):  # the shell is read by dyadic alone
+        ops.append((which, lambda f, w=which: project(f, w, 2), projection_symbol(which, xi, 2)))
+    return ops
+
+
+def test_result_class_follows_the_operation():
+    # the class of a result is fixed by the operation and the inputs'
+    # classes, never by how close the coefficients are to Hermitian
+    g = make_grid(32, 1.0)
+    rng = np.random.default_rng(11)
+    c = random_field(g, rng, decay=0.5, mean_zero=False).coefficients
+    near = c.copy()
+    near[3] += 3.3e-14j  # within HERMITIAN_TOL of Hermitian
+    for name, op, sym in _real_preserving(g.xi):
+        for coeff in (c, near):
+            out = op(ComplexField(g, coeff))
+            assert type(out) is ComplexField, name
+            assert np.array_equal(out.coefficients, coeff * sym), name
+        assert type(op(RealField(g, c))) is RealField, name
+    real, const = RealField(g, c), RealField.from_samples(g, np.ones(g.n))
+    for which in ("plus", "minus", "plus_hi", "plus_HI", "minus_hi"):
+        assert type(project(real, which)) is ComplexField, which
+        zero = project(const, which)  # no content at xi != 0
+        assert type(zero) is ComplexField and not np.any(zero.coefficients), which
+    # sums, differences and products are real only when both inputs are
+    a = ComplexField(g, c)
+    b = ComplexField(g, random_field(g, rng, decay=1.0).coefficients)
+    for f, h in ((a, b), (a, real), (real, a)):
+        for out in (f + h, f - h, pointwise_product(f, h)):
+            assert type(out) is ComplexField
+    for out in (real + real, real - real, pointwise_product(real, real),
+                np.float64(0.5) * real, real * 3):
+        assert type(out) is RealField
+    assert type(1j * real) is ComplexField and type((1 + 0j) * real) is ComplexField
 
 
 def test_random_field_rejects_empty_band():

@@ -50,8 +50,10 @@ from .bourgain import (
     SpaceTimeField,
     SpaceTimeGrid,
     _bracket,
-    _decay_schedule,
+    _environment,
     _l2_and_l4,
+    _ratio_row,
+    _sample_loop,
     spacetime_lebesgue,
     x_norm,
     z_tilde_norm,
@@ -59,7 +61,7 @@ from .bourgain import (
 )
 from .gauge import _exponential, _truncate
 from .lp import dyadic_shells, shell_l2, shell_table
-from .reporting import ProbeReport, stream
+from .reporting import ProbeReport
 from .spectral import (
     ComplexField,
     _band_product,
@@ -575,20 +577,14 @@ def region_pairing(
 
 def estimate_probe(which: str, cfg: ProbeConfig) -> ProbeReport:
     """Empirical sup-ratio report for one of the bilinear/Leibniz estimates;
-    sample i draws from the stream (which, i)."""
+    sample i draws from the stream (which, i).  Each family builds its report
+    and its per-draw function, which bourgain._sample_loop runs."""
     if which not in PROBE_NAMES:
         raise ValueError(f"unknown probe {which!r}; choose from {PROBE_NAMES}")
     win = cfg.window()
-    env = {
-        "n": cfg.n,
-        "num_times": cfg.num_times,
-        "t_span": win.t_span,
-        "period_scale": cfg.period_scale,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "s": cfg.s,
-    }
-    return _PROBES[which](which, cfg, win, env)
+    rep, sample = _PROBES[which](which, cfg, win)
+    _sample_loop(cfg, which, sample)
+    return rep
 
 
 # pairing form -> (inequality, norm of B(w, u)): B(w, u) is measured in both
@@ -607,13 +603,12 @@ _CRITICAL_FORMS = {
 }
 
 
-def _probe_bilinear_critical(name, cfg, win, env, form) -> ProbeReport:
+def _probe_bilinear_critical(name, cfg, win, form):
     inequality, lhs_norm = _CRITICAL_FORMS[form]
-    rep = ProbeReport(name, inequality, environment=env)
+    rep = ProbeReport(name, inequality, environment=_environment(cfg, win))
     s = cfg.s
-    for i in range(cfg.samples):
-        rng = stream(cfg.seed, name, i)
-        decay = _decay_schedule(i)
+
+    def sample(rng, decay):
         w = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
                                    positive_xi_only=True)
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
@@ -621,18 +616,13 @@ def _probe_bilinear_critical(name, cfg, win, env, form) -> ProbeReport:
         h = random_spacetime_field(win, rng, xi_decay=0.5, sigma_decay=0.75)
         rhs = x_norm(w, s, 0.5) * (sum(_l2_and_l4(u)) + x_norm(u, -1.0, 1.0))
         if rhs == 0:
-            rep.skip()
-            continue
+            return [(rep, None)]
         # one band product for B(w, u) and the pairing's total
         d = _d_convolution(w, u)
-        lhs = lhs_norm(_dx_plus(win, d), s)
+        row = _ratio_row(lhs_norm(_dx_plus(win, d), s), rhs)
         parts = region_pairing(h, w, u, form=form, convolution=d)
         denom = max(abs(parts["total"]), 1e-300)
-        row = dict(
-            sample=i,
-            lhs=lhs,
-            rhs=rhs,
-            ratio=lhs / rhs,
+        row.update(
             region_A=abs(parts["A"]),
             region_B=abs(parts["B"]),
             region_C=abs(parts["C"]),
@@ -641,8 +631,9 @@ def _probe_bilinear_critical(name, cfg, win, env, form) -> ProbeReport:
         )
         if form == "J":
             row["g_dual_norm"] = _g_dual_norm(h)
-        rep.add(**row)
-    return rep
+        return [(rep, row)]
+
+    return rep, sample
 
 
 def _g_dual_norm(g: SpaceTimeField) -> float:
@@ -653,7 +644,7 @@ def _g_dual_norm(g: SpaceTimeField) -> float:
     ))
 
 
-def _probe_bilinear_weighted(name, cfg, win, env, periodic) -> ProbeReport:
+def _probe_bilinear_weighted(name, cfg, win, periodic):
     """The W-weighted estimate: at the s > 1/4 weighting of arXiv 1007.1545
     (half weight) or at the periodic one of Molinet."""
     # w_sb, u_sb, out_sb: the (s, b) of the norms of W, of the X term of u
@@ -664,7 +655,7 @@ def _probe_bilinear_weighted(name, cfg, win, env, periodic) -> ProbeReport:
             "|P_+(W P_- dx u)|_{X^{s+1/2,-1/2}} <= C |W|_{X^{s+1/2,1/2}} "
             "(|J^s u|_{L2} + |J^s u|_{L4} + |u|_{X^{s-1,1}})"
         )
-        environment = {**env, "s_effective": s}
+        environment = _environment(cfg, win, s_effective=s)
         w_sb, u_sb, out_sb = (s + 0.5, 0.5), (s - 1.0, 1.0), (s + 0.5, -0.5)
     else:
         s = cfg.s if cfg.s > 0 else 0.25
@@ -674,28 +665,24 @@ def _probe_bilinear_weighted(name, cfg, win, env, periodic) -> ProbeReport:
             "|P_+(W P_- dx u)|_{X^{1/2,-1/2+2d}} <= C |W|_{X^{1/2,1/2+d}} "
             "(|J^s u|_{L2} + |J^s u|_{L4} + |u|_{X^{s-th,th}})"
         )
-        environment = {**env, "s_effective": s, "delta": delta, "theta": theta}
+        environment = _environment(cfg, win, s_effective=s, delta=delta, theta=theta)
         w_sb, u_sb, out_sb = (
             (0.5, 0.5 + delta), (s - theta, theta), (0.5, -0.5 + 2 * delta)
         )
     rep = ProbeReport(name, inequality, environment=environment)
     bessel = (1.0 + win.spatial.xi**2) ** (s / 2.0)
-    for i in range(cfg.samples):
-        rng = stream(cfg.seed, name, i)
-        decay = _decay_schedule(i)
+
+    def sample(rng, decay):
         bigw = random_spacetime_field(win, rng, xi_decay=decay + 0.5,
                                       sigma_decay=1.25, positive_xi_only=True)
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.25,
                                    real=True)
         js = SpaceTimeField(win, u.coefficients * bessel[None, :])
         rhs = x_norm(bigw, *w_sb) * (sum(_l2_and_l4(js)) + x_norm(u, *u_sb))
-        if rhs == 0:
-            rep.skip()
-            continue
-        op = bilinear_core(bigw, u)
-        lhs = x_norm(op, *out_sb)
-        rep.add(sample=i, lhs=lhs, rhs=rhs, ratio=lhs / rhs)
-    return rep
+        return [(rep, None if rhs == 0 else
+                 _ratio_row(x_norm(bilinear_core(bigw, u), *out_sb), rhs))]
+
+    return rep, sample
 
 
 def _exp_lowband_operator(u: SpaceTimeField) -> np.ndarray:
@@ -710,51 +697,48 @@ def _exp_lowband_operator(u: SpaceTimeField) -> np.ndarray:
     return _complex_coefficients(prod) * (projection_symbol("plus", xi) * (1j * xi))
 
 
-def _probe_exp_lowband(name, cfg, win, env) -> ProbeReport:
+def _probe_exp_lowband(name, cfg, win):
     rep = ProbeReport(
         name,
         "|dx P_+(P_lo e^{-iF/2} P_- dx u)|_{Ztilde^{s,-1} & X^{s,-1/2}} <= C |u|_{L4}^2",
-        environment=env,
+        environment=_environment(cfg, win),
     )
-    s = cfg.s
-    for i in range(cfg.samples):
-        rng = stream(cfg.seed, name, i)
-        decay = max(_decay_schedule(i), 1.0)
-        u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.5,
-                                   real=True, zero_mean_x=True)
+
+    def sample(rng, decay):
+        u = random_spacetime_field(win, rng, xi_decay=max(decay, 1.0),
+                                   sigma_decay=1.5, real=True, zero_mean_x=True)
         l4 = spacetime_lebesgue(u, 4)
         if l4 == 0:
-            rep.skip()
-            continue
+            return [(rep, None)]
         op = SpaceTimeField.from_slices(win, _exp_lowband_operator(u))
-        lhs = z_tilde_norm(op, s, -1.0) + x_norm(op, s, -0.5)
-        rep.add(sample=i, lhs=lhs, rhs=l4**2, ratio=lhs / l4**2)
-    return rep
+        lhs = z_tilde_norm(op, cfg.s, -1.0) + x_norm(op, cfg.s, -0.5)
+        return [(rep, _ratio_row(lhs, l4**2))]
+
+    return rep, sample
 
 
-def _probe_leibniz(name, cfg, win, env) -> ProbeReport:
+def _probe_leibniz(name, cfg, win):
     rep = ProbeReport(
         name,
         "|D^{1/2} P_+(f P_- dx g)|_{L2} <= C |D^{3/4} f|_{L4} |D^{3/4} g|_{L4}",
-        environment=env,
+        environment=_environment(cfg, win),
     )
     grid = win.spatial
-    for i in range(cfg.samples):
-        rng = stream(cfg.seed, name, i)
-        decay = _decay_schedule(i)
+
+    def sample(rng, decay):
         f = random_field(grid, rng, decay=decay, amplitude=1.0)
         g = random_field(grid, rng, decay=decay, amplitude=1.0)
-        inner = _minus_dx_product(f.coefficients, g.coefficients, grid.xi)
-        plus = ComplexField(grid, inner * (grid.xi > 0))
-        lhs = lebesgue_norm(fractional(plus, "riesz", 0.5), 2)
         rhs = lebesgue_norm(fractional(f, "riesz", 0.75), 4) * lebesgue_norm(
             fractional(g, "riesz", 0.75), 4
         )
         if rhs == 0:
-            rep.skip()
-            continue
-        rep.add(sample=i, lhs=lhs, rhs=rhs, ratio=lhs / rhs)
-    return rep
+            return [(rep, None)]
+        inner = _minus_dx_product(f.coefficients, g.coefficients, grid.xi)
+        plus = ComplexField(grid, inner * (grid.xi > 0))
+        lhs = lebesgue_norm(fractional(plus, "riesz", 0.5), 2)
+        return [(rep, _ratio_row(lhs, rhs))]
+
+    return rep, sample
 
 
 _PROBES = {

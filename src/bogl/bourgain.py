@@ -304,8 +304,8 @@ def x_norm_regrouped(f: SpaceTimeField, s: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """An estimate probe's lattice on the 2 pi slab, samples, seed and s;
-    sample i of the probe `name` draws from reporting.stream(seed, name, i)."""
+    """An estimate probe's lattice on the 2 pi slab (n, num_times and
+    period_scale), samples, seed and s; _sample_loop runs the draws."""
 
     n: int = 32
     num_times: int = 32
@@ -324,6 +324,31 @@ def _decay_schedule(i: int) -> float:
     return (0.5, 1.0, 2.0)[i % 3]
 
 
+def _sample_loop(cfg: ProbeConfig, name: str, sample) -> None:
+    """The one sample loop of every probe family: draw i of the family name
+    reads only reporting.stream(cfg.seed, name, i), at decay
+    _decay_schedule(i).  sample(rng, decay) returns (report, row) pairs;
+    each row is added after sample=i, and a row of None counts as a skip."""
+    for i in range(cfg.samples):
+        for rep, row in sample(stream(cfg.seed, name, i), _decay_schedule(i)):
+            if row is None:
+                rep.skip()
+            else:
+                rep.add(sample=i, **row)
+
+
+def _environment(cfg: ProbeConfig, win: SpaceTimeGrid, **extras) -> dict:
+    """A probe report's environment: cfg and its window, then the family's extras."""
+    return {"n": cfg.n, "num_times": cfg.num_times, "t_span": win.t_span,
+            "period_scale": cfg.period_scale, "samples": cfg.samples,
+            "seed": cfg.seed, "s": cfg.s, **extras}
+
+
+def _ratio_row(lhs: float, rhs: float, **first) -> dict:
+    """A row's lhs, rhs and ratio columns, after the columns first."""
+    return {**first, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
+
+
 # the d of the Duhamel estimate X^{s,-1/2+d} -> X^{s,1/2+d}
 _DUHAMEL_DELTA = 0.25
 
@@ -332,14 +357,7 @@ def linear_probes(cfg: ProbeConfig) -> list[ProbeReport]:
     """Empirical ratio reports for the homogeneous, Duhamel, time-factor and
     L4 embedding estimates; sample i draws from the stream ("linear", i)."""
     win = cfg.window()
-    env = {
-        "n": cfg.n,
-        "num_times": cfg.num_times,
-        "t_span": win.t_span,
-        "s": cfg.s,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-    }
+    env = _environment(cfg, win)
     homogeneous = ProbeReport(
         "linear_homogeneous",
         "|window U(t)f|_{Y^s} <= C |f|_{H^s}",
@@ -348,7 +366,7 @@ def linear_probes(cfg: ProbeConfig) -> list[ProbeReport]:
     duhamel_x = ProbeReport(
         "linear_duhamel_x",
         "|window Duhamel(g)|_{X^{s,1/2+d}} <= C |g|_{X^{s,-1/2+d}}",
-        environment={**env, "delta": _DUHAMEL_DELTA},
+        environment=_environment(cfg, win, delta=_DUHAMEL_DELTA),
     )
     duhamel_y = ProbeReport(
         "linear_duhamel_y",
@@ -370,67 +388,51 @@ def linear_probes(cfg: ProbeConfig) -> list[ProbeReport]:
         "sup_t |u(t)|_{H^s} <= C |u|_{Z^{s,0}}",
         environment=env,
     )
+    s, b_hi, b_lo = cfg.s, 0.375, 0.125
 
-    for i in range(cfg.samples):
-        rng = stream(cfg.seed, "linear", i)
-        decay = _decay_schedule(i)
-
+    def sample(rng, decay):
         f = random_field(win.spatial, rng, decay=decay, amplitude=1.0)
-        hs = sobolev_norm(f, cfg.s)
-        if hs == 0:
-            homogeneous.skip()
-        else:
-            lhs = y_norm(free_evolution_field(f, win), cfg.s)
-            homogeneous.add(sample=i, lhs=lhs, rhs=hs, ratio=lhs / hs)
+        hs = sobolev_norm(f, s)
+        pairs = [(homogeneous, None if hs == 0 else
+                  _ratio_row(y_norm(free_evolution_field(f, win), s), hs))]
 
         g = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.0)
         lam = duhamel_field(g, win)
-        rhs_x = x_norm(g, cfg.s, -0.5 + _DUHAMEL_DELTA)
-        if rhs_x > 0:
-            lhs = x_norm(lam, cfg.s, 0.5 + _DUHAMEL_DELTA)
-            duhamel_x.add(sample=i, lhs=lhs, rhs=rhs_x, ratio=lhs / rhs_x)
-        else:
-            duhamel_x.skip()
-        rhs_y = x_norm(g, cfg.s, -0.5) + z_tilde_norm(g, cfg.s, -1.0)
-        if rhs_y > 0:
-            lhs = y_norm(lam, cfg.s)
-            duhamel_y.add(sample=i, lhs=lhs, rhs=rhs_y, ratio=lhs / rhs_y)
-        else:
-            duhamel_y.skip()
+        rhs = x_norm(g, s, -0.5 + _DUHAMEL_DELTA)
+        pairs.append((duhamel_x, None if not rhs > 0 else
+                      _ratio_row(x_norm(lam, s, 0.5 + _DUHAMEL_DELTA), rhs)))
+        rhs = x_norm(g, s, -0.5) + z_tilde_norm(g, s, -1.0)
+        pairs.append((duhamel_y, None if not rhs > 0 else _ratio_row(y_norm(lam, s), rhs)))
 
         u = random_spacetime_field(win, rng, xi_decay=decay, sigma_decay=1.5, real=True)
-        b_hi, b_lo = 0.375, 0.125
         for t_loc in (win.t_span / 2, win.t_span / 4, win.t_span / 8):
             loc = localize(u, t_loc)
-            denom = t_loc ** (b_hi - b_lo) * x_norm(loc, cfg.s, b_hi)
-            if denom > 0:
-                lhs = x_norm(loc, cfg.s, b_lo)
-                time_factor.add(
-                    sample=i, T=t_loc, lhs=lhs, rhs=denom, ratio=lhs / denom
-                )
-            else:
-                time_factor.skip()
+            rhs = t_loc ** (b_hi - b_lo) * x_norm(loc, s, b_hi)
+            pairs.append((time_factor, None if not rhs > 0 else
+                          _ratio_row(x_norm(loc, s, b_lo), rhs, T=t_loc)))
 
         x38 = x_norm(u, 0.0, 0.375)
         if x38 > 0:
             l4 = spacetime_lebesgue(u, 4)
             tl4 = spacetime_tilde_lebesgue(u, 4)
-            strichartz.add(
-                sample=i, l4=l4, tilde_l4=tl4, x38=x38,
+            pairs.append((strichartz, dict(
+                l4=l4, tilde_l4=tl4, x38=x38,
                 ratio=l4 / x38, ratio_tilde=tl4 / x38, ratio_l4_tilde=l4 / tl4,
-            )
+            )))
         else:
-            strichartz.skip()
+            pairs.append((strichartz, None))
 
-        z0 = z_norm(u, cfg.s, 0.0)
+        z0 = z_norm(u, s, 0.0)
         if z0 > 0:
             slices = u.slices()
             sup_h = max(
-                sobolev_norm(ComplexField(win.spatial, slices[m]), cfg.s)
+                sobolev_norm(ComplexField(win.spatial, slices[m]), s)
                 for m in range(0, win.num_times, max(1, win.num_times // 16))
             )
-            embedding.add(sample=i, sup_hs=sup_h, z=z0, ratio=sup_h / z0)
+            pairs.append((embedding, dict(sup_hs=sup_h, z=z0, ratio=sup_h / z0)))
         else:
-            embedding.skip()
+            pairs.append((embedding, None))
+        return pairs
 
+    _sample_loop(cfg, "linear", sample)
     return [homogeneous, duhamel_x, duhamel_y, time_factor, strichartz, embedding]

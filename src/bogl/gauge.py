@@ -416,7 +416,6 @@ def _fine_l2(a: np.ndarray, grid: SpatialGrid) -> float:
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    lhs: ComplexField
     rhs: ComplexField
     lhs_norm: float
     rhs_norm: float
@@ -505,13 +504,12 @@ def reconstruct_high(
 
     lhs_norm = _fine_l2(lhs_fine, grid)
     rhs_norm = _fine_l2(rhs_fine, grid)
-    lhs, rhs = _truncate(lhs_fine, grid), _truncate(rhs_fine, grid)
+    rhs = _truncate(rhs_fine, grid)
     gap = _fine_l2(np.subtract(rhs_fine, lhs_fine, out=rhs_fine), grid)
     # normalize against the data size as well: for low-band u both sides
     # vanish and the meaningful scale of the identity is |u| itself
     denom = max(lhs_norm, lebesgue_norm(u, 2), 1e-300)
     return ReconstructionReport(
-        lhs=ComplexField(grid, lhs),
         rhs=ComplexField(grid, rhs),
         lhs_norm=lhs_norm,
         rhs_norm=rhs_norm,

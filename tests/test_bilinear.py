@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -584,6 +585,33 @@ def test_estimate_probe_reports():
                 assert row["closure_rel"] <= 1e-10
     with pytest.raises(ValueError):
         estimate_probe("nope", ProbeConfig())
+
+
+def test_fewer_samples_give_a_prefix_of_the_rows():
+    # draw i reads only the stream (seed, name, i): acceptance c08 takes its
+    # 100-sample base from the 200-sample rows on this ground
+    for name in PROBE_NAMES:
+        cfg = ProbeConfig(n=16, num_times=16, samples=6, seed=11,
+                          period_scale=default_period_scale(name))
+        rows = estimate_probe(name, cfg).rows
+        fewer = estimate_probe(name, replace(cfg, samples=3)).rows
+        assert fewer == [row for row in rows if row["sample"] < 3], name
+
+
+@pytest.mark.parametrize("name", ["bilinear_critical_x", "bilinear_critical_shell"])
+def test_skipped_draw_computes_nothing_after_its_rhs(monkeypatch, name):
+    # a draw whose right-hand side vanishes is counted as a skip before any
+    # band product or region split is formed
+    from bogl import bilinear
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed after a vanishing right-hand side")
+
+    monkeypatch.setattr(bilinear, "x_norm", lambda *args: 0.0)
+    for late in ("_d_convolution", "region_pairing", "_g_dual_norm"):
+        monkeypatch.setattr(bilinear, late, forbidden)
+    rep = estimate_probe(name, ProbeConfig(n=16, num_times=16, samples=4))
+    assert rep.rows == [] and rep.skipped == 4
 
 
 # sup and mean of each probe at n = num_times = 16, samples = 6, seed = 11

@@ -524,6 +524,26 @@ def test_linear_probe_reports():
         assert r1.rows == r2.rows
 
 
+def test_probe_reports_record_the_probe_config():
+    # every report of the linear and estimate families records the whole
+    # ProbeConfig, period scale included, and only its family's extras
+    from bogl.bilinear import PROBE_NAMES, estimate_probe
+
+    cfg = ProbeConfig(n=16, num_times=16, samples=2, seed=5, s=0.3,
+                      period_scale=2.0)
+    base = {"n": 16, "num_times": 16, "t_span": 2 * np.pi, "period_scale": 2.0,
+            "samples": 2, "seed": 5, "s": 0.3}
+    extras = {"linear_duhamel_x": {"delta"}, "bilinear_periodic": {"s_effective"},
+              "bilinear_half_weight": {"s_effective", "delta", "theta"}}
+    critical = ("bilinear_critical_x", "bilinear_critical_shell")
+    reports = linear_probes(cfg) + [
+        estimate_probe(name, cfg) for name in PROBE_NAMES if name not in critical]
+    for rep in reports:
+        env = rep.environment
+        assert {k: env[k] for k in base} == base, rep.name
+        assert set(env) - set(base) == extras.get(rep.name, set()), rep.name
+
+
 # sup and mean of each linear report at n = num_times = 32, samples = 9,
 # seed = 3; a change to the draws, the decay schedule or the norms moves them
 _PINNED_LINEAR = {

@@ -123,6 +123,29 @@ def test_ungauge_matches_full_simulation(grid):
     assert max(errs) < 1e-9
 
 
+def test_galilean_identity_is_an_exact_oracle_to_fourth_order():
+    # u solves BO iff u(t, x - delta t) + delta does, so the march of
+    # phi + delta, moved to the zero-mean frame that load_trajectory puts
+    # gauge-check in, is the march of phi.  The datum's high mode does not
+    # move rigidly, and the gap is the stepper's error alone: 7.13e-11 at
+    # dt = 2e-4 and 1.14e-9 at 4e-4, a ratio of 15.95
+    grid = make_grid(256, 1.0)
+    delta = 1e-3
+    phi = 0.5 * np.cos(16 * grid.x) / np.sqrt(np.pi) + 0.3 * np.cos(2 * grid.x)
+    u1 = RealField.from_samples(grid, phi)
+    u2 = RealField.from_samples(grid, phi + delta)
+    gaps = []
+    for dt in (2e-4, 4e-4):
+        cfg = SimConfig(grid, dt=dt, t_end=0.5, snapshot_stride=round(0.05 / dt))
+        a, b = simulate(u1, cfg), simulate(u2, cfg)
+        gaps.append(max(
+            lebesgue_norm(translate_to_zero_mean(v, delta, float(t)) - u, 2)
+            for t, u, v in zip(a.times, a.states, b.states)
+        ))
+    assert gaps[0] < 1e-10
+    assert 3.5 < np.log2(gaps[1] / gaps[0]) < 4.5
+
+
 def test_gauge_residual_zero_trajectory(grid):
     zero = RealField.from_samples(grid, np.zeros(grid.n))
     cfg = SimConfig(grid, dt=1e-3, t_end=0.01, snapshot_stride=2)
@@ -498,4 +521,16 @@ def test_gauge_formulas_are_formed_in_one_place():
     assert [s for s in _call_sites("_band_product") if s[0] == "bilinear"] == [
         ("bilinear", "_minus_dx_product")]
     assert sorted(name for _, name in _call_sites("_minus_dx_product")) == [
-        "_d_convolution", "_exp_lowband_operator", "_probe_leibniz", "bilinear_core"]
+        "_d_convolution", "_exp_lowband_operator", "_probe_leibniz.sample",
+        "bilinear_core"]
+
+
+def test_probe_families_draw_through_one_sample_loop():
+    # the stream (seed, name, i) and the decay of draw i are read in one
+    # loop, which both probe modules run their per-draw functions through
+    probes = ("bourgain", "bilinear")
+    for callee in ("stream", "_decay_schedule"):
+        assert [s for s in _call_sites(callee) if s[0] in probes] == [
+            ("bourgain", "_sample_loop")]
+    assert sorted(_call_sites("_sample_loop")) == [
+        ("bilinear", "estimate_probe"), ("bourgain", "linear_probes")]

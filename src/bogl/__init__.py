@@ -17,7 +17,6 @@ from .dynamics import (
     SimConfig,
     Trajectory,
     IntegrationError,
-    nonlinearity,
     step,
     simulate,
     momentum,

@@ -6,7 +6,8 @@ Everything here lives on the unit-scale lattice (integer frequencies) with a
     sigma = tau + |xi| xi,   sigma1 + sigma2 - sigma = -2 xi xi2
     on  D = { xi >= 1, xi1 >= 1, xi2 = xi - xi1 <= 0 }
 
-is carried out in exact integer arithmetic.  For a dyadic shell pair
+holds exactly (the tests check it, and the split below, tuple by tuple in
+integer arithmetic).  For a dyadic shell pair
 (N, N2) the domain splits into
 
     A: |sigma|  >= N N2 / 6
@@ -38,8 +39,6 @@ coefficients directly; all else reaches time through SpaceTimeGrid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -60,7 +59,7 @@ from .bourgain import (
     random_spacetime_field,
 )
 from .gauge import _exponential, _truncate
-from .lp import dyadic_shells, shell_l2, shell_table
+from .lp import shell_l2, shell_table
 from .reporting import ProbeReport
 from .spectral import (
     ComplexField,
@@ -75,16 +74,9 @@ from .spectral import (
 )
 
 __all__ = [
-    "FrequencyTuple",
-    "RegionTag",
-    "classify",
-    "resonance_defect",
-    "region_scan",
-    "GridTooLargeError",
     "bilinear_core",
     "bilinear_B",
     "trilinear_I",
-    "trilinear_I_oracle",
     "duality_pair",
     "region_pairing",
     "estimate_probe",
@@ -93,137 +85,6 @@ __all__ = [
     "bracket_convolution_integral",
     "decay_exponent",
 ]
-
-
-class RegionTag(Enum):
-    A = "A"
-    B = "B"
-    C = "C"
-
-
-@dataclass(frozen=True)
-class FrequencyTuple:
-    """tau-lattice code: integer tuple (xi, xi1, tau, tau1) and its modulations."""
-
-    xi: int
-    xi1: int
-    tau: int
-    tau1: int
-
-    @property
-    def xi2(self) -> int:
-        return self.xi - self.xi1
-
-    @property
-    def tau2(self) -> int:
-        return self.tau - self.tau1
-
-    @property
-    def sigma(self) -> int:
-        return self.tau + abs(self.xi) * self.xi
-
-    @property
-    def sigma1(self) -> int:
-        return self.tau1 + abs(self.xi1) * self.xi1
-
-    @property
-    def sigma2(self) -> int:
-        return self.tau2 + abs(self.xi2) * self.xi2
-
-    @property
-    def in_domain(self) -> bool:
-        return self.xi >= 1 and self.xi1 >= 1 and self.xi2 <= 0
-
-
-def resonance_defect(t: FrequencyTuple) -> int:
-    """sigma1 + sigma2 - sigma + 2 xi xi2; exactly zero on D."""
-    return t.sigma1 + t.sigma2 - t.sigma + 2 * t.xi * t.xi2
-
-
-def _in_shell(mag, shell: int):
-    """Sharp membership 1 <= mag, N/2 <= mag <= 2N (scalars or arrays)."""
-    return (mag >= 1) & (2 * mag >= shell) & (mag <= 2 * shell)
-
-
-def classify(t: FrequencyTuple, shell: int, shell2: int) -> RegionTag:
-    """tau-lattice code: the tuple's region for the shell pair (N, N2); exact
-    integer thresholds (|sigma| >= N N2 / 6 as 6 |sigma| >= N N2)."""
-    if not t.in_domain:
-        raise ValueError("tuple lies outside the domain D")
-    if not _in_shell(abs(t.xi), shell):
-        raise ValueError(f"|xi| = {abs(t.xi)} is not in shell {shell}")
-    if not _in_shell(abs(t.xi2), shell2):
-        raise ValueError(f"|xi2| = {abs(t.xi2)} is not in shell {shell2}")
-    threshold = shell * shell2
-    if 6 * abs(t.sigma) >= threshold:
-        return RegionTag.A
-    if 6 * abs(t.sigma1) >= threshold:
-        return RegionTag.B
-    if 6 * abs(t.sigma2) >= threshold:
-        return RegionTag.C
-    raise AssertionError("uncovered tuple: contradicts the resonance identity")
-
-
-def region_scan(k_max: int = 32, tau_half: int = 16) -> dict:
-    """tau-lattice code: integer scan of the resonance identity and coverage.
-
-    Scans xi, xi1 in [1, k_max] and tau, tau1 in [-tau_half, tau_half),
-    restricted to D with |xi2| >= 1; every tuple is classified for every
-    admissible shell pair, counting gaps and overlaps (both must be zero).
-    """
-    xi = np.arange(1, k_max + 1, dtype=np.int64)
-    tau = np.arange(-tau_half, tau_half, dtype=np.int64)
-    xiv = xi[:, None, None, None]
-    tauv = tau[None, :, None, None]
-    xi1v = xi[None, None, :, None]
-    tau1v = tau[None, None, None, :]
-    xi2 = xiv - xi1v
-    tau2 = tauv - tau1v
-    sigma = tauv + np.abs(xiv) * xiv
-    sigma1 = tau1v + np.abs(xi1v) * xi1v
-    sigma2 = tau2 + np.abs(xi2) * xi2
-    in_d = xi2 <= -1  # xi, xi1 >= 1 by construction; drop the xi2 = 0 line
-
-    defect = sigma1 + sigma2 - sigma + 2 * xiv * xi2
-    defect_in_d = defect[np.broadcast_to(in_d, defect.shape)]
-    max_defect = int(np.max(np.abs(defect_in_d))) if defect_in_d.size else 0
-
-    gaps = 0
-    overlaps = 0
-    classified = 0
-    pair_count = 0
-    for shell in dyadic_shells(k_max):
-        m_xi = _in_shell(xi, shell)[:, None, None, None]
-        for shell2 in dyadic_shells(k_max):
-            m_xi2 = _in_shell(-xi2, shell2)
-            member = in_d & m_xi & m_xi2
-            if not member.any():
-                continue
-            pair_count += 1
-            thr = shell * shell2
-            in_a = 6 * np.abs(sigma) >= thr
-            in_b = (6 * np.abs(sigma1) >= thr) & ~in_a
-            in_c = (6 * np.abs(sigma2) >= thr) & ~in_a & (6 * np.abs(sigma1) < thr)
-            count = (
-                in_a.astype(np.int64) + in_b.astype(np.int64) + in_c.astype(np.int64)
-            )
-            full = np.broadcast_shapes(count.shape, member.shape, defect.shape)
-            count = np.broadcast_to(count, full)[np.broadcast_to(member, full)]
-            gaps += int(np.sum(count == 0))
-            overlaps += int(np.sum(count > 1))
-            classified += int(count.size)
-    return {
-        "tuples_in_domain": int(np.sum(np.broadcast_to(in_d, defect.shape))),
-        "max_resonance_defect": max_defect,
-        "classified": classified,
-        "gaps": gaps,
-        "overlaps": overlaps,
-        "shell_pairs": pair_count,
-    }
-
-
-class GridTooLargeError(ValueError):
-    pass
 
 
 # ----------------------------------------------------------------------------
@@ -342,49 +203,6 @@ def trilinear_I(h: SpaceTimeField, w: SpaceTimeField, u: SpaceTimeField) -> comp
     """
     _require_integer_lattice(h, w, u)
     return complex(np.sum(_h_factor(h, "I") * _d_convolution(w, u)))
-
-
-def trilinear_I_oracle(
-    h: SpaceTimeField, w: SpaceTimeField, u: SpaceTimeField, limit: int = 32
-) -> complex:
-    """tau-lattice code: the direct quadruple sum over D, up to the oracle limit."""
-    grid = h.grid
-    _require_integer_lattice(h, w, u)
-    m, n = grid.num_times, grid.spatial.n
-    if m > limit or n > limit:
-        raise GridTooLargeError(
-            f"oracle limited to {limit}x{limit} grids, got {n}x{m}"
-        )
-    taus = np.arange(-m // 2, m // 2, dtype=np.int64)
-    xis = np.arange(-n // 2, n // 2, dtype=np.int64)
-    # coefficients reindexed to [tau = -M/2..M/2-1, xi = -N/2..N/2-1]
-    hc, wc, uc = (np.fft.fftshift(f.coefficients) for f in (h, w, u))
-    t_off, x_off = m // 2, n // 2
-    total = 0.0 + 0.0j
-    for ki, k in enumerate(xis):
-        if k < 1:
-            continue
-        for k1i, k1 in enumerate(xis):
-            if k1 < 1:
-                continue
-            k2 = k - k1
-            if k2 > 0 or k2 < xis[0]:
-                continue
-            for mi, tau_ in enumerate(taus):
-                sigma = tau_ + abs(k) * k
-                hval = hc[mi, ki] * k / np.sqrt(1.0 + abs(sigma))
-                if hval == 0:
-                    continue
-                for m1i, tau1 in enumerate(taus):
-                    tau2 = tau_ - tau1
-                    if tau2 < taus[0] or tau2 > taus[-1]:
-                        continue
-                    total += (
-                        hval
-                        * wc[m1i, k1i] / k1
-                        * k2 * uc[tau2 + t_off, k2 + x_off]
-                    )
-    return complex(total)
 
 
 def duality_pair(h: SpaceTimeField, bfield: SpaceTimeField) -> complex:

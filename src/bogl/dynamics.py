@@ -39,11 +39,8 @@ import numpy as np
 from .spectral import (
     RealField,
     SpatialGrid,
-    _analyze,
     _is_power_of_two,
     fractional,
-    hilbert,
-    derivative,
     lebesgue_norm,
     make_grid,
 )
@@ -53,7 +50,6 @@ __all__ = [
     "Trajectory",
     "LazyStates",
     "IntegrationError",
-    "nonlinearity",
     "step",
     "simulate",
     "momentum",
@@ -197,8 +193,9 @@ class ETDRK4Stepper:
     State and coefficients live on the half spectrum k = 0..n/2 (rfft
     layout).  The nonlinear term is the dealiased conservative form
     (u^2/2)_x, with i xi/2 and the dealias mask folded into one array; on
-    2/3-dealiased state it equals the dealiased u u_x of `nonlinearity`
-    (the aliases of u^2 fall outside the kept band).
+    2/3-dealiased state it equals the dealiased u u_x formed from the
+    samples, the tests' `nonlinearity` oracle in tests/oracles.py (the
+    aliases of u^2 fall outside the kept band).
     """
 
     def __init__(self, grid: SpatialGrid, dt: float):
@@ -261,15 +258,6 @@ def _stepper(grid: SpatialGrid, dt: float) -> ETDRK4Stepper:
             _STEPPER_CACHE.clear()
         _STEPPER_CACHE[key] = ETDRK4Stepper(grid, dt)
     return _STEPPER_CACHE[key]
-
-
-def nonlinearity(u: RealField) -> RealField:
-    """u * u_x dealiased by the 2/3 rule (the right-hand side of the evolution)."""
-    grid = u.grid
-    ux = derivative(u)
-    coeff = _analyze(np.asarray(u.samples) * np.asarray(ux.samples))
-    coeff[~_dealias_mask(grid.k, grid.n)] = 0.0
-    return RealField(grid, coeff)
 
 
 def step(u: RealField, dt: float) -> RealField:
@@ -359,12 +347,3 @@ def traveling_wave(grid: SpatialGrid, rho: float) -> tuple[RealField, float]:
     speed = (1.0 - 3.0 * rho**2) / (1.0 - rho**2)
     return RealField.from_samples(grid, profile), speed
 
-
-def steady_residual(profile: RealField, speed: float) -> float:
-    """L2 residual of -c phi + H phi' - phi^2/2 + mean(phi^2)/2 = 0."""
-    grid = profile.grid
-    hpx = hilbert(derivative(profile))
-    sq = profile.samples**2
-    a = float(np.mean(sq)) / 2.0
-    res = -speed * profile.samples + np.asarray(hpx.samples) - sq / 2.0 + a
-    return float(np.sqrt(np.sum(res**2) * grid.dx))

@@ -716,23 +716,31 @@ PROBE_SUITE_SCHEMA = {
 
 
 def _suite_exp_multiplication(cfg) -> ProbeReport:
-    from . import gauge
+    from . import bourgain, gauge
 
-    grid = make_grid(cfg["exp_n"], cfg["lambda"] or 1.0)
+    probe_cfg = bourgain.ProbeConfig(n=cfg["exp_n"], samples=cfg["exp_samples"],
+                                     seed=cfg["seed"],
+                                     period_scale=cfg["lambda"] or 1.0)
+    grid = make_grid(probe_cfg.n, probe_cfg.period_scale)
     rep = ProbeReport(
         "exp_multiplication",
         "|J^a(e^{-iF/2} g)|_{Lq} <= C (1 + |u|_{L2}) |J^a g|_{Lq}",
-        environment={"n": cfg["exp_n"], "samples": cfg["exp_samples"],
-                     "seed": cfg["seed"]},
+        environment={"n": probe_cfg.n, "period_scale": probe_cfg.period_scale,
+                     "samples": probe_cfg.samples, "seed": probe_cfg.seed},
     )
-    for i in range(cfg["exp_samples"]):
-        rng = stream(cfg["seed"], "exp-multiplication", i)
+
+    def sample(rng, decay):
+        # the decays are fixed here, so the loop's schedule is not read
         u = random_field(grid, rng, decay=1.0, amplitude=1.0)
         g = random_field(grid, rng, decay=0.7, amplitude=1.0)
+        rows = []
         for q, alpha in ((2, 0.0), (4, 0.25)):
             res = gauge.exp_multiplication_probe(u, g, alpha=alpha, q=q)
-            rep.add(sample=i, q=q, alpha=alpha, lhs=res.lhs, rhs=res.rhs,
-                    ratio=res.ratio)
+            rows.append((rep, {"q": q, "alpha": alpha, "lhs": res.lhs,
+                               "rhs": res.rhs, "ratio": res.ratio}))
+        return rows
+
+    bourgain._sample_loop(probe_cfg, "exp-multiplication", sample)
     return rep
 
 

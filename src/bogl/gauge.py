@@ -22,8 +22,9 @@ modes its result keeps, and none needs more than nf points:
     with one factor of each sign band are formed on nf points (every alias
     k +- nf misses the product band), and the low band P_lo(e^{-iF/2} u) is
     a few direct sums (its docstring gives the bounds);
-  - gauge_w_product_form and exp_multiplication_probe keep the whole fine
-    band and go through spectral._band_product on 3nf/2 points.
+  - exp_multiplication_probe keeps the whole fine band and goes through
+    spectral._band_product on 3nf/2 points, as does the product form of w
+    that the tests check gauge_w against (tests/oracles.py).
 The only approximation left is the spectral tail of the exponential itself.
 
 e^{-iF/2} is formed in one place, _exponential, which takes coefficient
@@ -72,7 +73,6 @@ __all__ = [
     "primitive",
     "gauge_W",
     "gauge_w",
-    "gauge_w_product_form",
     "exponential_pair",
     "GaugeResidualReport",
     "ResidualWindow",
@@ -239,13 +239,6 @@ def gauge_W(u: RealField, oversample: int = 4) -> ComplexField:
 def gauge_w(u: RealField, oversample: int = 4) -> ComplexField:
     """w = d/dx W (exact multiplier identity on the coefficients)."""
     return ComplexField(u.grid, gauge_W(u, oversample).coefficients * (1j * u.grid.xi))
-
-
-def gauge_w_product_form(u: RealField, oversample: int = 4) -> ComplexField:
-    """w computed as -(i/2) P_+(e^{-iF/2} u); equals gauge_w up to aliasing."""
-    em = exponential_pair(u, oversample)[1]
-    prod = _band_product([(em, _embed(u.coefficients, oversample))])
-    return ComplexField(u.grid, -0.5j * _coarse_plus(prod, u.grid))
 
 
 def exponential_pair(u: RealField, oversample: int = 4) -> tuple[np.ndarray, np.ndarray]:

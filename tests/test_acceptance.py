@@ -14,9 +14,7 @@ from bogl.bilinear import (
     default_period_scale,
     duality_pair,
     estimate_probe,
-    region_scan,
     trilinear_I,
-    trilinear_I_oracle,
 )
 from bogl.bourgain import (
     ProbeConfig,
@@ -42,6 +40,8 @@ from bogl.spectral import (
     project,
     random_field,
 )
+
+from oracles import region_scan, trilinear_I_oracle
 
 SEED = 20260809
 

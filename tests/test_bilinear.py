@@ -14,10 +14,7 @@ from hypothesis import strategies as st
 
 import bogl
 from bogl.bilinear import (
-    FrequencyTuple,
-    GridTooLargeError,
     PROBE_NAMES,
-    RegionTag,
     _d_convolution,
     _g_dual_norm,
     _h_factor,
@@ -29,16 +26,12 @@ from bogl.bilinear import (
     bilinear_core,
     bracket_convolution_integral,
     bracket_convolution_check,
-    classify,
     decay_exponent,
     default_period_scale,
     duality_pair,
     estimate_probe,
     region_pairing,
-    region_scan,
-    resonance_defect,
     trilinear_I,
-    trilinear_I_oracle,
 )
 from bogl.bourgain import (
     ProbeConfig,
@@ -49,6 +42,16 @@ from bogl.bourgain import (
 from bogl.lp import phi_shell, shell_table
 from bogl.reporting import stream
 from bogl.spectral import _reband, make_grid
+
+from oracles import (
+    FrequencyTuple,
+    GridTooLargeError,
+    RegionTag,
+    classify,
+    region_scan,
+    resonance_defect,
+    trilinear_I_oracle,
+)
 
 
 @pytest.fixture(scope="module")

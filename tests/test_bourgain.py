@@ -430,8 +430,8 @@ def test_grid_weights_are_shared_and_read_only():
 
 # The one seam between the space-time code and the (tau, xi) storage: the time
 # transforms are SpaceTimeGrid's three methods and tau is read only by
-# SpaceTimeGrid.sigma and the exact-integer FrequencyTuple.  Whatever else
-# reads the layout says "tau-lattice code" in its docstring.
+# SpaceTimeGrid.sigma.  Whatever else reads the layout says "tau-lattice
+# code" in its docstring.
 _TIME_TRANSFORM_SITES = {
     ("bourgain", "SpaceTimeGrid.samples"),
     ("bourgain", "SpaceTimeGrid.to_slices"),
@@ -439,9 +439,6 @@ _TIME_TRANSFORM_SITES = {
 }
 _TAU_READ_SITES = {
     ("bourgain", "SpaceTimeGrid.sigma"),
-    ("bilinear", "FrequencyTuple.tau2"),
-    ("bilinear", "FrequencyTuple.sigma"),
-    ("bilinear", "FrequencyTuple.sigma1"),
 }
 
 

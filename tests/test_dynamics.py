@@ -15,11 +15,9 @@ from bogl.dynamics import (
     SimConfig,
     energy,
     momentum,
-    nonlinearity,
     rescale,
     simulate,
     step,
-    steady_residual,
     traveling_wave,
 )
 from bogl.spectral import (
@@ -30,6 +28,8 @@ from bogl.spectral import (
     random_field,
     translate,
 )
+
+from oracles import nonlinearity, steady_residual
 
 
 @pytest.fixture(scope="module")

@@ -376,6 +376,11 @@ def test_probe_suite_runs_linear_and_exp_multiplication_at_lambda(tmp_path):
     exp = "exp_multiplication.csv"
     assert (tmp_path / "0" / exp).read_bytes() == (tmp_path / "1" / exp).read_bytes()
     assert (tmp_path / "0" / exp).read_bytes() != (tmp_path / "2" / exp).read_bytes()
+    # its report records the period it ran at
+    for lam, scale in (("0", 1.0), ("2", 2.0)):
+        report = json.loads((tmp_path / lam / "exp_multiplication.json").read_text())
+        assert report["environment"] == {"n": 16, "period_scale": scale,
+                                         "samples": 2, "seed": 3}
 
 
 def test_run_scaling_check(tmp_path):

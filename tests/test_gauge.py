@@ -15,7 +15,6 @@ from bogl.gauge import (
     exp_multiplication_probe,
     gauge_residual,
     gauge_w,
-    gauge_w_product_form,
     gauge_W,
     primitive,
     primitive_gap,
@@ -33,6 +32,8 @@ from bogl.spectral import (
     projection_symbol,
     random_field,
 )
+
+from oracles import gauge_w_product_form
 
 
 @pytest.fixture(scope="module")
@@ -527,10 +528,45 @@ def test_gauge_formulas_are_formed_in_one_place():
 
 def test_probe_families_draw_through_one_sample_loop():
     # the stream (seed, name, i) and the decay of draw i are read in one
-    # loop, which both probe modules run their per-draw functions through
+    # loop, which both probe modules and the suite's exp_multiplication run
+    # their per-draw functions through
     probes = ("bourgain", "bilinear")
     for callee in ("stream", "_decay_schedule"):
         assert [s for s in _call_sites(callee) if s[0] in probes] == [
             ("bourgain", "_sample_loop")]
     assert sorted(_call_sites("_sample_loop")) == [
         ("bilinear", "estimate_probe"), ("bourgain", "linear_probes")]
+    assert _call_sites("bourgain._sample_loop") == [
+        ("experiments", "_suite_exp_multiplication")]
+
+
+# the public names that only an analyst calls: no code in the package reaches
+# them, and the tests check each against its oracle
+_ENTRY_POINTS = {
+    "bilinear_B", "trilinear_I", "duality_pair", "step", "gauge_residual",
+    "tilde_lp_norm", "hilbert", "free_propagate", "pointwise_product"}
+
+
+def test_every_public_name_is_used_inside_the_package():
+    # a public name is read by a name or an attribute somewhere in the
+    # package, or is a run_* function named in cli._COMMANDS; imports and
+    # __all__ do not count, so a test-only helper fails this and belongs in
+    # the tests
+    public, read = {}, set()
+    for path in sorted(Path(bogl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                strings = [c.value for c in ast.walk(node.value)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+                if node.targets[0].id == "__all__":
+                    public[path.stem] = strings
+                elif (path.stem, node.targets[0].id) == ("cli", "_COMMANDS"):
+                    read.update(strings)
+    unread = {name for names in public.values() for name in names if name not in read}
+    assert sorted(unread - _ENTRY_POINTS) == []
+    # an entry point that the package comes to call leaves the list
+    assert sorted(_ENTRY_POINTS - unread) == []

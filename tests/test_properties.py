@@ -7,13 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bogl.bilinear import (
-    FrequencyTuple,
-    RegionTag,
     _exp_lowband_operator,
-    classify,
     region_pairing,
-    resonance_defect,
-    trilinear_I_oracle,
 )
 from bogl.bourgain import (
     SpaceTimeGrid,
@@ -33,6 +28,14 @@ from bogl.spectral import (
     projection_symbol,
     random_field,
     sobolev_norm,
+)
+
+from oracles import (
+    FrequencyTuple,
+    RegionTag,
+    classify,
+    resonance_defect,
+    trilinear_I_oracle,
 )
 
 PROPERTY = settings(max_examples=30, deadline=None, database=None)

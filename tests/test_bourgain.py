@@ -1,7 +1,13 @@
 """Space-time norms, free/Duhamel fields and the linear estimate probes."""
 
 import ast
+import itertools
+import json
+import os
+import signal
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +32,7 @@ from bogl.bourgain import (
     z_tilde_norm,
 )
 from bogl.lp import dyadic_shells, eta, phi_shell
-from bogl.reporting import stream
+from bogl.reporting import ProbeReport, stream
 from bogl.spectral import ComplexField, _analyze, lebesgue_norm, make_grid, random_field
 
 
@@ -560,3 +566,279 @@ def test_linear_probes_pinned_values():
         sup, mean = _PINNED_LINEAR[r.name]
         assert r.sup == pytest.approx(sup, rel=1e-10), r.name
         assert r.mean == pytest.approx(mean, rel=1e-10), r.name
+
+
+def _use_cpus(monkeypatch, count: int) -> None:
+    """Make count CPUs usable for the sample loop's split."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _draw_index(rng) -> int:
+    """The i of the stream (seed, name, i) that rng came from: the low 32
+    bits of its Philox key."""
+    return int(rng.bit_generator.state["state"]["key"][1]) & 0xFFFFFFFF
+
+
+def _no_child_left() -> bool:
+    """No child of this process is running or waiting to be reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _family_outcome(cfg: ProbeConfig) -> str:
+    # repr writes each float with every bit, and its type
+    from bogl.bilinear import PROBE_NAMES, estimate_probe
+
+    reports = linear_probes(cfg) + [estimate_probe(name, cfg) for name in PROBE_NAMES]
+    return repr([(r.name, r.rows, r.skipped) for r in reports])
+
+
+def test_families_give_the_same_rows_on_any_cpu_count(monkeypatch):
+    # samples = 7 splits into uneven blocks: 3 + 4 on two CPUs, 2 + 2 + 3 on
+    # three; the linear family and the six estimate families keep every
+    # row (floats compared bit for bit) and every skip count
+    cfg = ProbeConfig(n=16, num_times=16, samples=7, seed=4)
+    outcomes = []
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        outcomes.append(_family_outcome(cfg))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+    assert _no_child_left()
+
+
+def test_sample_loop_runs_one_block_per_cpu(monkeypatch):
+    # each draw records the process that ran it: contiguous blocks of
+    # samples * j // k draws, the first in this process and each later one
+    # in a forked worker; rows and skips of every block come back in order
+    kept, skips = ProbeReport("kept", "-"), ProbeReport("skips", "-")
+
+    def sample(rng, decay):
+        i = _draw_index(rng)
+        return [(kept, {"pid": os.getpid(), "decay": decay}),
+                (skips, None if i % 3 else {"i": i})]
+
+    for cpus, sizes in ((1, [7]), (2, [3, 4]), (3, [2, 2, 3]), (8, [1] * 7)):
+        _use_cpus(monkeypatch, cpus)
+        for rep in (kept, skips):
+            rep.rows.clear()
+            rep.skipped = 0
+        bourgain._sample_loop(ProbeConfig(samples=7), "pids", sample)
+        assert [r["sample"] for r in kept.rows] == list(range(7))
+        assert [r["decay"] for r in kept.rows] == [0.5, 1.0, 2.0] * 2 + [0.5]
+        assert [(r["sample"], r["i"]) for r in skips.rows] == [(0, 0), (3, 3), (6, 6)]
+        assert skips.skipped == 4
+        pids = [r["pid"] for r in kept.rows]
+        assert [len(list(run)) for _, run in itertools.groupby(pids)] == sizes
+        assert pids[0] == os.getpid() and len(set(pids)) == len(sizes)
+    assert _no_child_left()
+
+
+def _failing_sample(rep: ProbeReport, fail):
+    """A per-draw function whose draw i calls fail(i) before its row."""
+    def sample(rng, decay):
+        i = _draw_index(rng)
+        fail(i)
+        return [(rep, {"ratio": float(i)})]
+
+    return sample
+
+
+def test_a_worker_raises_as_the_serial_loop(monkeypatch):
+    # draw 5 lies in a worker's block on two and three CPUs; the exception
+    # of the earliest failing draw is raised, with its type and message
+    def fail(i):
+        if i in (5, 6):
+            raise ZeroDivisionError(f"draw {i}")
+
+    raised = []
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        with pytest.raises(ZeroDivisionError) as exc:
+            bourgain._sample_loop(ProbeConfig(samples=7), "fails",
+                                  _failing_sample(ProbeReport("r", "-"), fail))
+        raised.append(str(exc.value))
+    assert raised == ["draw 5"] * 3
+    assert _no_child_left()
+
+
+class _UnpicklableError(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_an_exception_that_does_not_pickle_keeps_its_message(monkeypatch):
+    def fail(i):
+        if i == 6:
+            raise _UnpicklableError("one", "two")
+
+    _use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="^_UnpicklableError: one and two$"):
+        bourgain._sample_loop(ProbeConfig(samples=7), "fails",
+                              _failing_sample(ProbeReport("r", "-"), fail))
+    assert _no_child_left()
+
+
+def test_a_failing_parent_stops_its_blocked_workers(monkeypatch):
+    # the workers' rows are far larger than a pipe's buffer, so each blocks
+    # in its write until read; the parent's block fails first, and no
+    # worker is left running or unreaped
+    rep = ProbeReport("r", "-")
+
+    def sample(rng, decay):
+        i = _draw_index(rng)
+        if i == 1:
+            time.sleep(0.2)  # the workers are blocked in their writes by now
+            raise ValueError("parent draw 1")
+        return [(rep, {"ratio": 1.0, "payload": "x" * (4 << 20)})]
+
+    _use_cpus(monkeypatch, 3)
+    with pytest.raises(ValueError, match="parent draw 1"):
+        bourgain._sample_loop(ProbeConfig(samples=9), "blocked", sample)
+    assert _no_child_left()
+
+
+def test_the_fork_warning_of_a_threaded_process_is_not_an_error(monkeypatch):
+    # Python 3.12+ warns in os.fork when the process has other threads; the
+    # loop shows that warning even under an error filter, since an error
+    # there would lose the worker just forked, and its rows are unchanged
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    rep = ProbeReport("r", "-")
+    sample = _failing_sample(rep, lambda i: None)
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with pytest.warns(DeprecationWarning, match="multi-threaded") as shown:
+        warnings.simplefilter("error")
+        bourgain._sample_loop(ProbeConfig(samples=7), "threaded", sample)
+    assert len(shown) == 2
+    assert [(r["sample"], r["ratio"]) for r in rep.rows] == [(i, float(i)) for i in range(7)]
+    assert _no_child_left()
+
+
+# the sample loop as the probe suite sees it: every lattice family at
+# n = num_times = 16 with samples = 7 (10 for linear)
+_SPLIT_SUITE = {"n": "16", "num_times": "16", "samples": "7", "exp_samples": "7",
+                "exp_n": "16", "seed": "2"}
+
+
+def test_probe_suite_writes_the_same_bytes_on_any_cpu_count(tmp_path, monkeypatch):
+    from bogl.experiments import run_probe_suite
+
+    written = []
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        out = run_probe_suite(_SPLIT_SUITE, tmp_path / str(cpus)).out_dir
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "exp_multiplication.csv" in written[0] and len(written[0]) > 20
+    assert written[1] == written[0]
+    assert written[2] == written[0]
+    assert _no_child_left()
+
+
+def _suite_failing_at_draw(tmp_path, monkeypatch, fail):
+    """A probe-suite config of exp_multiplication and leibniz_split whose
+    exp_multiplication draw i calls fail(i) first."""
+    from bogl import experiments
+
+    make_field = experiments.random_field
+
+    def random_field(grid, rng, **kwargs):
+        fail(_draw_index(rng))
+        return make_field(grid, rng, **kwargs)
+
+    monkeypatch.setattr(experiments, "random_field", random_field)
+    config = tmp_path / "suite.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in _SPLIT_SUITE.items())
+                      + "select = exp_multiplication,leibniz_split\n")
+    return config
+
+
+def test_a_worker_failure_is_that_probes_failure(tmp_path, monkeypatch, capsys):
+    # draws 5 and 6 raise in a worker's block on two and three CPUs: the
+    # suite records the serial loop's message, of the earliest failing
+    # draw, for that probe alone, and --assert exits 4
+    from bogl.cli import main
+
+    def fail(i):
+        if i >= 5:
+            raise ArithmeticError(f"draw {i}")
+
+    config = _suite_failing_at_draw(tmp_path, monkeypatch, fail)
+    summaries = []
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        assert main(["probe-suite", "--config", str(config), "--out", str(out),
+                     "--assert"]) == 4
+        summaries.append((out / "probe_suite_summary.json").read_bytes())
+    failures = json.loads(summaries[0])["failures"]
+    assert failures == [{"probe": "exp_multiplication", "error": "draw 5"}]
+    assert summaries[1] == summaries[0] and summaries[2] == summaries[0]
+    assert capsys.readouterr().out.count("[FAIL] no_probe_failures") == 3
+    assert _no_child_left()
+
+
+def test_a_killed_worker_is_a_probe_failure(tmp_path, monkeypatch):
+    # not a hang and not a traceback: the probe's failure names the blocks
+    # and the signal, and --assert exits 4
+    from bogl.cli import main
+
+    def fail(i):
+        if i == 5:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    config = _suite_failing_at_draw(tmp_path, monkeypatch, fail)
+    _use_cpus(monkeypatch, 2)
+    out = tmp_path / "killed"
+    assert main(["probe-suite", "--config", str(config), "--out", str(out),
+                 "--assert"]) == 4
+    failures = json.loads((out / "probe_suite_summary.json").read_text())["failures"]
+    assert failures == [{"probe": "exp_multiplication", "error":
+                         "the worker of exp-multiplication draws 3 to 6 was killed by signal 9"}]
+    assert _no_child_left()
+
+
+def test_exit_codes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    # a config error exits 2 and a sup that is not finite exits 3, also when
+    # the draws run in three processes
+    from bogl.cli import main
+
+    _use_cpus(monkeypatch, 3)
+    bad, huge = tmp_path / "bad.cfg", tmp_path / "huge.cfg"
+    bad.write_text("select = linear,nope\n")
+    huge.write_text("s = 1000\nselect = bilinear_periodic\nsamples = 3\n")
+    assert main(["probe-suite", "--config", str(bad), "--out", str(tmp_path / "b")]) == 2
+    assert main(["probe-suite", "--config", str(huge), "--out", str(tmp_path / "h"),
+                 "--assert"]) == 3
+    assert not (tmp_path / "h").exists()
+    assert _no_child_left()
+
+
+def test_a_failed_fork_stops_the_workers_forked_before_it(monkeypatch):
+    fork, forks = os.fork, []
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError("no more processes")
+        return fork()
+
+    fds = len(os.listdir("/proc/self/fd"))
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with pytest.raises(BlockingIOError, match="no more processes"):
+        bourgain._sample_loop(ProbeConfig(samples=7), "unforked",
+                              _failing_sample(ProbeReport("r", "-"), lambda i: None))
+    assert _no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == fds

@@ -540,6 +540,15 @@ def test_probe_families_draw_through_one_sample_loop():
         ("experiments", "_suite_exp_multiplication")]
 
 
+def test_only_the_sample_loop_forks():
+    # the draws of a probe family are the one work split across processes:
+    # the sample loop forks the workers, and a worker leaves only through
+    # _leave_worker, which skips the exit handlers copied from the parent
+    assert _call_sites("os.fork") == [("bourgain", "_sample_loop")]
+    assert _call_sites("os._exit") == [("bourgain", "_leave_worker")]
+    assert _call_sites("_leave_worker") == [("bourgain", "_sample_loop")] * 2
+
+
 # the public names that only an analyst calls: no code in the package reaches
 # them, and the tests check each against its oracle
 _ENTRY_POINTS = {

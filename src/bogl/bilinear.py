@@ -132,7 +132,7 @@ def _minus_dx_product(a: np.ndarray, u: np.ndarray, xi: np.ndarray,
     """a P_-(du/dx), exact on the band along axes (as _band_product), for
     coefficient arrays a, u whose last axis has the frequencies xi: the one
     product of every probe of dx P_+(W P_- dx u).  Callers apply P_+."""
-    return _band_product([(a, u * ((xi < 0) * (1j * xi)))], axes)
+    return _band_product(a, u * ((xi < 0) * (1j * xi)), axes)
 
 
 def bilinear_core(w: SpaceTimeField, u: SpaceTimeField) -> SpaceTimeField:

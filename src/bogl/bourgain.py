@@ -331,34 +331,34 @@ def _decay_schedule(i: int) -> float:
 def _sample_loop(cfg: ProbeConfig, name: str, sample) -> None:
     """The one sample loop of every probe family: draw i of the family name
     reads only reporting.stream(cfg.seed, name, i), at decay
-    _decay_schedule(i).  sample(rng, decay) returns (report, row) pairs;
-    each row is added after sample=i, and a row of None counts as a skip.
+    _decay_schedule(i).  sample(rng, decay) returns a (report, row) pair per
+    report; each row is added after sample=i, and a row of None is a skip.
 
     The draws run in k = min(usable CPUs, samples) processes, one contiguous
     block of draws each; restrict the CPUs with taskset to use fewer.  This
     process runs draw 0 first, so the per-grid caches are built once and
     inherited, then forks a worker for each later block and runs the first.
-    A worker pickles its rows, by report name, down a pipe; they are added
-    here in sample order, so the rows, skips and outputs do not depend on k.
-    A worker's exception is raised here as the serial loop would raise it,
-    and a worker that dies without reporting raises RuntimeError.  Each
-    process peaks at the serial loop's working set, so k of them hold k
-    times as much memory."""
+    Every process adds its block's rows and skips to its own copy of the
+    reports.  A worker pickles what its block added past draw 0's down a
+    pipe, and the workers' additions are appended here in block order, so
+    the rows, skips and outputs do not depend on k.  A worker's exception is
+    raised here as the serial loop would raise it, and a worker that dies
+    without reporting raises RuntimeError.  Each process peaks at the serial
+    loop's working set, so k of them hold k times as much memory."""
     k = max(1, min(len(os.sched_getaffinity(0)), cfg.samples))
     starts = [cfg.samples * j // k for j in range(k)] + [cfg.samples]
-    reports: dict = {}  # this process's reports by name, for the workers' rows
+    reports: dict = {}  # the family's reports by name
     workers: dict = {}  # block -> (pid, read end of its pipe), until reaped
-    block, drawn = 0, []  # this process's block; a worker's rows per draw
+    block, counts = 0, {}  # this process's block; a worker's (rows, skips) at its fork
     try:
         i = 0
         while i < starts[block + 1]:
-            pairs = sample(stream(cfg.seed, name, i), _decay_schedule(i))
-            if block:
-                drawn.append([(rep.name, row) for rep, row in pairs])
-            else:
-                for rep, row in pairs:
-                    reports[rep.name] = rep
-                    _add_row(rep, i, row)
+            for rep, row in sample(stream(cfg.seed, name, i), _decay_schedule(i)):
+                reports[rep.name] = rep
+                if row is None:
+                    rep.skip()
+                else:
+                    rep.add(sample=i, **row)
             i += 1
             if i == 1:  # draw 0 has built the caches: fork the later blocks
                 for j in range(1, k):
@@ -377,6 +377,8 @@ def _sample_loop(cfg: ProbeConfig, name: str, sample) -> None:
                         raise
                     if pid == 0:
                         block, i, out = j, starts[j], write
+                        counts = {key: (len(rep.rows), rep.skipped)
+                                  for key, rep in reports.items()}
                         os.close(read)
                         for _, pipe in workers.values():
                             pipe.close()
@@ -385,11 +387,11 @@ def _sample_loop(cfg: ProbeConfig, name: str, sample) -> None:
                     os.close(write)
                     workers[j] = (pid, open(read, "rb"))
         if block:
-            _leave_worker(out, drawn, None)
+            _leave_worker(out, reports, counts, None)
         _join_workers(name, starts, workers, reports)
     except BaseException as exc:
         if block:
-            _leave_worker(out, drawn, exc)
+            _leave_worker(out, reports, counts, exc)
         raise
     finally:
         for pid, pipe in workers.values():  # left only when this process failed
@@ -398,16 +400,9 @@ def _sample_loop(cfg: ProbeConfig, name: str, sample) -> None:
             os.waitpid(pid, 0)
 
 
-def _add_row(rep: ProbeReport, i: int, row) -> None:
-    if row is None:
-        rep.skip()
-    else:
-        rep.add(sample=i, **row)
-
-
 def _join_workers(name: str, starts: list, workers: dict, reports: dict) -> None:
-    """Add each worker's rows to reports, in block order, and raise the
-    first exception a worker sent.  A worker leaves workers once reaped."""
+    """Append each worker's rows and skips to reports, in block order, and raise
+    the first exception a worker sent.  A worker leaves workers once reaped."""
     for j in sorted(workers):
         pid, pipe = workers[j]
         with pipe:
@@ -418,26 +413,29 @@ def _join_workers(name: str, starts: list, workers: dict, reports: dict) -> None
             how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
             raise RuntimeError(f"the worker of {name} draws {starts[j]} to "
                                f"{starts[j + 1] - 1} {how}")
-        rows, error = pickle.loads(data)
-        for i, pairs in enumerate(rows, starts[j]):
-            for rep_name, row in pairs:
-                _add_row(reports[rep_name], i, row)
+        added, error = pickle.loads(data)
+        for key, (rows, skips) in added.items():
+            reports[key].rows.extend(rows)
+            reports[key].skipped += skips
         if error is not None:
             raise error
 
 
-def _leave_worker(out: int, drawn: list, error) -> None:
-    """A worker's end: pickle its rows and its exception (None when its
-    block ran through) down the pipe out, then exit at once, so that no
-    buffer or exit handler copied from the parent runs twice."""
+def _leave_worker(out: int, reports: dict, counts: dict, error) -> None:
+    """A worker's end: pickle the rows and skips its block added to reports
+    past counts, and its exception (None when its block ran through), down
+    the pipe out, then exit at once, so that no buffer or exit handler
+    copied from the parent runs twice."""
     code = 1
     try:
+        added = {key: (reports[key].rows[rows:], reports[key].skipped - skips)
+                 for key, (rows, skips) in counts.items()}
         try:
             pickle.loads(pickle.dumps(error))
         except Exception:  # an exception that does not survive pickling
             error = RuntimeError(f"{type(error).__name__}: {error}")
         with open(out, "wb") as fh:
-            pickle.dump((drawn, error), fh, pickle.HIGHEST_PROTOCOL)
+            pickle.dump((added, error), fh, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)

@@ -19,7 +19,7 @@ import sys
 
 from . import experiments
 from .dynamics import IntegrationError
-from .experiments import ConfigError
+from .experiments import ConfigError, _does_not_fit
 
 CSV_SCHEMAS = """\
 CSV schemas
@@ -99,8 +99,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, ValueError) as exc:  # a grid or march too large to hold
-        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
-            raise  # numpy's error for an array past 2^63 bytes; others propagate
+        if not _does_not_fit(exc):
+            raise
         print(f"config error: the run does not fit in memory ({exc})", file=sys.stderr)
         return 2
     except (IntegrationError, FloatingPointError) as exc:

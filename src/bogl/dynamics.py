@@ -60,19 +60,12 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the march produces non-finite values.
+    """Raised when the march produces non-finite values; time is the time
+    the failing step reached."""
 
-    time is the time the failing step reached; a lone `step` does not know
-    it and reports its step size dt instead.  Exactly one of them is given.
-    """
-
-    def __init__(self, time: float | None = None, dt: float | None = None):
-        if (time is None) == (dt is None):
-            raise ValueError("IntegrationError takes exactly one of time and dt")
-        where = f"at t = {time:.6g}" if time is not None else f"in a step of dt = {dt:.6g}"
-        super().__init__(f"integration failure (NaN/overflow) {where}")
+    def __init__(self, time: float):
+        super().__init__(f"integration failure (NaN/overflow) at t = {time:.6g}")
         self.time = time
-        self.dt = dt
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,7 @@ class SimConfig:
 
 class LazyStates(Sequence):
     """A read-only sequence whose item i is build(i), made each time it is
-    read and not kept, so a loop over it holds one state at a time.  A slice
-    is a LazyStates of the selected items."""
+    read and not kept, so a loop over it holds one state at a time."""
 
     def __init__(self, build: Callable[[int], RealField], length: int):
         self._build = build
@@ -116,15 +108,7 @@ class LazyStates(Sequence):
         return self._length
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            picked = range(self._length)[index]
-            return LazyStates(lambda i: self._build(picked[i]), len(picked))
-        i = operator.index(index)
-        if i < 0:
-            i += self._length
-        if not 0 <= i < self._length:
-            raise IndexError("state index out of range")
-        return self._build(i)
+        return self._build(range(self._length)[operator.index(index)])
 
 
 @dataclass
@@ -261,16 +245,8 @@ def _stepper(grid: SpatialGrid, dt: float) -> ETDRK4Stepper:
 
 
 def step(u: RealField, dt: float) -> RealField:
-    """One ETDRK4 step; raises IntegrationError on non-finite output."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n = u.grid.n
-    # overflow is reported by the finiteness check, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _stepper(u.grid, dt).advance(u.coefficients[: n // 2 + 1])
-    if not np.all(np.isfinite(out)):
-        raise IntegrationError(dt=dt)
-    return RealField(u.grid, _full_spectrum(out, n))
+    """One ETDRK4 step: the last state of a one-step simulate."""
+    return simulate(u, SimConfig(u.grid, dt=dt, t_end=dt)).states[-1]
 
 
 def momentum(u: RealField) -> float:

@@ -66,6 +66,12 @@ class ConfigError(ValueError):
     pass
 
 
+def _does_not_fit(exc: BaseException) -> bool:
+    """Whether exc is a MemoryError or numpy's ValueError for an array past 2^63 bytes."""
+    return isinstance(exc, MemoryError) or (
+        isinstance(exc, ValueError) and str(exc).startswith("array is too big"))
+
+
 def parse_config_file(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -779,9 +785,9 @@ def run_probe_suite(config: dict, out_dir) -> RunResult:
     for name in selected:
         try:
             reports.extend(_run_one_suite_probe(name, cfg))
-        except ConfigError:
-            raise
         except Exception as exc:  # record and continue, per the suite contract
+            if isinstance(exc, ConfigError) or _does_not_fit(exc):
+                raise  # exit 2, as for the other commands
             failures.append({"probe": name, "error": str(exc)})
     # the sup is NaN when no sample was kept
     _require_finite({rep.name: np.append(rep.ratios, rep.sup) for rep in reports})

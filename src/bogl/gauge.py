@@ -552,7 +552,7 @@ def exp_multiplication_probe(
     xi = fine_frequencies(grid, oversample, slice(None))
     em = exponential_pair(f_source, oversample)[1]
     gfine = _embed(g.coefficients, oversample)
-    prod = _band_product([(em, gfine)])
+    prod = _band_product(em, gfine)
     bessel = (1.0 + xi**2) ** (alpha / 2.0)
     dx_fine = grid.length / len(xi)
     lhs = _lp_sum(_samples(prod * bessel), dx_fine, q)

@@ -212,10 +212,6 @@ class RealField(_FieldBase):
     def samples(self) -> np.ndarray:
         return self._synthesize().real
 
-    @property
-    def imag_residue(self) -> float:
-        return float(np.max(np.abs(self._synthesize().imag)))
-
 
 class ComplexField(_FieldBase):
     """Complex-valued field; no symmetry constraint."""
@@ -246,13 +242,13 @@ def derivative(f: Field, order: int = 1) -> Field:
     return type(f)(f.grid, f.coefficients * (1j * f.grid.xi) ** order)
 
 
-def projection_symbol(which: str, xi: np.ndarray, shell: int | None = None) -> np.ndarray:
+def projection_symbol(which: str, xi: np.ndarray) -> np.ndarray:
     """Mask values of the named projection at frequencies xi.
 
     plus/minus are the sharp sign projections (xi = 0 in neither half);
     hi/lo use the smooth cutoff eta; HI/LO are the sharp |xi| >= 8 split,
-    which keeps the high-frequency reconstruction identity exact; dyadic
-    is the shell bump phi_N.
+    which keeps the high-frequency reconstruction identity exact.  The
+    shell bumps phi_N are lp.phi_shell.
     """
     from . import lp  # cyclic at import time otherwise
 
@@ -275,16 +271,12 @@ def projection_symbol(which: str, xi: np.ndarray, shell: int | None = None) -> n
         return projection_symbol("plus", xi) * projection_symbol("HI", xi)
     if which == "minus_hi":
         return projection_symbol("minus", xi) * projection_symbol("hi", xi)
-    if which == "dyadic":
-        if shell is None or shell != int(shell):  # phi_shell checks the rest
-            raise ValueError("dyadic projection needs a dyadic shell N >= 1")
-        return lp.phi_shell(xi, int(shell))
     raise ValueError(f"unknown projection {which!r}")
 
 
-def project(f: Field, which: str, shell: int | None = None) -> Field:
+def project(f: Field, which: str) -> Field:
     """Apply a named frequency projection (see projection_symbol)."""
-    sym = projection_symbol(which, f.grid.xi, shell)
+    sym = projection_symbol(which, f.grid.xi)
     even = np.array_equal(sym, sym[-f.grid.k])  # the sign projections are not
     return (type(f) if even else ComplexField)(f.grid, f.coefficients * sym)
 
@@ -401,24 +393,21 @@ def _reband(coeff: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def _band_product(pairs, axes=None) -> np.ndarray:
-    """Exact sum of the products a*b of same-shape coefficient arrays along
-    `axes` (default every axis; the others are a batch), cut to their band.
-    The products are formed on 3L/2 points per transformed axis and summed on
-    the samples, so m products cost 2m + 1 transforms."""
-    shape = pairs[0][0].shape
-    along = range(len(shape)) if axes is None else [a % len(shape) for a in axes]
+def _band_product(a: np.ndarray, b: np.ndarray, axes=None) -> np.ndarray:
+    """Exact product a*b of same-shape coefficient arrays along `axes`
+    (default every axis; the others are a batch), cut to their band: formed
+    on 3L/2 points per transformed axis, in three transforms."""
+    shape = a.shape
+    along = range(len(shape)) if axes is None else [i % len(shape) for i in axes]
     fine = tuple(3 * n // 2 if i in along else n for i, n in enumerate(shape))
-    acc = np.zeros(fine, dtype=np.complex128)
-    for a, b in pairs:
-        acc += _samples(_reband(a, fine), axes) * _samples(_reband(b, fine), axes)
-    return _reband(_analyze(acc, axes), shape)
+    prod = _samples(_reband(a, fine), axes) * _samples(_reband(b, fine), axes)
+    return _reband(_analyze(prod, axes), shape)
 
 
 def pointwise_product(f: Field, g: Field) -> Field:
     """Product f*g, exact on the band of the common grid."""
     cls = _joint_class(f, g)
-    return cls(f.grid, _band_product([(f.coefficients, g.coefficients)]))
+    return cls(f.grid, _band_product(f.coefficients, g.coefficients))
 
 
 def random_field(

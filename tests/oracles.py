@@ -231,7 +231,7 @@ def trilinear_I_oracle(
 def gauge_w_product_form(u: RealField, oversample: int = 4) -> ComplexField:
     """w computed as -(i/2) P_+(e^{-iF/2} u); equals gauge_w up to aliasing."""
     em = exponential_pair(u, oversample)[1]
-    prod = _band_product([(em, _embed(u.coefficients, oversample))])
+    prod = _band_product(em, _embed(u.coefficients, oversample))
     return ComplexField(u.grid, -0.5j * _coarse_plus(prod, u.grid))
 
 

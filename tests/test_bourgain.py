@@ -825,6 +825,37 @@ def test_exit_codes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     assert _no_child_left()
 
 
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 16.0 TiB for an array with shape (1099511627776,)"),
+    ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger than "
+               "the maximum possible size."),
+], ids=["memory", "too_big"])
+def test_a_draw_that_does_not_fit_exits_2(tmp_path, monkeypatch, capsys, error):
+    # an allocation failure is not that probe's failure: the suite exits 2
+    # and writes nothing, as norm-sweep does for a grid too large to hold,
+    # when the failing draw runs here (draw 0, or draw 5 on one CPU) or in a
+    # worker (draw 5 on two CPUs); no array is allocated
+    from bogl.cli import main
+
+    failing = {"from": 0}
+
+    def fail(i):
+        if i >= failing["from"]:
+            raise error
+
+    config = _suite_failing_at_draw(tmp_path, monkeypatch, fail)
+    for first in (0, 5):
+        failing["from"] = first
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"draw{first}_cpus{cpus}"
+            assert main(["probe-suite", "--config", str(config), "--out", str(out),
+                         "--assert"]) == 2
+            assert not out.exists()
+    assert capsys.readouterr().err.count("the run does not fit in memory") == 4
+    assert _no_child_left()
+
+
 def test_a_failed_fork_stops_the_workers_forked_before_it(monkeypatch):
     fork, forks = os.fork, []
 

@@ -10,7 +10,7 @@ import pytest
 
 import bogl
 from bogl import gauge
-from bogl.dynamics import SimConfig, Trajectory, simulate
+from bogl.dynamics import LazyStates, SimConfig, Trajectory, simulate
 from bogl.gauge import (
     exp_multiplication_probe,
     gauge_residual,
@@ -178,7 +178,8 @@ def test_gauge_residual_is_local(include_mean_term):
     rep = gauge_residual(traj, include_mean_term=include_mean_term)
     assert len(rep.residuals) == len(traj.states) - 2
     for k in range(1, len(traj.states) - 1):
-        window = Trajectory(traj.times[k - 1 : k + 2], traj.states[k - 1 : k + 2])
+        window = Trajectory(traj.times[k - 1 : k + 2],
+                            LazyStates(lambda i: traj.states[k - 1 + i], 3))
         one = gauge_residual(window, include_mean_term=include_mean_term)
         assert one.times[0] == rep.times[k - 1] == traj.times[k]
         assert one.residuals[0] == rep.residuals[k - 1]
@@ -189,7 +190,7 @@ def test_gauge_residual_memory_does_not_grow_with_snapshots():
     traj = _dyadic_trajectory(1024, 20, 5)
     peaks = []
     for count in (5, 21):
-        part = Trajectory(traj.times[:count], traj.states[:count])
+        part = Trajectory(traj.times[:count], LazyStates(lambda i: traj.states[i], count))
         gauge_residual(part)  # fills the band caches
         tracemalloc.start()
         try:

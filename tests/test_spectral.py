@@ -8,6 +8,7 @@ import pytest
 from scipy.signal import convolve
 
 import bogl
+from bogl.lp import decompose, phi_shell
 from bogl.spectral import (
     _band_product,
     _reband,
@@ -288,7 +289,7 @@ def test_full_band_product_lattice_length(shape):
     full = convolve(np.fft.fftshift(a), np.fft.fftshift(b), method="direct")
     direct = np.fft.ifftshift(full[tuple(slice(n // 2, n // 2 + n) for n in shape)])
     tol = 1e-13 * np.max(np.abs(direct))
-    assert np.max(np.abs(_band_product([(a, b)]) - direct)) < tol
+    assert np.max(np.abs(_band_product(a, b) - direct)) < tol
     fine = tuple(3 * n // 2 for n in shape)
     assert np.max(np.abs(_lattice_product(a, b, fine) - direct)) < tol
     # one point fewer on either axis aliases
@@ -323,8 +324,9 @@ def _real_preserving(xi):
         ("translate", lambda f: translate(f, 0.7), np.exp(-1j * xi * 0.7)),
         ("real scalar", lambda f: 2.5 * f, 2.5),
     ]
-    for which in ("hi", "lo", "HI", "LO", "dyadic"):  # the shell is read by dyadic alone
-        ops.append((which, lambda f, w=which: project(f, w, 2), projection_symbol(which, xi, 2)))
+    for which in ("hi", "lo", "HI", "LO"):
+        ops.append((which, lambda f, w=which: project(f, w), projection_symbol(which, xi)))
+    ops.append(("shell 2", lambda f: dict(decompose(f).shells)[2], phi_shell(xi, 2)))
     return ops
 
 

@@ -10,12 +10,15 @@ The average is formed for blocks of modes, so the set-up holds O(n) values
 and not the 32 n of the whole contour, with each coefficient bit for bit
 that of the one-shot form (see _CONTOUR_ROWS).
 
-The march keeps only the half spectrum k = 0..n/2 of the real state (the
-negative modes are its conjugates) and evaluates N in the conservative form
-F((u^2/2)_x): one inverse and one forward real FFT per stage.  On 2/3-dealiased
-state the two forms agree in exact arithmetic: u^2 has modes |k| <= 2n/3, its
-aliases land at |k| > n/3, which the mask removes, and on the kept band
-F(u u_x) = F((u^2/2)_x).  Data with modes above n/3 differ at aliasing level.
+The march is the 2/3-rule Galerkin truncation: it holds only the modes the
+rule keeps, k = 0..n//3 of the real state (the negative modes are their
+conjugates, the rest are zero), and evaluates N in the conservative form
+F((u^2/2)_x): one inverse and one forward real FFT per stage.  On the kept
+band the two forms agree in exact arithmetic: u^2 has modes |k| <= 2n/3, its
+aliases land at |k| > n/3, which are not kept, and there F(u u_x) =
+F((u^2/2)_x).  A datum's modes above n//3 are dropped at t = 0.  The
+truncated system conserves int u^2 exactly, so for every datum the march's
+drift is that of the time stepping alone.
 
 Sign convention: the nonlinearity sits on the RIGHT-hand side as +u u_x.
 The mean-zero periodic traveling wave for this convention,
@@ -143,17 +146,13 @@ class Trajectory:
         ]
 
 
-def _dealias_mask(k: np.ndarray, n: int) -> np.ndarray:
-    """Modes kept by the 2/3 rule.  k lists the mode numbers of one layout
-    (FFT order or the half spectrum); in both, index n/2 is the Nyquist line."""
-    keep = np.abs(k) <= 2.0 / 3.0 * (n // 2) + 1e-9
-    keep[n // 2] = False
-    return keep
-
-
-def _full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
-    """Hermitian FFT-order coefficients from the half spectrum k = 0..n/2."""
-    return np.concatenate([half, np.conj(half[n // 2 - 1 : 0 : -1])])
+def _full_spectrum(kept: np.ndarray, n: int) -> np.ndarray:
+    """Hermitian FFT-order coefficients from the kept modes k = 0..n//3,
+    zero elsewhere."""
+    full = np.zeros(n, dtype=np.complex128)
+    full[: len(kept)] = kept
+    full[n - len(kept) + 1 :] = np.conj(kept[:0:-1])
+    return full
 
 
 # Modes per block of the contour average in ETDRK4Stepper, so the set-up
@@ -161,8 +160,8 @@ def _full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
 # - At least 512: 512 x 32 complex values are 256 KiB, the size from which
 #   numpy reuses a temporary in place, and that path can round differently in
 #   the last bit.  Every block has full height (the last one overlaps the one
-#   before), so each coefficient equals that of the one-shot (n/2+1) x 32 form
-#   bit for bit; blocks of 511 rows do not.
+#   before), so each coefficient equals that of the one-shot (n//3+1) x 32
+#   form bit for bit; blocks of 511 rows do not.
 # - 1024 and not 512: glibc's malloc trims its heap above twice the largest
 #   block it has freed.  After 256 KiB blocks it trimmed and re-faulted the
 #   march's per-step temporaries (n = 16384: 91k against 14k minor faults in
@@ -174,19 +173,18 @@ _CONTOUR_ROWS = 1024
 class ETDRK4Stepper:
     """Precomputed exponential-RK4 coefficients for one (grid, dt) pair.
 
-    State and coefficients live on the half spectrum k = 0..n/2 (rfft
-    layout).  The nonlinear term is the dealiased conservative form
-    (u^2/2)_x, with i xi/2 and the dealias mask folded into one array; on
-    2/3-dealiased state it equals the dealiased u u_x formed from the
-    samples, the tests' `nonlinearity` oracle in tests/oracles.py (the
-    aliases of u^2 fall outside the kept band).
+    State and coefficients live on the modes the 2/3 rule keeps, k =
+    0..n//3 (the head of the rfft layout; irfft zero-pads the rest).  The
+    nonlinear term is the conservative form (u^2/2)_x cut to those modes; it
+    equals the dealiased u u_x formed from the samples, the tests'
+    `nonlinearity` oracle in tests/oracles.py (the aliases of u^2 fall
+    outside the kept band).
     """
 
     def __init__(self, grid: SpatialGrid, dt: float):
         self.grid = grid
         self.dt = dt
-        k = np.arange(grid.n // 2 + 1)
-        xi = k / grid.period_scale
+        xi = np.arange(grid.n // 3 + 1) / grid.period_scale
         lin = -1j * xi * xi  # -i|xi|xi, xi >= 0 here
         self.exp_full = np.exp(dt * lin)
         self.exp_half = np.exp(0.5 * dt * lin)
@@ -208,12 +206,12 @@ class ETDRK4Stepper:
             self.f3[rows] = dt * np.mean(
                 (-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1
             )
-        self.mask = _dealias_mask(k, grid.n)
-        self._half_ddx = np.where(self.mask, 0.5j * xi, 0.0)
+        self._half_ddx = 0.5j * xi
 
     def nonlinear(self, coeff: np.ndarray) -> np.ndarray:
         u = np.fft.irfft(coeff, self.grid.n, norm="forward")
-        return self._half_ddx * np.fft.rfft(u * u, norm="forward")
+        square = np.fft.rfft(u * u, norm="forward")
+        return self._half_ddx * square[..., : len(self._half_ddx)]
 
     def advance(self, coeff: np.ndarray) -> np.ndarray:
         n0 = self.nonlinear(coeff)
@@ -271,16 +269,17 @@ def energy(u: RealField) -> float:
 
 
 def simulate(u0: RealField, cfg: SimConfig) -> Trajectory:
-    """March u0 with a snapshot every snapshot_stride steps.  Each snapshot is
-    kept as its half spectrum (n/2+1 values) and becomes a RealField when
-    the trajectory's states are read."""
+    """March u0's modes k = 0..n//3 (the rest are dropped at t = 0) with a
+    snapshot every snapshot_stride steps.  Each snapshot is kept as those
+    n//3+1 values and becomes a RealField when the trajectory's states are
+    read."""
     if u0.grid != cfg.grid:
         raise ValueError("initial data does not live on the configured grid")
     grid, n, stride = cfg.grid, cfg.grid.n, cfg.snapshot_stride
     stepper = _stepper(grid, cfg.dt)
     marks = np.arange(0, cfg.n_steps + 1, stride)
-    halves = np.empty((len(marks), n // 2 + 1), dtype=np.complex128)
-    coeff = halves[0] = u0.coefficients[: n // 2 + 1]
+    kept = np.empty((len(marks), n // 3 + 1), dtype=np.complex128)
+    coeff = kept[0] = u0.coefficients[: n // 3 + 1]
     # overflow is reported by the finiteness check, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.n_steps + 1):
@@ -288,8 +287,8 @@ def simulate(u0: RealField, cfg: SimConfig) -> Trajectory:
             if not np.all(np.isfinite(coeff)):
                 raise IntegrationError(time=k * cfg.dt)
             if k % stride == 0:
-                halves[k // stride] = coeff
-    states = LazyStates(lambda i: RealField(grid, _full_spectrum(halves[i], n)), len(marks))
+                kept[k // stride] = coeff
+    states = LazyStates(lambda i: RealField(grid, _full_spectrum(kept[i], n)), len(marks))
     return Trajectory(marks * cfg.dt, states)
 
 

@@ -302,6 +302,8 @@ class ResidualWindow:
         times = np.asarray(times, dtype=np.float64)
         if len(times) < 3:
             raise ValueError("need at least 3 snapshots for a centered difference")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("snapshot times must be finite")
         dts = np.diff(times)
         if not dts[0] > 0 or np.max(np.abs(dts - dts[0])) > 1e-10 * dts[0]:
             raise ValueError("snapshots are not uniformly spaced at a positive step")

@@ -51,6 +51,8 @@ def read_samples(path) -> tuple[SpatialGrid, np.ndarray, float]:
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
+    if not np.isfinite(time):
+        raise ValueError(f"{path}: non-finite snapshot time {time}")
     if (len(raw) - _HEADER.size) % 8:
         raise ValueError(f"{path}: truncated snapshot body")
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)

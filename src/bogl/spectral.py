@@ -24,9 +24,9 @@ The private array kernels (field storage, transforms, re-banding, band
 products) also take stacks of slices: leading axes are a batch and the last
 axis is x, and each row comes out as the one-slice call would give it.
 
-_samples/_analyze hold the DFT normalisation for every module; the stepper's
-half-spectrum pair and the padded tau convolutions of bilinear's region split
-are the only other transforms.
+_samples/_analyze are the transform pair of every module, normalised as
+above (numpy's norm="forward", as is the stepper's real pair); the padded
+tau convolutions of bilinear's region split are the only other transforms.
 """
 
 from __future__ import annotations
@@ -354,23 +354,16 @@ def fine_frequencies(grid: SpatialGrid, factor: int, index) -> np.ndarray:
     return np.where(j < nf // 2, j, j - nf) / grid.period_scale
 
 
-def _points(shape: tuple, axes) -> int:
-    """Lattice points of one transform along `axes` (None: every axis)."""
-    return math.prod(shape if axes is None else (shape[a] for a in axes))
-
-
 def _samples(coeff: np.ndarray, axes=None, out=None) -> np.ndarray:
     """The samples of coeff along axes, written to out (a new array if None;
     out may be coeff itself)."""
-    s = np.fft.ifftn(coeff, axes=axes, out=out)
-    return np.multiply(s, _points(coeff.shape, axes), out=s)
+    return np.fft.ifftn(coeff, axes=axes, out=out, norm="forward")
 
 
 def _analyze(samples: np.ndarray, axes=None, out=None) -> np.ndarray:
     """The coefficients of samples along axes, written to out (a new array if
     None; out may be samples itself)."""
-    c = np.fft.fftn(samples, axes=axes, out=out)
-    return np.divide(c, _points(samples.shape, axes), out=c)
+    return np.fft.fftn(samples, axes=axes, out=out, norm="forward")
 
 
 def _reband(coeff: np.ndarray, shape: tuple) -> np.ndarray:

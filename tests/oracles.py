@@ -27,7 +27,6 @@ import numpy as np
 
 from bogl.bilinear import _require_integer_lattice
 from bogl.bourgain import SpaceTimeField
-from bogl.dynamics import _dealias_mask
 from bogl.gauge import _coarse_plus, _embed, exponential_pair
 from bogl.lp import dyadic_shells
 from bogl.spectral import (
@@ -240,7 +239,7 @@ def nonlinearity(u: RealField) -> RealField:
     grid = u.grid
     ux = derivative(u)
     coeff = _analyze(np.asarray(u.samples) * np.asarray(ux.samples))
-    coeff[~_dealias_mask(grid.k, grid.n)] = 0.0
+    coeff[np.abs(grid.k) > grid.n // 3] = 0.0
     return RealField(grid, coeff)
 
 

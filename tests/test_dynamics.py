@@ -61,7 +61,7 @@ class ComplexStepperOracle:
     """Full-spectrum ETDRK4 with u*u_x from three complex FFTs per stage.
 
     The same scheme as ETDRK4Stepper, kept as an independent reference for the
-    half-spectrum conservative-form stepper.
+    kept-band conservative-form stepper.
     """
 
     def __init__(self, grid, dt):
@@ -105,18 +105,20 @@ def _rel(a, b):
 @pytest.mark.parametrize("period_scale", [1.0, 2.0])
 @pytest.mark.parametrize("n", [64, 256, 16384])
 def test_stepper_coefficients_match_one_shot_contour(n, period_scale):
-    # the stepper forms the contour average in blocks of modes, the oracle on
-    # its whole (n x 32) array; on the modes both hold (k < n/2) they agree
-    # bit for bit, which a partition into blocks of another size can break
+    # the stepper forms the contour average in blocks of the kept modes, the
+    # oracle on its whole (n x 32) array; on the kept modes k = 0..n//3 they
+    # agree bit for bit, which a partition into blocks of another size can
+    # break
     g = make_grid(n, period_scale)
     stepper, oracle = ETDRK4Stepper(g, 5e-4), ComplexStepperOracle(g, 5e-4)
     for name in ("q", "f1", "f2", "f3"):
         got, expected = getattr(stepper, name), getattr(oracle, name)
-        assert np.array_equal(got[: n // 2], expected[: n // 2]), name
+        assert len(got) == n // 3 + 1, name
+        assert np.array_equal(got, expected[: n // 3 + 1]), name
 
 
 def test_stepper_setup_memory_is_linear_in_n():
-    # the whole (n/2+1) x 32 contour at once peaks near 80 MB here
+    # the whole (n//3+1) x 32 contour at once peaks near 56 MB here
     g = make_grid(2**16, 1.0)
     tracemalloc.start()
     try:
@@ -129,13 +131,14 @@ def test_stepper_setup_memory_is_linear_in_n():
 
 @pytest.mark.parametrize("n", [64, 256, 4096])
 def test_stepper_nonlinear_matches_u_ux(n):
-    # in-band data: the conservative (u^2/2)_x equals u*u_x after dealiasing
+    # in-band data: the conservative (u^2/2)_x on the kept modes equals
+    # u*u_x after dealiasing, which has nothing above them
     g = make_grid(n, 1.0)
     u = random_field(g, np.random.default_rng(n), decay=0.5, max_mode=n // 3)
-    half = ETDRK4Stepper(g, 1e-3).nonlinear(u.coefficients[: n // 2 + 1])
+    kept = ETDRK4Stepper(g, 1e-3).nonlinear(u.coefficients[: n // 3 + 1])
     full = nonlinearity(u).coefficients
-    assert _rel(half, full[: n // 2 + 1]) < 1e-13
-    assert np.all(half[n // 3 + 1 :] == 0.0)
+    assert _rel(kept, full[: n // 3 + 1]) < 1e-13
+    assert np.all(full[n // 3 + 1 : n - n // 3] == 0.0)
 
 
 def test_march_matches_complex_oracle(grid):
@@ -162,17 +165,17 @@ def test_march_matches_complex_oracle(grid):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rfft_stepper_matches_complex_oracle_on_dealiased_data(log2n, period_scale, dt, seed):
-    # data on the modes the 2/3 rule keeps: the half-spectrum conservative
-    # form and the full-spectrum u*u_x oracle take the same steps
+    # data on the modes the 2/3 rule keeps: the kept-band conservative form
+    # and the full-spectrum u*u_x oracle take the same steps
     n = 2**log2n
     g = make_grid(n, period_scale)
     u = random_field(g, np.random.default_rng(seed), decay=1.0, amplitude=0.5,
                      max_mode=n // 3)
     stepper, oracle = ETDRK4Stepper(g, dt), ComplexStepperOracle(g, dt)
-    half, full = u.coefficients[: n // 2 + 1], u.copy_coefficients()
+    kept, full = u.coefficients[: n // 3 + 1], u.copy_coefficients()
     for _ in range(3):
-        half, full = stepper.advance(half), oracle.advance(full)
-    assert _rel(half, full[: n // 2 + 1]) <= 1e-12
+        kept, full = stepper.advance(kept), oracle.advance(full)
+    assert _rel(kept, full[: n // 3 + 1]) <= 1e-12
 
 
 def test_lazy_states_build_each_state_when_read():
@@ -191,7 +194,7 @@ def test_lazy_states_build_each_state_when_read():
     assert built == [4, 0, 1, 2, 3, 4]  # nothing is kept
 
 
-def test_simulate_keeps_each_snapshot_as_its_half_spectrum():
+def test_simulate_keeps_each_snapshot_as_its_kept_modes():
     n = 1024
     g = make_grid(n, 1.0)
     u0 = smooth_data(g)
@@ -207,9 +210,25 @@ def test_simulate_keeps_each_snapshot_as_its_half_spectrum():
             tracemalloc.stop()
         assert len(traj.states) == count
         del traj
-    # n/2+1 complex coefficients and one time per snapshot; a RealField
+    # n//3+1 complex coefficients and one time per snapshot; a RealField
     # would hold n coefficients
-    assert (held[65] - held[3]) / 62 <= (n // 2 + 1) * 16 + 8
+    assert (held[65] - held[3]) / 62 <= (n // 3 + 1) * 16 + 8
+
+
+def test_march_drops_the_modes_above_n_over_3_and_conserves_m():
+    # a datum with modes above n//3 marches as the datum cut to the kept
+    # band, bit for bit, and so conserves int u^2
+    g = make_grid(16, 1.0)
+    u0 = random_field(g, np.random.default_rng(0), decay=2.0, max_mode=8)
+    cut = u0.copy_coefficients()
+    cut[np.abs(g.k) > g.n // 3] = 0.0
+    assert np.any(cut != u0.coefficients)
+    cfg = SimConfig(g, dt=1e-3, t_end=1.0, snapshot_stride=100)
+    traj, traj_cut = simulate(u0, cfg), simulate(RealField(g, cut), cfg)
+    for u, v in zip(traj.states, traj_cut.states):
+        assert np.array_equal(u.coefficients, v.coefficients)
+    m = traj.momenta
+    assert np.max(np.abs(m - m[0])) / m[0] < 1e-10
 
 
 def test_step_output_is_real(grid):

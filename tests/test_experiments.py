@@ -201,6 +201,23 @@ def test_gauge_check_rejects_a_bad_snapshot_before_computing(sim_run, tmp_path,
         assert not dest.exists(), label
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_snapshot_time_exits_2_with_no_directory(sim_run, tmp_path, bad):
+    # a NaN time sorted as the last snapshot and passed gauge-check's
+    # spacing test, and lp-decompose wrote either into manifest.json, which
+    # JSON cannot hold; both are input errors now
+    snaps = sorted(Path(sim_run.out_dir).glob("snap_*.bin"))[:3]
+    traj = tmp_path / "traj"
+    traj.mkdir()
+    for snap, t in zip(snaps, (bad, 0.1, 0.2)):
+        write_snapshot(traj / snap.name, read_snapshot(snap)[0], time=t)
+    first = traj / snaps[0].name
+    for args in (["gauge-check", "--traj", str(traj)], ["lp-decompose", "--input", str(first)]):
+        dest = tmp_path / args[0]
+        assert main([*args, "--out", str(dest)]) == 2, args[0]
+        assert not dest.exists(), args[0]
+
+
 def test_gauge_check_peak_does_not_grow_with_the_snapshot_count(tmp_path):
     # the states are read one at a time, so 41 snapshots peak within one
     # snapshot's coefficients of 5

@@ -12,6 +12,7 @@ import bogl
 from bogl import gauge
 from bogl.dynamics import LazyStates, SimConfig, Trajectory, simulate
 from bogl.gauge import (
+    ResidualWindow,
     exp_multiplication_probe,
     gauge_residual,
     gauge_w,
@@ -160,6 +161,15 @@ def test_gauge_residual_needs_three_snapshots(grid):
     traj = simulate(u0, cfg)  # two snapshots only
     with pytest.raises(ValueError):
         gauge_residual(traj)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_residual_window_rejects_non_finite_times(bad):
+    # a NaN last spacing passes a "not larger than" test, so it is checked
+    # on its own
+    for times in ([0.0, 0.1, bad], [bad, 0.1, 0.2]):
+        with pytest.raises(ValueError, match="finite"):
+            ResidualWindow(times)
 
 
 def _dyadic_trajectory(n, steps, seed):

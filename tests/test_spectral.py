@@ -369,9 +369,9 @@ def test_random_field_rejects_empty_band():
 
 
 # The functions of the package that may call a numpy FFT transform: the pair
-# that holds the DFT normalisation for every module, the stepper's
-# half-spectrum pair and the padded, unnormalised tau convolutions of the
-# region split.  The frequency and shift helpers carry no transform.
+# that every module transforms with, the stepper's real pair (both normalised
+# with numpy's norm="forward") and the padded, unnormalised tau convolutions
+# of the region split.  The frequency and shift helpers carry no transform.
 _TRANSFORM_SITES = {
     ("spectral", "_samples"),
     ("spectral", "_analyze"),

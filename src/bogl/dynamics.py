@@ -299,9 +299,9 @@ def rescale(u0: RealField, lam: int) -> RealField:
     samples at the same indices, so ||rescale(u)||_L2 = lam^{1/2} ||u||_L2
     holds to rounding.
     """
-    lam = int(lam)
-    if not _is_power_of_two(lam):
+    if not (float(lam).is_integer() and _is_power_of_two(int(lam))):
         raise ValueError(f"scaling factor must be a dyadic integer >= 1, got {lam}")
+    lam = int(lam)
     new_scale = u0.grid.period_scale / lam
     if new_scale < 1 - 1e-12:
         raise ValueError(

@@ -57,6 +57,7 @@ from .spectral import (
     _analyze,
     _band_product,
     _lp_sum,
+    _mirror,
     _real_coefficients,
     _reband,
     _samples,
@@ -371,18 +372,6 @@ def _dx_samples(
     return _samples(a, out=a)
 
 
-def _mirror_band(em: np.ndarray, band: _Band) -> np.ndarray:
-    """The band's part of _mirror(em), the coefficients of the conjugate,
-    formed at the band's entries only.  The run must not hold index 0."""
-    nf = em.shape[-1]
-    out = np.zeros_like(em)
-    start, stop = band.ones.start, band.ones.stop
-    np.conjugate(em[..., nf - stop + 1 : nf - start + 1][..., ::-1],
-                 out=out[..., start:stop])
-    out[..., band.index] = np.conjugate(em[..., -band.index % nf]) * band.values
-    return out
-
-
 def _span(band: _Band) -> slice:
     """The shortest slice of indices that holds every nonzero entry of band."""
     ends = [band.ones.start, band.ones.stop] if band.ones.stop > band.ones.start else []
@@ -482,7 +471,7 @@ def reconstruct_high(
     # T2 is formed first, on P_{+HI}'s span only, so that P_{+hi}e^{+iF/2}
     # can turn into T3's P_{+HI}e^{+iF/2} in place
     span = _span(plus_HI)
-    ep_hi = _mirror_band(em, plus_hi)
+    ep_hi = _project(_mirror(em), plus_hi, inplace=True)
     t2 = _roll_sum(ep_hi, lo_modes, inner_lo, span)
     hi = _samples(_project(ep_hi, plus_HI, inplace=True), out=ep_hi)
     del ep_hi

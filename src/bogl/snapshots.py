@@ -1,8 +1,11 @@
-"""Binary field snapshots.
+"""Binary snapshots of real fields.
 
 Layout (little-endian): magic "BOGL", version u32, N u32, lambda f64,
-time f64, kind u8 (0 real, 1 complex), then N f64 samples (2N interleaved
-re/im for complex fields).
+time f64, kind u8 (0: a real field), then N f64 samples.
+
+read_snapshot is the one place that decides what a snapshot is, and
+write_snapshot writes only files that it accepts: both check the samples
+with the same function.
 """
 
 from __future__ import annotations
@@ -12,37 +15,36 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import ComplexField, Field, RealField, SpatialGrid, make_grid
+from .spectral import RealField, SpatialGrid, _analyze, make_grid
 
 MAGIC = b"BOGL"
 VERSION = 1
 KIND_REAL = 0
-KIND_COMPLEX = 1
 _HEADER = struct.Struct("<4sIIddB")
 
-__all__ = ["write_snapshot", "read_snapshot", "read_samples", "MAGIC", "VERSION"]
+__all__ = ["write_snapshot", "read_snapshot", "MAGIC", "VERSION"]
 
 
-def write_snapshot(path, field: Field, time: float = 0.0) -> None:
-    path = Path(path)
-    kind = KIND_REAL if isinstance(field, RealField) else KIND_COMPLEX
+def write_snapshot(path, field: RealField, time: float = 0.0) -> None:
+    """Write field and time to path.  Raises, writing nothing, where
+    read_snapshot would reject the file."""
+    if not isinstance(field, RealField):
+        raise TypeError(f"a snapshot holds a RealField, got {type(field).__name__}")
+    time = float(time)
+    if not np.isfinite(time):
+        raise ValueError(f"{path}: non-finite snapshot time {time}")
+    samples = np.asarray(field.samples, dtype="<f8")
+    _field(path, field.grid, samples)
     header = _HEADER.pack(
-        MAGIC, VERSION, field.grid.n, field.grid.period_scale, float(time), kind
+        MAGIC, VERSION, field.grid.n, field.grid.period_scale, time, KIND_REAL
     )
-    if kind == KIND_REAL:
-        payload = np.asarray(field.samples, dtype="<f8").tobytes()
-    else:
-        s = np.asarray(field.samples, dtype=np.complex128)
-        inter = np.empty(2 * field.grid.n, dtype="<f8")
-        inter[0::2] = s.real
-        inter[1::2] = s.imag
-        payload = inter.tobytes()
-    path.write_bytes(header + payload)
+    Path(path).write_bytes(header + samples.tobytes())
 
 
-def read_samples(path) -> tuple[SpatialGrid, np.ndarray, float]:
-    """The grid, samples and time of a snapshot, untransformed: float64
-    samples for a real field, complex128 for a complex one."""
+def read_snapshot(path) -> tuple[RealField, float]:
+    """The field and time of a snapshot.  Raises ValueError, naming the path,
+    for a file that is not one, or whose time, samples or coefficients are
+    not finite."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated snapshot header")
@@ -53,22 +55,29 @@ def read_samples(path) -> tuple[SpatialGrid, np.ndarray, float]:
         raise ValueError(f"{path}: unsupported version {version}")
     if not np.isfinite(time):
         raise ValueError(f"{path}: non-finite snapshot time {time}")
-    if (len(raw) - _HEADER.size) % 8:
-        raise ValueError(f"{path}: truncated snapshot body")
-    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    grid = make_grid(n, lam)
-    if kind == KIND_REAL:
-        if body.size != n:
-            raise ValueError(f"{path}: expected {n} samples, got {body.size}")
-        return grid, np.asarray(body, dtype=np.float64), time
-    if kind == KIND_COMPLEX:
-        if body.size != 2 * n:
-            raise ValueError(f"{path}: expected {2*n} floats, got {body.size}")
-        return grid, body[0::2] + 1j * body[1::2], time
-    raise ValueError(f"{path}: unknown field kind {kind}")
+    if kind != KIND_REAL:
+        raise ValueError(f"{path}: unknown field kind {kind} (0: a real field)")
+    if len(raw) - _HEADER.size != 8 * n:
+        raise ValueError(f"{path}: expected {n} samples in {8 * n} bytes, "
+                         f"got {len(raw) - _HEADER.size} bytes")
+    try:
+        grid = make_grid(n, lam)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return _field(path, grid, np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)), time
 
 
-def read_snapshot(path) -> tuple[Field, float]:
-    grid, samples, time = read_samples(path)
-    cls = ComplexField if np.iscomplexobj(samples) else RealField
-    return cls.from_samples(grid, samples), time
+def _field(path, grid: SpatialGrid, samples: np.ndarray) -> RealField:
+    """The field of samples, or a ValueError naming path when the samples or
+    their transform are not finite.  A non-finite sample spreads to every
+    coefficient, and finite samples near the float range overflow the
+    transform's sums, so one check of the coefficients covers both."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = _analyze(np.asarray(samples, dtype=np.float64))
+        # RealField's Hermitian check cannot judge non-finite coefficients,
+        # and its symmetrization can overflow near the float range
+        if np.all(np.isfinite(coefficients)):
+            field = RealField(grid, coefficients)
+            if np.all(np.isfinite(field.coefficients)):
+                return field
+    raise ValueError(f"{path}: non-finite samples or transform")

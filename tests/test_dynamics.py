@@ -352,6 +352,15 @@ def test_rescale_norm_relation():
         rescale(u, 8)  # would need period_scale 1/2
 
 
+def test_rescale_takes_an_integral_factor_only():
+    # 2.5 is not truncated to a dilation by 2; 2.0 is the factor 2
+    u = random_field(make_grid(64, 4.0), np.random.default_rng(3), decay=1.5)
+    with pytest.raises(ValueError, match="dyadic integer"):
+        rescale(u, 2.5)
+    assert rescale(u, 2.0).grid.period_scale == 2.0
+    assert np.array_equal(rescale(u, 2.0).samples, rescale(u, 2).samples)
+
+
 def test_rescale_solution_correspondence():
     # u_lam(x, t) = lam u(lam x, lam^2 t): evolve both and compare on the lattice
     lam = 2

@@ -48,12 +48,40 @@ def test_snapshot_round_trip(tmp_path):
     assert back.grid == g
     assert np.max(np.abs(back.samples - f.samples)) < 1e-14
 
+    # a snapshot holds a real field: a complex one is not written, and a
+    # file of another kind (1 was the complex kind) is not read
     z = ComplexField.from_samples(g, np.exp(1j * g.x))
     path2 = tmp_path / "z.bin"
-    write_snapshot(path2, z, time=0.0)
-    back2, _ = read_snapshot(path2)
-    assert isinstance(back2, ComplexField)
-    assert np.max(np.abs(back2.samples - z.samples)) < 1e-14
+    with pytest.raises(TypeError):
+        write_snapshot(path2, z, time=0.0)
+    assert not path2.exists()
+    path2.write_bytes(_patched(path.read_bytes(), kind=1))
+    with pytest.raises(ValueError, match="z.bin"):
+        read_snapshot(path2)
+
+
+def _patched(raw: bytes, time=None, kind=None) -> bytes:
+    """The snapshot bytes raw with the header's time (bytes 20-27) or kind
+    (byte 28) replaced."""
+    raw = bytearray(raw)
+    if time is not None:
+        raw[20:28] = np.array([time], "<f8").tobytes()
+    if kind is not None:
+        raw[28] = kind
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("time, mean", [(np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan),
+                                        (0.0, 8.9e307)])
+def test_write_snapshot_refuses_what_read_snapshot_rejects(tmp_path, time, mean):
+    # a non-finite time, NaN samples, and finite samples (all 8.9e307) whose
+    # transform overflows
+    coefficients = np.zeros(8)
+    coefficients[0] = mean
+    path = tmp_path / "f.bin"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_snapshot(path, RealField(make_grid(8, 1.0), coefficients), time=time)
+    assert not path.exists()
 
 
 def test_snapshot_header_layout(tmp_path):
@@ -180,8 +208,7 @@ def test_gauge_check_rejects_a_bad_snapshot_before_computing(sim_run, tmp_path,
     other_grid = random_field(make_grid(32, 1.0), stream(0, "other"), max_mode=4)
     replacements = {
         "corrupt": lambda path: path.write_bytes(snaps[-1].read_bytes()[:-3]),
-        "complex": lambda path: write_snapshot(
-            path, ComplexField(last.grid, 1j * last.coefficients), time=t),
+        "complex": lambda path: path.write_bytes(_patched(path.read_bytes(), kind=1)),
         "grid": lambda path: write_snapshot(path, other_grid, time=t),
         "mean": lambda path: write_snapshot(
             path, RealField.from_samples(last.grid, last.samples + 0.5), time=t),
@@ -210,12 +237,59 @@ def test_a_non_finite_snapshot_time_exits_2_with_no_directory(sim_run, tmp_path,
     traj = tmp_path / "traj"
     traj.mkdir()
     for snap, t in zip(snaps, (bad, 0.1, 0.2)):
-        write_snapshot(traj / snap.name, read_snapshot(snap)[0], time=t)
+        (traj / snap.name).write_bytes(_patched(snap.read_bytes(), time=t))
     first = traj / snaps[0].name
     for args in (["gauge-check", "--traj", str(traj)], ["lp-decompose", "--input", str(first)]):
         dest = tmp_path / args[0]
         assert main([*args, "--out", str(dest)]) == 2, args[0]
         assert not dest.exists(), args[0]
+
+
+def _scaled_trajectory(sim_run, dest: Path, samples) -> Path:
+    """A copy of sim_run's snapshots, headers kept, with each sample array
+    replaced by samples(array)."""
+    dest.mkdir()
+    for snap in sorted(Path(sim_run.out_dir).glob("snap_*.bin")):
+        raw = snap.read_bytes()
+        body = samples(np.frombuffer(raw, "<f8", offset=29))
+        (dest / snap.name).write_bytes(raw[:29] + np.asarray(body, "<f8").tobytes())
+    return dest
+
+
+def test_a_snapshot_whose_transform_overflows_exits_2_with_no_directory(sim_run, tmp_path):
+    # finite samples near the float range overflow the transform's sums: the
+    # reader rejects the file, with no numpy warning (pytest makes one an error)
+    traj = _scaled_trajectory(sim_run, tmp_path / "traj",
+                              lambda s: np.full(s.size, 1.7e308))
+    first = sorted(traj.glob("snap_*.bin"))[0]
+    with pytest.raises(ValueError, match="non-finite"):
+        read_snapshot(first)
+    for args in (["gauge-check", "--traj", str(traj)], ["lp-decompose", "--input", str(first)]):
+        dest = tmp_path / args[0]
+        assert main([*args, "--out", str(dest)]) == 2, args[0]
+        assert not dest.exists(), args[0]
+
+
+def test_an_overflow_in_a_command_is_a_numeric_failure_not_a_warning(sim_run, tmp_path):
+    # an overflow is a numeric failure (exit 3), or a failed assertion, and
+    # never a numpy warning, which pytest and python -W error make an error
+    for label, body in (("decay", "decay = -1000\n"),
+                        ("amplitude", "init = modes\namplitude = 1e308\n")):
+        cfg = tmp_path / f"{label}.cfg"
+        cfg.write_text(body)
+        dest = tmp_path / f"sim_{label}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(dest)]) == 3, label
+        assert not dest.exists(), label
+    # samples near 1e300 read fine, but their shell masses overflow
+    traj = _scaled_trajectory(sim_run, tmp_path / "traj", lambda s: s * 1e300)
+    dest = tmp_path / "lp"
+    first = sorted(traj.glob("snap_*.bin"))[0]
+    assert main(["lp-decompose", "--input", str(first), "--out", str(dest)]) == 3
+    assert not dest.exists()
+    # gauge-check keeps its non-finite gaps and residuals in its assertions
+    assert main(["gauge-check", "--traj", str(traj), "--out", str(tmp_path / "g")]) == 0
+    assert main(["gauge-check", "--traj", str(traj), "--out", str(tmp_path / "ga"),
+                 "--assert"]) == 4
 
 
 def test_gauge_check_peak_does_not_grow_with_the_snapshot_count(tmp_path):
@@ -242,9 +316,8 @@ def test_gauge_check_peak_does_not_grow_with_the_snapshot_count(tmp_path):
 
 def test_gauge_check_reads_each_file_twice_and_forms_each_exponential_once(
         tmp_path, monkeypatch):
-    # the up-front check reads every file's samples, then one pass reads
-    # each again as a field and forms its e^{-iF/2} once for the residual
-    # and the reconstruction
+    # the up-front check reads every file, then one pass reads each again
+    # and forms its e^{-iF/2} once for the residual and the reconstruction
     from bogl import gauge
 
     cfg = {"n": "64", "dt": "1e-3", "t_end": "0.004", "snapshot_stride": "1",
@@ -253,23 +326,19 @@ def test_gauge_check_reads_each_file_twice_and_forms_each_exponential_once(
     reads, formed = {}, []
     form = gauge._exponential
 
-    def counted(reader):
-        def read(path):
-            key = (reader.__name__, Path(path).name)
-            reads[key] = reads.get(key, 0) + 1
-            return reader(path)
-        return read
+    def counted(path):
+        name = Path(path).name
+        reads[name] = reads.get(name, 0) + 1
+        return read_snapshot(path)
 
     def counted_form(*args, **kwargs):
         formed.append(args)
         return form(*args, **kwargs)
 
-    for name in ("read_samples", "read_snapshot"):
-        monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
+    monkeypatch.setattr(experiments, "read_snapshot", counted)
     monkeypatch.setattr(gauge, "_exponential", counted_form)
     assert run_gauge_check(sim, tmp_path / "g").passed
-    assert reads == {(reader, f"snap_{i:06d}.bin"): 1 for i in range(5)
-                     for reader in ("read_samples", "read_snapshot")}
+    assert reads == {f"snap_{i:06d}.bin": 2 for i in range(5)}
     assert len(formed) == 5
 
 

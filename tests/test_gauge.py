@@ -238,9 +238,6 @@ def test_bands_multiply_as_the_projection_masks(n, period_scale, oversample):
         assert np.array_equal(b, masked), which
         gauge._dx_band(b, band, g, oversample)
         assert np.array_equal(b, masked * (1j * xi)), which
-        if which.startswith("plus"):
-            mirrored = _mirror(a) * projection_symbol(which, xi)
-            assert np.array_equal(gauge._mirror_band(a, band), mirrored), which
         if 2 * (8 * period_scale + 2) < nf:
             # the sign and HI projections are one run, "lo" an index list
             if which in ("plus", "minus", "plus_HI"):

@@ -245,13 +245,13 @@ def test_a_non_finite_snapshot_time_exits_2_with_no_directory(sim_run, tmp_path,
         assert not dest.exists(), args[0]
 
 
-def _scaled_trajectory(sim_run, dest: Path, samples) -> Path:
+def _scaled_trajectory(sim_run, dest: Path, replace_samples) -> Path:
     """A copy of sim_run's snapshots, headers kept, with each sample array
-    replaced by samples(array)."""
+    replaced by replace_samples(array)."""
     dest.mkdir()
     for snap in sorted(Path(sim_run.out_dir).glob("snap_*.bin")):
         raw = snap.read_bytes()
-        body = samples(np.frombuffer(raw, "<f8", offset=29))
+        body = replace_samples(np.frombuffer(raw, "<f8", offset=29))
         (dest / snap.name).write_bytes(raw[:29] + np.asarray(body, "<f8").tobytes())
     return dest
 
